@@ -12,18 +12,16 @@ evaluated as written.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
-from decimal import Decimal
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import labels as L
 from .evaluator import EvalConfig, check_safe_range, evaluate
 from .formula import (
     Formula,
-    free_variables,
     negate_to_violation_query,
     parse,
-    print_formula,
     substitute,
 )
 from .labels import DEFAULT_LABELS, LabelTable
@@ -34,10 +32,8 @@ from .model import (
     KnowledgeBase,
     PropRef,
     QuantityVal,
-    Statement,
     StringVal,
     UnsupportedPattern,
-    Value,
     as_entity,
     compile_pattern,
 )
@@ -129,14 +125,16 @@ def _count_value(params: AttrSet, attr: EntityId) -> Optional[int]:
     return None
 
 
-_PARSE_CACHE: dict = {}
+# label table -> {variant text: parsed formula}; keyed by the table object, so
+# a new table starts cold even when it reuses the address of a freed one
+_PARSE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _parse_variant(text: str, labels: LabelTable) -> Formula:
-    key = (text, id(labels))
-    if key not in _PARSE_CACHE:
-        _PARSE_CACHE[key] = parse(text, labels)
-    return _PARSE_CACHE[key]
+    cache = _PARSE_CACHE.setdefault(labels, {})
+    if text not in cache:
+        cache[text] = parse(text, labels)
+    return cache[text]
 
 
 def applicable_variants(tpl: ConstraintTemplate, decl: Declaration) -> list:
@@ -159,15 +157,12 @@ def derive_violation_queries(
 ) -> list:
     """(variant, query) pairs: negated formulae, parametrized if declared."""
     labels = labels or DEFAULT_LABELS
-    out = []
     if tpl.type_item is None:
-        for var in tpl.variants:
-            if var.enabled:
-                out.append((var, negate_to_violation_query(
-                    _parse_variant(var.text, labels))))
-        return out
+        return [(var, _variant_query(var.text, None, labels))
+                for var in tpl.variants if var.enabled]
     if decl is None:
         raise CatalogError(f"template {tpl.name} needs a declaration")
+    out = []
     for var in applicable_variants(tpl, decl):
         text = var.text
         if var.count_param is not None:
@@ -175,18 +170,55 @@ def derive_violation_queries(
             if k is None:
                 continue
             text = text.replace("<K>", str(k))
-        f = _parse_variant(text, labels)
-        f = substitute(f, {"p": PropRef(decl.property)}, {"CQ": decl.params})
-        out.append((var, negate_to_violation_query(f)))
+        out.append((var, _variant_query(text, decl, labels)))
     return out
 
 
-def _printable(v) -> str:
-    return str(v)
+def _variant_query(text: str, decl: Optional[Declaration], labels: LabelTable) -> Formula:
+    """Parse one variant, bind ?p and ?CQ to the declaration (if any), negate."""
+    f = _parse_variant(text, labels)
+    if decl is not None:
+        f = substitute(f, {"p": PropRef(decl.property)}, {"CQ": decl.params})
+    return negate_to_violation_query(f)
+
+
+class Instance(NamedTuple):
+    """A violation query to evaluate, or (query None) a note on what was skipped."""
+
+    template: ConstraintTemplate
+    declaration: Optional[Declaration]
+    variant: Optional[Variant]
+    query: Optional[Formula]
+    note: Optional[str] = None
+
+
+def instantiate(kb: KnowledgeBase, templates: list,
+                labels: Optional[LabelTable] = None) -> Iterator[Instance]:
+    """Every violation query of the templates over the KB's declarations.
+
+    Global templates are instantiated once; a property template once per
+    declaration of its type item.  Declarations that fail prevalidation and
+    queries that are not range-restricted come out as notes, in order.
+    """
+    declarations = extract_declarations(kb)
+    for tpl in templates:
+        decls = [None] if tpl.type_item is None else [
+            d for d in declarations if d.type_item == tpl.type_item]
+        for decl in decls:
+            if decl is not None and (note := _prevalidate(tpl, decl)):
+                yield Instance(tpl, decl, None, None, note)
+                continue
+            for var, query in derive_violation_queries(tpl, decl, labels):
+                problem = check_safe_range(query)
+                if problem:
+                    yield Instance(tpl, decl, var, None, f"skipped {tpl.name}/{var.name}: "
+                                   f"query not range-restricted ({problem})")
+                else:
+                    yield Instance(tpl, decl, var, query)
 
 
 def _params_list(params: AttrSet) -> list:
-    return [[_printable(a), _printable(v)] for a, v in params.without_pseudo().sorted_pairs()]
+    return [[str(a), str(v)] for a, v in params.without_pseudo().sorted_pairs()]
 
 
 def _message(tpl: ConstraintTemplate, var: Variant, decl: Optional[Declaration],
@@ -194,7 +226,7 @@ def _message(tpl: ConstraintTemplate, var: Variant, decl: Optional[Declaration],
     parts = [f"{tpl.name}" + (f" ({var.name})" if var.name != "main" else "")]
     if decl is not None:
         parts.append(f"on {decl.property}")
-    shown = ", ".join(f"?{k}={_printable(v)}" for k, v in sorted(binding.items())
+    shown = ", ".join(f"?{k}={v}" for k, v in sorted(binding.items())
                       if not isinstance(v, AttrSet))
     if shown:
         parts.append("with " + shown)
@@ -209,7 +241,7 @@ def _canonical_binding(binding: dict, pairs: tuple) -> frozenset:
         if a in swapped and b in swapped:
             swapped[a], swapped[b] = swapped[b], swapped[a]
     def key(d):
-        return tuple(sorted((k, _printable(v)) for k, v in d.items()))
+        return tuple(sorted((k, str(v)) for k, v in d.items()))
     return frozenset(min(key(items), key(swapped)))
 
 
@@ -221,29 +253,14 @@ def check(
     max_violations: Optional[int] = None,
 ) -> CheckResult:
     """Evaluate all (selected) constraint templates over the KB."""
-    labels = labels or DEFAULT_LABELS
     cfg = cfg or EvalConfig()
     templates = builtin_templates() if templates is None else templates
     result = CheckResult()
-    declarations = extract_declarations(kb)
-
-    for tpl in templates:
-        if tpl.type_item is None:
-            _check_queries(kb, tpl, None, derive_violation_queries(tpl, None, labels),
-                           cfg, result, max_violations)
-            continue
-        for decl in declarations:
-            if decl.type_item != tpl.type_item:
-                continue
-            note = _prevalidate(tpl, decl)
-            if note:
-                result.notes.append(note)
-                continue
-            queries = derive_violation_queries(tpl, decl, labels)
-            _check_queries(kb, tpl, decl, queries, cfg, result, max_violations)
+    instances = instantiate(kb, templates, labels)
+    for violation in _violations(kb, instances, cfg, result.notes):
+        result.violations.append(violation)
         if max_violations is not None and len(result.violations) >= max_violations:
             break
-
     result.violations.sort(key=Violation.sort_key)
     return result
 
@@ -260,19 +277,20 @@ def _prevalidate(tpl: ConstraintTemplate, decl: Declaration) -> Optional[str]:
     return None
 
 
-def _check_queries(kb, tpl, decl, queries, cfg, result, max_violations) -> None:
+def _violations(kb, instances, cfg, notes: list) -> Iterator[Violation]:
+    """Evaluate each instance; skip notes go to notes as they come."""
     seen: set = set()
-    for var, query in queries:
-        problem = check_safe_range(query)
-        if problem:
-            result.notes.append(
-                f"skipped {tpl.name}/{var.name}: query not range-restricted ({problem})")
+    for tpl, decl, var, query, note in instances:
+        if query is None:
+            notes.append(note)
             continue
         diagnostics: list = []
         for binding in evaluate(kb, query, cfg, diagnostics):
             env = binding.as_dict()
             if var.symmetric_pairs:
-                key = (var.name, _canonical_binding(env, var.symmetric_pairs))
+                # symmetric-pair dedup is scoped per template and declaration
+                key = (tpl.name, decl and decl.statement_id, var.name,
+                       _canonical_binding(env, var.symmetric_pairs))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -281,19 +299,17 @@ def _check_queries(kb, tpl, decl, queries, cfg, result, max_violations) -> None:
                 subj = env.get(tpl.subject_var)
                 ent = as_entity(subj) if subj is not None else None
                 suppressed = ent is not None and ent in decl.exceptions
-            result.violations.append(Violation(
+            yield Violation(
                 template=tpl.name,
                 variant=var.name,
                 declaration_property=str(decl.property) if decl else None,
                 params=_params_list(decl.params) if decl else [],
-                binding={k: _printable(v) for k, v in sorted(env.items())},
+                binding={k: str(v) for k, v in sorted(env.items())},
                 severity=decl.severity if decl else "regular",
                 suppressed=suppressed,
                 message=_message(tpl, var, decl, env),
                 diagnostics=[str(d) for d in diagnostics],
-            ))
-            if max_violations is not None and len(result.violations) >= max_violations:
-                return
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +370,13 @@ def validate_catalog(labels: Optional[LabelTable] = None) -> list:
         (PropRef(L.PARAM_CLASS), ItemRef(L.MANDATORY_STATUS)),
     ])
     for tpl in builtin_templates():
+        decl = None if tpl.type_item is None else Declaration(
+            "self-test", L.SPOUSE, tpl.type_item, dummy_params)
         for var in tpl.variants:
-            text = var.text.replace("<K>", "2")
             try:
-                f = parse(text, labels)
+                query = _variant_query(var.text.replace("<K>", "2"), decl, labels)
             except Exception as exc:
-                problems.append(f"{tpl.name}/{var.name}: parse failed: {exc}")
-                continue
-            if tpl.type_item is not None:
-                f = substitute(f, {"p": PropRef(L.SPOUSE)}, {"CQ": dummy_params})
-            try:
-                query = negate_to_violation_query(f)
-            except Exception as exc:
-                problems.append(f"{tpl.name}/{var.name}: negation failed: {exc}")
+                problems.append(f"{tpl.name}/{var.name}: {exc}")
                 continue
             issue = check_safe_range(query)
             if issue:

@@ -11,22 +11,21 @@ import json
 import sys
 
 from .catalog import (
-    CheckResult,
     builtin_templates,
     check,
+    instantiate,
     render_json,
     render_text,
     validate_catalog,
 )
 from .evaluator import (
-    Binding,
     DomainTooLarge,
     EvalConfig,
     EvalError,
     brute_force_evaluate,
     evaluate,
 )
-from .formula import FormulaError, parse, print_formula
+from .formula import FormulaError, parse
 from .ingest import IngestError, export_native, load_native, load_wikidata_json, merge
 from .labels import LabelTable
 from .model import KnowledgeBase, ModelError
@@ -42,13 +41,15 @@ def _load_inputs(specs: list, labels: LabelTable) -> KnowledgeBase:
     for spec in specs:
         path, _, fmt = spec.rpartition(":")
         if fmt not in ("json", "native"):
-            path = spec
-            fmt = "json" if spec.endswith(".json") else "native"
+            path, fmt = spec, None
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
+        if fmt is None:
+            # native text never starts with a JSON object or array
+            fmt = "json" if text.lstrip()[:1] in ("{", "[") else "native"
         if fmt == "json":
             kb, _stats = load_wikidata_json(text)
         else:
@@ -92,23 +93,17 @@ def _select_templates(args) -> list:
 
 
 def _oracle_crosscheck(kb, templates, labels, cfg) -> list:
-    """Compare the evaluator against brute force on every derived query."""
-    from .catalog import derive_violation_queries, extract_declarations
-
+    """Compare the evaluator against brute force on every query check runs."""
     mismatches = []
-    declarations = extract_declarations(kb)
-    for tpl in templates:
-        decls = [None] if tpl.type_item is None else [
-            d for d in declarations if d.type_item == tpl.type_item]
-        for decl in decls:
-            for var, query in derive_violation_queries(tpl, decl, labels):
-                try:
-                    expect = set(brute_force_evaluate(kb, query, cfg))
-                except DomainTooLarge:
-                    continue
-                got = set(evaluate(kb, query, cfg))
-                if got != expect:
-                    mismatches.append(f"{tpl.name}/{var.name}")
+    for tpl, _decl, var, query, _note in instantiate(kb, templates, labels):
+        if query is None:
+            continue
+        try:
+            expect = set(brute_force_evaluate(kb, query, cfg))
+        except DomainTooLarge:
+            continue
+        if set(evaluate(kb, query, cfg)) != expect:
+            mismatches.append(f"{tpl.name}/{var.name}")
     return mismatches
 
 

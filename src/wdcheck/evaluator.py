@@ -32,7 +32,6 @@ from .formula import (
     Not,
     ObjVar,
     Or,
-    QUANTIFIERS,
     Rel,
     SetLiteral,
     SetMember,
@@ -41,6 +40,7 @@ from .formula import (
     free_variables,
     ground_set_literals,
     is_set_name,
+    negate,
 )
 from .model import (
     AttrSet,
@@ -49,9 +49,8 @@ from .model import (
     KnowledgeBase,
     PropRef,
     Pseudo,
-    Statement,
     StringVal,
-    Value,
+    as_entity,
     datatype_function,
     datatype_relation,
     entity_value,
@@ -189,7 +188,7 @@ def _unify_term(ctx: _Ctx, t, value, env: dict) -> Optional[dict]:
     return env if ground == value else None
 
 
-def _literal_has_pseudo(lit: SetLiteral, env: dict, ctx: _Ctx) -> bool:
+def _literal_has_pseudo(lit: SetLiteral) -> bool:
     for a, _v in lit.pairs:
         if isinstance(a, Const) and isinstance(a.value, Pseudo):
             return True
@@ -202,7 +201,7 @@ def _match_literal(ctx: _Ctx, lit: SetLiteral, target: AttrSet, env: dict) -> It
     Pseudo-attribute pairs (mirrored rank/references) are ignored on the
     target side unless the literal mentions pseudo-attributes itself.
     """
-    if not _literal_has_pseudo(lit, env, ctx):
+    if not _literal_has_pseudo(lit):
         target = target.without_pseudo()
     ground = _ground_literal(ctx, lit)
     if ground is not None and len(ground) == len(lit.pairs):
@@ -290,7 +289,7 @@ def match_rel(ctx: _Ctx, rel: Rel, env: dict, statements=None) -> Iterator[dict]
         prop = pred_val.entity
         subj = _try_resolve(ctx, rel.args[0], env)
         val = _try_resolve(ctx, rel.args[1], env)
-        if subj is not None and (ent := _as_entity_val(subj)) is not None:
+        if subj is not None and (ent := as_entity(subj)) is not None:
             candidates = ctx.kb.by_prop_subject.get((prop, ent), [])
         elif val is not None:
             candidates = ctx.kb.by_prop_value.get((prop, val), [])
@@ -312,12 +311,6 @@ def match_rel(ctx: _Ctx, rel: Rel, env: dict, statements=None) -> Iterator[dict]
         if env3 is None:
             continue
         yield from _unify_attrs(ctx, rel.attrs, st.qualifiers, env3)
-
-
-def _as_entity_val(v: Value):
-    from .model import as_entity
-
-    return as_entity(v)
 
 
 def _try_resolve(ctx: _Ctx, t, env: dict):
@@ -382,13 +375,9 @@ def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _vars_of(f: Formula) -> set:
-    return free_variables(f)
-
-
 def _is_ready(ctx: _Ctx, f: Formula, env: dict) -> bool:
     """Can this conjunct run under env without domain fallback?"""
-    unbound = _vars_of(f) - env.keys()
+    unbound = free_variables(f) - env.keys()
     if not unbound:
         return True
     if isinstance(f, AtomF):
@@ -396,15 +385,13 @@ def _is_ready(ctx: _Ctx, f: Formula, env: dict) -> bool:
         if isinstance(atom, Rel):
             return True
         if isinstance(atom, SetMember):
-            return not (_term_unbound_vars(atom.set, env))
+            return free_variables(atom.set) <= env.keys()
         if isinstance(atom, Eq):
-            left_unbound = _term_unbound_vars(atom.left, env)
-            right_unbound = _term_unbound_vars(atom.right, env)
-            return not left_unbound or not right_unbound
+            return free_variables(atom.left) <= env.keys() or \
+                free_variables(atom.right) <= env.keys()
         return False
     if isinstance(f, Exists):
-        inner = _strip_exists(f)
-        return _generates(inner[1], env, set(inner[0]))
+        return _generates(f)
     if isinstance(f, And):
         return True  # satisfy() recurses and applies its own ordering
     if isinstance(f, Or):
@@ -412,30 +399,16 @@ def _is_ready(ctx: _Ctx, f: Formula, env: dict) -> bool:
     return False
 
 
-def _term_unbound_vars(t, env: dict) -> set:
-    from .formula import _term_vars
-
-    return _term_vars(t) - env.keys()
-
-
-def _strip_exists(f: Formula):
-    names = []
-    while isinstance(f, Exists):
-        names.append(f.var)
-        f = f.body
-    return names, f
-
-
-def _generates(f: Formula, env: dict, targets: set) -> bool:
-    """Rough check that evaluating f can bind the target variables."""
+def _generates(f: Formula) -> bool:
+    """Rough check that evaluating f can bind variables (by matching statements)."""
     if isinstance(f, AtomF):
         return isinstance(f.atom, (Rel, SetMember))
     if isinstance(f, And):
-        return any(_generates(g, env, targets) for g in f.items)
+        return any(_generates(g) for g in f.items)
     if isinstance(f, Or):
-        return all(_generates(g, env, targets) for g in f.items)
+        return all(_generates(g) for g in f.items)
     if isinstance(f, Exists):
-        return _generates(f.body, env, targets)
+        return _generates(f.body)
     return False
 
 
@@ -450,7 +423,7 @@ def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
     prop = pred_val.entity
     subj = _try_resolve(ctx, rel.args[0], env)
     val = _try_resolve(ctx, rel.args[1], env)
-    if subj is not None and (ent := _as_entity_val(subj)) is not None:
+    if subj is not None and (ent := as_entity(subj)) is not None:
         return len(ctx.kb.by_prop_subject.get((prop, ent), []))
     if val is not None:
         return len(ctx.kb.by_prop_value.get((prop, val), []))
@@ -458,7 +431,7 @@ def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
 
 
 def _cost(ctx: _Ctx, f: Formula, env: dict) -> int:
-    unbound = _vars_of(f) - env.keys()
+    unbound = free_variables(f) - env.keys()
     if not unbound:
         return 0  # pure test, run first
     if isinstance(f, AtomF):
@@ -484,7 +457,7 @@ def _satisfy_and(ctx: _Ctx, items: tuple, env: dict) -> Iterator[dict]:
             yield from _satisfy_and(ctx, rest, env2)
         return
     # fallback: enumerate one needed variable over the active domain
-    needed = sorted(_vars_of(items[0]) - env.keys())
+    needed = sorted(free_variables(items[0]) - env.keys())
     var = needed[0]
     pool = ctx.set_domain if is_set_name(var) else ctx.domain
     for value in pool:
@@ -507,7 +480,7 @@ def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
             if _eval_dtrel(ctx, atom, env):
                 yield env
     elif isinstance(f, Not):
-        unbound = _vars_of(f.body) - env.keys()
+        unbound = free_variables(f.body) - env.keys()
         if unbound:
             # negation over unrestricted variables: enumerate them (the
             # safe-range gate rejects such queries at the API boundary)
@@ -515,8 +488,6 @@ def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
             return
         if isinstance(f.body, Forall):
             # !forall v.g  ==  exists v.!g, which can search by index
-            from .formula import negate
-
             if _any_satisfy(ctx, Exists(f.body.var, negate(f.body.body)), env):
                 yield env
             return
@@ -530,7 +501,7 @@ def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
                 yield env2
     elif isinstance(f, Implies):
         # closed propositional test: !body | head
-        unbound = _vars_of(f) - env.keys()
+        unbound = free_variables(f) - env.keys()
         if unbound:
             yield from _enumerate_then(ctx, f, env, unbound)
             return
@@ -538,7 +509,7 @@ def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
             yield env
     elif isinstance(f, Exists):
         seen = set()
-        if _generates(f.body, env, {f.var}) or not (_vars_of(f.body) - env.keys()):
+        if _generates(f.body) or not (free_variables(f.body) - env.keys()):
             for env2 in satisfy(ctx, f.body, env):
                 out = {k: v for k, v in env2.items() if k != f.var}
                 key = frozenset(out.items())
@@ -557,22 +528,20 @@ def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
                         seen.add(key)
                         yield out
     elif isinstance(f, Forall):
-        unbound = _vars_of(f) - env.keys()
+        unbound = free_variables(f) - env.keys()
         if unbound:
             yield from _enumerate_then(ctx, f, env, unbound)
             return
         # forall v.g  ==  !exists v.!g; the existential search can use indexes
-        from .formula import negate
-
         if not _any_satisfy(ctx, Exists(f.var, negate(f.body)), env):
             yield env
     elif isinstance(f, CountExists):
-        unbound = _vars_of(f) - env.keys()
+        unbound = free_variables(f) - env.keys()
         if unbound:
             yield from _enumerate_then(ctx, f, env, unbound)
             return
         witnesses = set()
-        if _generates(f.body, env, {f.var}):
+        if _generates(f.body):
             for env2 in satisfy(ctx, f.body, env):
                 if f.var in env2:
                     witnesses.add(env2[f.var])
@@ -625,22 +594,20 @@ def check_safe_range(f: Formula) -> Optional[str]:
 
 
 def _rr(f: Formula, pre: frozenset, problems: list) -> frozenset:
-    from .formula import _term_vars
-
     if isinstance(f, AtomF):
         atom = f.atom
         if isinstance(atom, Rel):
-            return pre | _vars_of(f)
+            return pre | free_variables(f)
         if isinstance(atom, SetMember):
-            set_vars = _term_vars(atom.set)
+            set_vars = free_variables(atom.set)
             if set_vars <= pre or isinstance(atom.set, SetLiteral):
-                return pre | _vars_of(f)
+                return pre | free_variables(f)
             return pre
         if isinstance(atom, Eq):
-            if _term_vars(atom.left) <= pre:
-                return pre | _term_vars(atom.right)
-            if _term_vars(atom.right) <= pre:
-                return pre | _term_vars(atom.left)
+            if free_variables(atom.left) <= pre:
+                return pre | free_variables(atom.right)
+            if free_variables(atom.right) <= pre:
+                return pre | free_variables(atom.left)
             return pre
         return pre  # DtRel restricts nothing
     if isinstance(f, And):
@@ -700,7 +667,7 @@ def _rr(f: Formula, pre: frozenset, problems: list) -> frozenset:
 
 def _require_supported(g: Formula, bound: frozenset, problems: list) -> None:
     if isinstance(g, AtomF) and isinstance(g.atom, (DtRel, Eq)):
-        loose = _vars_of(g) - bound
+        loose = free_variables(g) - bound
         if loose:
             kind = "datatype relation" if isinstance(g.atom, DtRel) else "equality"
             problems.append(f"{kind} variable(s) not range-restricted: " + ", ".join(sorted(loose)))

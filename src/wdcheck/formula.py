@@ -17,11 +17,13 @@ statement's qualifier set.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from decimal import Decimal
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Union
 
 from .labels import DEFAULT_LABELS, LabelTable
 from .model import (
@@ -29,8 +31,6 @@ from .model import (
     DATATYPE_RELATIONS,
     AttrSet,
     EntityId,
-    PropRef,
-    Pseudo,
     QuantityVal,
     StringVal,
     TimeVal,
@@ -57,18 +57,30 @@ class ParseError(FormulaError):
 # ---------------------------------------------------------------------------
 
 
+class _Node:
+    """Base of every term, set term, atom and formula node."""
+
+    @cached_property
+    def _free_vars(self) -> frozenset:
+        """Free variable names, computed once per (immutable) node."""
+        if isinstance(self, (ObjVar, SetVar)):
+            return frozenset((self.name,))
+        out = frozenset().union(*(free_variables(c) for c in _children(self)))
+        return out - {self.var} if isinstance(self, QUANTIFIERS) else out
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: Value
 
 
 @dataclass(frozen=True)
-class ObjVar:
+class ObjVar(_Node):
     name: str  # without the leading '?'
 
 
 @dataclass(frozen=True)
-class FuncApp:
+class FuncApp(_Node):
     name: str
     args: tuple
 
@@ -77,12 +89,12 @@ Term = Union[Const, ObjVar, FuncApp]
 
 
 @dataclass(frozen=True)
-class SetVar:
+class SetVar(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class SetLiteral:
+class SetLiteral(_Node):
     pairs: tuple  # of (Term, Term)
 
 
@@ -90,7 +102,7 @@ SetTerm = Union[SetVar, SetLiteral]
 
 
 @dataclass(frozen=True)
-class Rel:
+class Rel(_Node):
     """Relational atom; predicate is a term or a builtin predicate name."""
 
     pred: Union[Term, str]
@@ -99,20 +111,20 @@ class Rel:
 
 
 @dataclass(frozen=True)
-class SetMember:
+class SetMember(_Node):
     attr: Term
     value: Term
     set: SetTerm
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Union[Term, SetTerm]
     right: Union[Term, SetTerm]
 
 
 @dataclass(frozen=True)
-class DtRel:
+class DtRel(_Node):
     name: str
     args: tuple
 
@@ -121,52 +133,52 @@ Atom = Union[Rel, SetMember, Eq, DtRel]
 
 
 @dataclass(frozen=True)
-class AtomF:
+class AtomF(_Node):
     atom: Atom
     span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     body: "Formula"
     span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     items: tuple
     span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     items: tuple
     span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
     body: "Formula"
     head: "Formula"
     span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     var: str
     body: "Formula"
     span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Node):
     var: str
     body: "Formula"
     span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class CountExists:
+class CountExists(_Node):
     min: int
     var: str
     body: "Formula"
@@ -183,149 +195,96 @@ def is_set_name(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+# _children and _map are the only traversal code that knows the shape of each
+# node type (the parser, the printer and the evaluator give each type its own
+# meaning).  Every walker below (free variables, constants, ground set
+# literals, substitution, renaming, binder uniqueness, alpha normalization)
+# is written on top of them and tests only for variables, constants, set
+# literals and binders.
+
+
+def _children(node: _Node) -> tuple:
+    """Direct sub-nodes, in source order (a builtin predicate name is not a node)."""
+    if isinstance(node, (Const, ObjVar, SetVar)):
+        return ()
+    if isinstance(node, (FuncApp, DtRel)):
+        return node.args
+    if isinstance(node, SetLiteral):
+        return tuple(t for pair in node.pairs for t in pair)
+    if isinstance(node, Rel):
+        pred = () if isinstance(node.pred, str) else (node.pred,)
+        return pred + node.args + (() if node.attrs is None else (node.attrs,))
+    if isinstance(node, SetMember):
+        return (node.attr, node.value, node.set)
+    if isinstance(node, Eq):
+        return (node.left, node.right)
+    if isinstance(node, AtomF):
+        return (node.atom,)
+    if isinstance(node, (And, Or)):
+        return node.items
+    if isinstance(node, Implies):
+        return (node.body, node.head)
+    if isinstance(node, (Not,) + QUANTIFIERS):
+        return (node.body,)
+    raise TypeError(node)
+
+
+def _map(node: _Node, fn) -> _Node:
+    """The node rebuilt with fn applied to each direct sub-node, spans kept."""
+    if isinstance(node, (Const, ObjVar, SetVar)):
+        return node
+    if isinstance(node, (FuncApp, DtRel)):
+        return type(node)(node.name, tuple(fn(a) for a in node.args))
+    if isinstance(node, SetLiteral):
+        return SetLiteral(tuple((fn(a), fn(v)) for a, v in node.pairs))
+    if isinstance(node, Rel):
+        return Rel(node.pred if isinstance(node.pred, str) else fn(node.pred),
+                   tuple(fn(a) for a in node.args),
+                   None if node.attrs is None else fn(node.attrs))
+    if isinstance(node, SetMember):
+        return SetMember(fn(node.attr), fn(node.value), fn(node.set))
+    if isinstance(node, Eq):
+        return Eq(fn(node.left), fn(node.right))
+    if isinstance(node, AtomF):
+        return AtomF(fn(node.atom), node.span)
+    if isinstance(node, (And, Or)):
+        return type(node)(tuple(fn(g) for g in node.items), node.span)
+    if isinstance(node, Implies):
+        return Implies(fn(node.body), fn(node.head), node.span)
+    if isinstance(node, (Not,) + QUANTIFIERS):
+        return replace(node, body=fn(node.body))
+    raise TypeError(node)
+
+
+def _nodes(node: _Node) -> Iterator[_Node]:
+    """The node and all its sub-nodes, in pre-order."""
+    yield node
+    for child in _children(node):
+        yield from _nodes(child)
+
+
+# ---------------------------------------------------------------------------
 # Variable accounting
 # ---------------------------------------------------------------------------
 
 
-def _term_vars(t: Union[Term, SetTerm, str]) -> set:
-    if isinstance(t, ObjVar):
-        return {t.name}
-    if isinstance(t, SetVar):
-        return {t.name}
-    if isinstance(t, FuncApp):
-        out: set = set()
-        for a in t.args:
-            out |= _term_vars(a)
-        return out
-    if isinstance(t, SetLiteral):
-        out = set()
-        for a, v in t.pairs:
-            out |= _term_vars(a) | _term_vars(v)
-        return out
-    return set()
-
-
-def _atom_vars(atom: Atom) -> set:
-    if isinstance(atom, Rel):
-        out = set() if isinstance(atom.pred, str) else _term_vars(atom.pred)
-        for a in atom.args:
-            out |= _term_vars(a)
-        if atom.attrs is not None:
-            out |= _term_vars(atom.attrs)
-        return out
-    if isinstance(atom, SetMember):
-        return _term_vars(atom.attr) | _term_vars(atom.value) | _term_vars(atom.set)
-    if isinstance(atom, Eq):
-        return _term_vars(atom.left) | _term_vars(atom.right)
-    if isinstance(atom, DtRel):
-        out = set()
-        for a in atom.args:
-            out |= _term_vars(a)
-        return out
-    raise TypeError(atom)
-
-
-def free_variables(f: Formula) -> set:
-    """Free object- and set-variable names of a formula."""
-    if isinstance(f, AtomF):
-        return _atom_vars(f.atom)
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or)):
-        out: set = set()
-        for g in f.items:
-            out |= free_variables(g)
-        return out
-    if isinstance(f, Implies):
-        return free_variables(f.body) | free_variables(f.head)
-    if isinstance(f, QUANTIFIERS):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f)
+def free_variables(f: _Node) -> frozenset:
+    """Free object- and set-variable names of a formula, atom or term."""
+    return f._free_vars
 
 
 def all_constants(f: Formula) -> set:
     """All constant values occurring in a formula, including inside set literals."""
-
-    out: set = set()
-
-    def term(t) -> None:
-        if isinstance(t, Const):
-            out.add(t.value)
-        elif isinstance(t, FuncApp):
-            for a in t.args:
-                term(a)
-        elif isinstance(t, SetLiteral):
-            for a, v in t.pairs:
-                term(a)
-                term(v)
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, AtomF):
-            atom = g.atom
-            if isinstance(atom, Rel):
-                if not isinstance(atom.pred, str):
-                    term(atom.pred)
-                for a in atom.args:
-                    term(a)
-                if atom.attrs is not None:
-                    term(atom.attrs)
-            elif isinstance(atom, SetMember):
-                term(atom.attr)
-                term(atom.value)
-                term(atom.set)
-            elif isinstance(atom, Eq):
-                term(atom.left)
-                term(atom.right)
-            elif isinstance(atom, DtRel):
-                for a in atom.args:
-                    term(a)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for h in g.items:
-                walk(h)
-        elif isinstance(g, Implies):
-            walk(g.body)
-            walk(g.head)
-        elif isinstance(g, QUANTIFIERS):
-            walk(g.body)
-
-    walk(f)
-    return out
+    return {n.value for n in _nodes(f) if isinstance(n, Const)}
 
 
 def ground_set_literals(f: Formula) -> set:
     """Variable-free set literals of a formula, as AttrSet values."""
-
-    out: set = set()
-
-    def check(st) -> None:
-        if isinstance(st, SetLiteral) and not _term_vars(st):
-            out.add(AttrSet.of((a.value, v.value) for a, v in st.pairs))
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, AtomF):
-            atom = g.atom
-            if isinstance(atom, Rel) and atom.attrs is not None:
-                check(atom.attrs)
-            elif isinstance(atom, SetMember):
-                check(atom.set)
-            elif isinstance(atom, Eq):
-                check(atom.left)
-                check(atom.right)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for h in g.items:
-                walk(h)
-        elif isinstance(g, Implies):
-            walk(g.body)
-            walk(g.head)
-        elif isinstance(g, QUANTIFIERS):
-            walk(g.body)
-
-    walk(f)
-    return out
+    return {AttrSet.of((a.value, v.value) for a, v in n.pairs)
+            for n in _nodes(f) if isinstance(n, SetLiteral) and not free_variables(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -333,108 +292,59 @@ def ground_set_literals(f: Formula) -> set:
 # ---------------------------------------------------------------------------
 
 
+def _set_literal_of(attrs: AttrSet) -> SetLiteral:
+    pairs = sorted(((Const(a), Const(v)) for a, v in attrs),
+                   key=lambda p: (_print_term(p[0]), _print_term(p[1])))
+    return SetLiteral(tuple(pairs))
+
+
 def substitute(f: Formula, objmap: dict, setmap: Optional[dict] = None) -> Formula:
     """Replace free variables by constants (objmap: name -> Value,
     setmap: name -> AttrSet)."""
     setmap = setmap or {}
 
-    def set_literal_of(attrs: AttrSet) -> SetLiteral:
-        pairs = sorted(((Const(a), Const(v)) for a, v in attrs),
-                       key=lambda p: (_print_term(p[0]), _print_term(p[1])))
-        return SetLiteral(tuple(pairs))
+    def walk(node: _Node, names: frozenset) -> _Node:
+        if names.isdisjoint(free_variables(node)):
+            return node  # nothing to replace below here
+        if isinstance(node, ObjVar) and node.name in objmap:
+            return Const(objmap[node.name])
+        if isinstance(node, SetVar) and node.name in setmap:
+            return _set_literal_of(setmap[node.name])
+        if isinstance(node, QUANTIFIERS):
+            names = names - {node.var}
+        return _map(node, lambda child: walk(child, names))
 
-    def term(t):
-        if isinstance(t, ObjVar) and t.name in objmap:
-            return Const(objmap[t.name])
-        if isinstance(t, SetVar) and t.name in setmap:
-            return set_literal_of(setmap[t.name])
-        if isinstance(t, FuncApp):
-            return FuncApp(t.name, tuple(term(a) for a in t.args))
-        if isinstance(t, SetLiteral):
-            return SetLiteral(tuple((term(a), term(v)) for a, v in t.pairs))
-        return t
-
-    def walk(g: Formula, bound: frozenset) -> Formula:
-        def term_b(t):
-            if isinstance(t, (ObjVar, SetVar)) and t.name in bound:
-                return t
-            return term(t)
-
-        if isinstance(g, AtomF):
-            atom = g.atom
-            if isinstance(atom, Rel):
-                pred = atom.pred if isinstance(atom.pred, str) else term_b(atom.pred)
-                new = Rel(pred, tuple(term_b(a) for a in atom.args),
-                          None if atom.attrs is None else term_b(atom.attrs))
-            elif isinstance(atom, SetMember):
-                new = SetMember(term_b(atom.attr), term_b(atom.value), term_b(atom.set))
-            elif isinstance(atom, Eq):
-                new = Eq(term_b(atom.left), term_b(atom.right))
-            else:
-                new = DtRel(atom.name, tuple(term_b(a) for a in atom.args))
-            return AtomF(new, g.span)
-        if isinstance(g, Not):
-            return Not(walk(g.body, bound), g.span)
-        if isinstance(g, And):
-            return And(tuple(walk(h, bound) for h in g.items), g.span)
-        if isinstance(g, Or):
-            return Or(tuple(walk(h, bound) for h in g.items), g.span)
-        if isinstance(g, Implies):
-            return Implies(walk(g.body, bound), walk(g.head, bound), g.span)
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body, bound | {g.var}), g.span)
-        if isinstance(g, Forall):
-            return Forall(g.var, walk(g.body, bound | {g.var}), g.span)
-        if isinstance(g, CountExists):
-            return CountExists(g.min, g.var, walk(g.body, bound | {g.var}), g.span)
-        raise TypeError(g)
-
-    return walk(f, frozenset())
+    return walk(f, frozenset(objmap) | frozenset(setmap))
 
 
 def rename_variable(f: Formula, old: str, new: str) -> Formula:
     """Rename every occurrence (free or binding) of a variable."""
 
-    def term(t):
-        if isinstance(t, ObjVar) and t.name == old:
-            return ObjVar(new)
-        if isinstance(t, SetVar) and t.name == old:
-            return SetVar(new)
-        if isinstance(t, FuncApp):
-            return FuncApp(t.name, tuple(term(a) for a in t.args))
-        if isinstance(t, SetLiteral):
-            return SetLiteral(tuple((term(a), term(v)) for a, v in t.pairs))
-        return t
+    def walk(node: _Node) -> _Node:
+        if isinstance(node, (ObjVar, SetVar)) and node.name == old:
+            return type(node)(new)
+        node = _map(node, walk)
+        if isinstance(node, QUANTIFIERS) and node.var == old:
+            return replace(node, var=new)
+        return node
+
+    return walk(f)
+
+
+def _rename_binders(f: Formula, name_for) -> Formula:
+    """Rename each quantifier's variable, outermost first, to name_for(quantifier).
+
+    Atoms bind nothing, so the walk stops at them.
+    """
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, AtomF):
-            atom = g.atom
-            if isinstance(atom, Rel):
-                pred = atom.pred if isinstance(atom.pred, str) else term(atom.pred)
-                new_atom: Atom = Rel(pred, tuple(term(a) for a in atom.args),
-                                     None if atom.attrs is None else term(atom.attrs))
-            elif isinstance(atom, SetMember):
-                new_atom = SetMember(term(atom.attr), term(atom.value), term(atom.set))
-            elif isinstance(atom, Eq):
-                new_atom = Eq(term(atom.left), term(atom.right))
-            else:
-                new_atom = DtRel(atom.name, tuple(term(a) for a in atom.args))
-            return AtomF(new_atom, g.span)
-        if isinstance(g, Not):
-            return Not(walk(g.body), g.span)
-        if isinstance(g, And):
-            return And(tuple(walk(h) for h in g.items), g.span)
-        if isinstance(g, Or):
-            return Or(tuple(walk(h) for h in g.items), g.span)
-        if isinstance(g, Implies):
-            return Implies(walk(g.body), walk(g.head), g.span)
-        if isinstance(g, Exists):
-            return Exists(new if g.var == old else g.var, walk(g.body), g.span)
-        if isinstance(g, Forall):
-            return Forall(new if g.var == old else g.var, walk(g.body), g.span)
-        if isinstance(g, CountExists):
-            return CountExists(g.min, new if g.var == old else g.var, walk(g.body), g.span)
-        raise TypeError(g)
+            return g
+        if isinstance(g, QUANTIFIERS):
+            new = name_for(g)
+            if new != g.var:
+                g = rename_variable(g, g.var, new)
+        return _map(g, walk)
 
     return walk(f)
 
@@ -443,68 +353,26 @@ def ensure_unique_bound(f: Formula) -> Formula:
     """Alpha-rename so no bound variable name repeats along any path."""
     used = set(free_variables(f))
 
-    def fresh(name: str) -> str:
-        if name not in used:
-            used.add(name)
-            return name
-        n = 2
-        while f"{name}_{n}" in used:
-            n += 1
-        used.add(f"{name}_{n}")
-        return f"{name}_{n}"
+    def fresh(g: Formula) -> str:
+        name = candidate = g.var
+        if name in used:
+            # the new name must not be captured by a binder below this one
+            below = {v.name for v in _nodes(g.body) if isinstance(v, (ObjVar, SetVar))}
+            n = 2
+            while candidate in used or candidate in below:
+                candidate = f"{name}_{n}"
+                n += 1
+        used.add(candidate)
+        return candidate
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, AtomF):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body), g.span)
-        if isinstance(g, And):
-            return And(tuple(walk(h) for h in g.items), g.span)
-        if isinstance(g, Or):
-            return Or(tuple(walk(h) for h in g.items), g.span)
-        if isinstance(g, Implies):
-            return Implies(walk(g.body), walk(g.head), g.span)
-        if isinstance(g, QUANTIFIERS):
-            new_name = fresh(g.var)
-            body = g.body if new_name == g.var else rename_variable(g.body, g.var, new_name)
-            body = walk(body)
-            if isinstance(g, Exists):
-                return Exists(new_name, body, g.span)
-            if isinstance(g, Forall):
-                return Forall(new_name, body, g.span)
-            return CountExists(g.min, new_name, body, g.span)
-        raise TypeError(g)
-
-    return walk(f)
+    return _rename_binders(f, fresh)
 
 
 def alpha_normalize(f: Formula) -> Formula:
     """Canonical bound-variable names, for structural comparison."""
-    counter = [0]
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, AtomF):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body), None)
-        if isinstance(g, And):
-            return And(tuple(walk(h) for h in g.items), None)
-        if isinstance(g, Or):
-            return Or(tuple(walk(h) for h in g.items), None)
-        if isinstance(g, Implies):
-            return Implies(walk(g.body), walk(g.head), None)
-        if isinstance(g, QUANTIFIERS):
-            counter[0] += 1
-            name = ("B%d" if is_set_name(g.var) else "b%d") % counter[0]
-            body = walk(rename_variable(g.body, g.var, name))
-            if isinstance(g, Exists):
-                return Exists(name, body, None)
-            if isinstance(g, Forall):
-                return Forall(name, body, None)
-            return CountExists(g.min, name, body, None)
-        raise TypeError(g)
-
-    return walk(f)
+    counter = itertools.count(1)
+    return _rename_binders(
+        f, lambda g: ("B%d" if is_set_name(g.var) else "b%d") % next(counter))
 
 
 # ---------------------------------------------------------------------------

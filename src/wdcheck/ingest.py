@@ -40,7 +40,6 @@ from .model import (
     QuantityVal,
     RANKS,
     RANK_ATTR,
-    REFERENCE_ATTR,
     Statement,
     StringVal,
     TimeVal,

@@ -22,18 +22,13 @@ from .formula import (
     And,
     AtomF,
     Const,
-    DtRel,
     Eq,
     Formula,
-    FormulaBlock,
     Implies,
-    ObjVar,
     Rel,
-    SetMember,
-    SetVar,
-    _atom_vars,
-    _term_vars,
+    free_variables,
     parse,
+    parse_blocks,
     print_formula,
 )
 from .labels import (
@@ -49,7 +44,6 @@ from .model import (
     AttrSet,
     KnowledgeBase,
     PropRef,
-    Pseudo,
     RANK_ATTR,
     REFERENCE_ATTR,
     Statement,
@@ -86,7 +80,7 @@ def rule_from_formula(name: str, f: Formula) -> Rule:
         if not isinstance(g, AtomF):
             raise RuleError(f"rule {name!r} body must be a conjunction of atoms")
         atoms.append(g)
-        bound |= _atom_vars(g.atom)
+        bound |= free_variables(g)
         if isinstance(g.atom, Rel) and not isinstance(g.atom.pred, str):
             has_statement_atom = True
     if not has_statement_atom:
@@ -96,7 +90,7 @@ def rule_from_formula(name: str, f: Formula) -> Rule:
     head = f.head.atom
     if isinstance(head.pred, str):
         raise RuleError(f"rule {name!r} may not derive builtin facts")
-    loose = _atom_vars(head) - bound
+    loose = free_variables(head) - bound
     if loose:
         raise RuleError(
             f"rule {name!r} head variable(s) not bound in body: " + ", ".join(sorted(loose)))
@@ -112,8 +106,6 @@ def rules_from_blocks(blocks: list) -> list:
 
 
 def parse_rules(text: str, labels=None) -> list:
-    from .formula import parse_blocks
-
     return rules_from_blocks(parse_blocks(text, labels))
 
 

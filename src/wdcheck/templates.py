@@ -12,7 +12,7 @@ Variant texts mention entities by label; see labels.py for the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import labels as L

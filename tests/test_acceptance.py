@@ -16,8 +16,8 @@ import pytest
 from conftest import kb_from
 from wdcheck.catalog import (
     check,
-    derive_violation_queries,
     extract_declarations,
+    instantiate,
     validate_catalog,
 )
 from wdcheck.cli import main
@@ -188,16 +188,8 @@ def _random_kb(rng):
 
 
 def _instantiable_queries(kb):
-    decls = extract_declarations(kb)
-    out = []
-    for tpl in builtin_templates():
-        if tpl.type_item is None:
-            out.extend(q for _, q in derive_violation_queries(tpl, None))
-            continue
-        for decl in decls:
-            if decl.type_item == tpl.type_item:
-                out.extend(q for _, q in derive_violation_queries(tpl, decl))
-    return out
+    return [inst.query for inst in instantiate(kb, builtin_templates())
+            if inst.query is not None]
 
 
 def test_criterion_2_oracle_equivalence():

@@ -14,8 +14,9 @@ from wdcheck.catalog import (
     validate_catalog,
 )
 from wdcheck.evaluator import check_safe_range
-from wdcheck.formula import free_variables, print_formula
-from wdcheck.model import P, Q
+from wdcheck.formula import all_constants, free_variables, print_formula
+from wdcheck.labels import LabelTable
+from wdcheck.model import P, PropRef, Q
 from wdcheck.templates import builtin_templates, template_by_name
 
 
@@ -78,6 +79,18 @@ class TestQueryDerivation:
         tpl = template_by_name("subclass_loop")
         queries = derive_violation_queries(tpl, None)
         assert len(queries) == 1
+
+    def test_parse_cache_follows_the_label_table(self):
+        # fresh tables are freed and allocated in turn, so a cache keyed on
+        # the table's address would hand one table's parse to the other
+        (decl,) = extract_declarations(kb_from("P2302(P26, Q21510862)"))
+        tpl = template_by_name("symmetric")
+        for i in range(200):
+            remapped = i % 2 == 1
+            table = LabelTable({"property_constraint": P(9999)} if remapped else None)
+            (_, query), = derive_violation_queries(tpl, decl, table)
+            pred = P(9999) if remapped else P(2302)
+            assert PropRef(pred) in all_constants(query), i
 
 
 def _walk(f):

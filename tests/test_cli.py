@@ -1,10 +1,13 @@
 """Command line behavior and exit-status contract."""
 
 import json
+import pathlib
 
 import pytest
 
 from wdcheck.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -101,6 +104,26 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--input", str(path), "--no-close",
                            "--max-violations", "2", "--format", "json")
         assert len(json.loads(out)["violations"]) == 2
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_max_violations_caps_global_templates(self, capsys, tmp_path, cap):
+        # two instance/subclass clashes and one subclass loop, no declarations
+        path = tmp_path / "global.native"
+        path.write_text("P31(Q3, Q4)\nP279(Q3, Q4)\nP31(Q5, Q6)\nP279(Q5, Q6)\n"
+                        "P279(Q1, Q2)\nP279(Q2, Q1)\n")
+        code, out, _ = run(capsys, "check", "--input", str(path), "--no-close",
+                           "--max-violations", str(cap), "--format", "json")
+        assert code == 1
+        assert len(json.loads(out)["violations"]) == cap
+
+    def test_json_detected_from_content(self, capsys, tmp_path):
+        dump = tmp_path / "slice.txt"
+        dump.write_text((FIXTURES / "wikidata_slice.json").read_text())
+        code, out, err = run(capsys, "check", "--input", str(dump), "--format", "json")
+        assert code in (0, 1), err
+        _, expected, _ = run(capsys, "check", "--input", str(dump) + ":json",
+                             "--format", "json")
+        assert out == expected
 
     def test_multiple_inputs_merged(self, capsys, tmp_path):
         a = tmp_path / "a.native"

@@ -31,13 +31,16 @@ from wdcheck.formula import (
     _print_term,
     all_constants,
     alpha_normalize,
+    ensure_unique_bound,
     free_variables,
     ground_set_literals,
+    is_set_name,
     negate,
     negate_to_violation_query,
     parse,
     parse_blocks,
     print_formula,
+    rename_variable,
     substitute,
 )
 from wdcheck.model import (
@@ -149,6 +152,14 @@ class TestParsing:
         assert isinstance(f, Exists)
         inner = f.body.items[1]
         assert inner.var != f.var
+
+    def test_renamed_binder_does_not_capture(self):
+        # renaming the outer ?x must not pick ?x_2, which the inner binder owns
+        f = parse("P26(?x, ?x) & exists ?x . exists ?x_2 . P26(?x, ?x_2)")
+        outer = f.items[1]
+        inner = outer.body
+        assert outer.var not in ("x", inner.var)
+        assert inner.body.atom.args == (ObjVar(outer.var), ObjVar(inner.var))
 
 
 class TestVariableAccounting:
@@ -318,3 +329,50 @@ def test_print_parse_round_trip(f):
     # after one parse (which renames shadowed binders) printing is stable
     printed2 = print_formula(reparsed)
     assert print_formula(parse(printed2)) == printed2
+
+
+# ---------------------------------------------------------------------------
+# Property-based binder handling
+# ---------------------------------------------------------------------------
+
+_values = st.sampled_from([ItemRef(Q(7)), StringVal("z"), PropRef(P(26))])
+
+
+@st.composite
+def _formula_and_object_map(draw):
+    """A formula and a map from some of its free object variables to values."""
+    f = draw(_formulas(3))
+    names = sorted(n for n in free_variables(f) if not is_set_name(n))
+    keys = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    return f, {k: draw(_values) for k in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formula_and_object_map())
+def test_substitute_removes_exactly_the_mapped_free_variables(case):
+    f, objmap = case
+    assert free_variables(substitute(f, objmap)) == free_variables(f) - objmap.keys()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formula_and_object_map())
+def test_substitute_places_every_mapped_value(case):
+    f, objmap = case
+    assert all_constants(substitute(f, objmap)) >= set(objmap.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(3))
+def test_unique_binders_are_an_alpha_renaming(f):
+    unique = ensure_unique_bound(f)
+    assert alpha_normalize(unique) == alpha_normalize(f)
+    assert free_variables(unique) == free_variables(f)
+    assert free_variables(alpha_normalize(f)) == free_variables(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(3), st.sampled_from(["x", "y", "v", "q", "p", "SQ", "CQ"]))
+def test_rename_to_fresh_name_and_back_is_identity(f, name):
+    there = rename_variable(f, name, "fresh")
+    assert rename_variable(there, "fresh", name) == f
+
