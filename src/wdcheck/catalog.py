@@ -308,7 +308,7 @@ def _violations(kb, instances, cfg, notes: list) -> Iterator[Violation]:
                 severity=decl.severity if decl else "regular",
                 suppressed=suppressed,
                 message=_message(tpl, var, decl, env),
-                diagnostics=[str(d) for d in diagnostics],
+                diagnostics=list(diagnostics),
             )
 
 

@@ -1,7 +1,7 @@
 """Command line driver.
 
 Exit codes: 0 clean (no unsuppressed violations), 1 violations found,
-2 usage or processing error.
+2 usage, processing or internal error.
 """
 
 from __future__ import annotations
@@ -250,6 +250,9 @@ def main(argv=None) -> int:
     except (CliError, IngestError, FormulaError, EvalError, RuleError,
             ModelError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must not read as exit 1, "violations found"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -7,14 +7,15 @@ realized in the KB plus the formula's ground set literals.
 
 The main evaluator orders conjuncts greedily so that index lookups drive the
 search; ``brute_force_evaluate`` enumerates every total binding and filters
-with ``holds``, serving as the independent oracle the main path is tested
-against.
+with ``holds``.  The two share atom matching (``match_rel``), so the oracle
+checks the search order and the domain fallback, not statement matching.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .formula import (
@@ -50,6 +51,7 @@ from .model import (
     PropRef,
     Pseudo,
     StringVal,
+    _value_sort_key,
     as_entity,
     datatype_function,
     datatype_relation,
@@ -100,31 +102,39 @@ class EvalConfig:
             raise ValueError("max_bindings must be at least 1 when bounded")
 
 
-@dataclass
-class Diagnostic:
-    message: str
-    env: dict = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return self.message
-
-
-@dataclass
 class _Ctx:
-    kb: KnowledgeBase
-    cfg: EvalConfig
-    domain: list  # object-variable domain, deterministic order
-    set_domain: list  # set-variable domain
-    diagnostics: list
-    literal_cache: dict = field(default_factory=dict)  # id(lit) -> AttrSet for variable-free literals
+    """One evaluation: the KB, the config, the diagnostics and the variable pools.
 
+    The pools are built on first use.  Safe-range queries are answered by
+    index lookups and never read them; only the domain fallback and the
+    brute-force oracle do.
+    """
 
-def _make_ctx(kb: KnowledgeBase, f: Formula, cfg: EvalConfig, diagnostics: Optional[list]) -> _Ctx:
-    dom = set(kb.active_domain()) | all_constants(f)
-    sets = set(kb.attr_sets()) | ground_set_literals(f)
-    key = lambda x: (type(x).__name__, str(x))
-    return _Ctx(kb, cfg, sorted(dom, key=key), sorted(sets, key=lambda s: str(s)),
-                diagnostics if diagnostics is not None else [])
+    def __init__(self, kb: KnowledgeBase, cfg: EvalConfig, formula: Optional[Formula] = None,
+                 diagnostics: Optional[list] = None) -> None:
+        self.kb = kb
+        self.cfg = cfg
+        self.formula = formula
+        self.diagnostics = diagnostics if diagnostics is not None else []
+
+    @cached_property
+    def domain(self) -> list:
+        """Object-variable pool: the KB's and the formula's constants, sorted."""
+        dom = set(self.kb.active_domain())
+        if self.formula is not None:
+            dom |= all_constants(self.formula)
+        return sorted(dom, key=_value_sort_key)
+
+    @cached_property
+    def set_domain(self) -> list:
+        """Set-variable pool: the KB's qualifier sets and the formula's ground literals."""
+        sets = self.kb.attr_sets()
+        if self.formula is not None:
+            sets |= ground_set_literals(self.formula)
+        return sorted(sets, key=str)
+
+    def pool(self, var: str) -> list:
+        return self.set_domain if is_set_name(var) else self.domain
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +142,7 @@ def _make_ctx(kb: KnowledgeBase, f: Formula, cfg: EvalConfig, diagnostics: Optio
 # ---------------------------------------------------------------------------
 
 
-def _resolve_term(ctx: _Ctx, t, env: dict):
+def _resolve_term(t, env: dict):
     """Ground value of a term under env, or None if a variable is unbound."""
     if isinstance(t, Const):
         return t.value
@@ -141,42 +151,30 @@ def _resolve_term(ctx: _Ctx, t, env: dict):
     if isinstance(t, FuncApp):
         args = []
         for a in t.args:
-            v = _resolve_term(ctx, a, env)
+            v = _resolve_term(a, env)
             if v is None:
                 return None
             args.append(v)
         return datatype_function(t.name, *args)
     if isinstance(t, SetLiteral):
-        return _resolve_literal(ctx, t, env)
+        return _resolve_literal(t, env)
     raise TypeError(t)
 
 
-def _ground_literal(ctx: _Ctx, lit: SetLiteral) -> Optional[AttrSet]:
-    """Resolved AttrSet for a variable-free literal, memoized per evaluation."""
-    key = id(lit)
-    if key not in ctx.literal_cache:
-        result = None
-        if all(isinstance(a, Const) and isinstance(v, Const) for a, v in lit.pairs):
-            result = AttrSet.of((a.value, v.value) for a, v in lit.pairs)
-        ctx.literal_cache[key] = result
-    return ctx.literal_cache[key]
-
-
-def _resolve_literal(ctx: _Ctx, lit: SetLiteral, env: dict) -> Optional[AttrSet]:
-    ground = _ground_literal(ctx, lit)
-    if ground is not None:
-        return ground
+def _resolve_literal(lit: SetLiteral, env: dict) -> Optional[AttrSet]:
+    if lit.ground is not None:
+        return lit.ground
     pairs = []
     for a, v in lit.pairs:
-        av = _resolve_term(ctx, a, env)
-        vv = _resolve_term(ctx, v, env)
+        av = _resolve_term(a, env)
+        vv = _resolve_term(v, env)
         if av is None or vv is None:
             return None
         pairs.append((av, vv))
     return AttrSet.of(pairs)
 
 
-def _unify_term(ctx: _Ctx, t, value, env: dict) -> Optional[dict]:
+def _unify_term(t, value, env: dict) -> Optional[dict]:
     if isinstance(t, (ObjVar, SetVar)):
         bound = env.get(t.name)
         if bound is None:
@@ -184,7 +182,7 @@ def _unify_term(ctx: _Ctx, t, value, env: dict) -> Optional[dict]:
             out[t.name] = value
             return out
         return env if bound == value else None
-    ground = _resolve_term(ctx, t, env)
+    ground = _resolve_term(t, env)
     return env if ground == value else None
 
 
@@ -195,7 +193,7 @@ def _literal_has_pseudo(lit: SetLiteral) -> bool:
     return False
 
 
-def _match_literal(ctx: _Ctx, lit: SetLiteral, target: AttrSet, env: dict) -> Iterator[dict]:
+def _match_literal(lit: SetLiteral, target: AttrSet, env: dict) -> Iterator[dict]:
     """Unify a set literal against a concrete qualifier set (bijectively).
 
     Pseudo-attribute pairs (mirrored rank/references) are ignored on the
@@ -203,7 +201,7 @@ def _match_literal(ctx: _Ctx, lit: SetLiteral, target: AttrSet, env: dict) -> It
     """
     if not _literal_has_pseudo(lit):
         target = target.without_pseudo()
-    ground = _ground_literal(ctx, lit)
+    ground = lit.ground
     if ground is not None and len(ground) == len(lit.pairs):
         if ground == target:
             yield env
@@ -221,10 +219,10 @@ def _match_literal(ctx: _Ctx, lit: SetLiteral, target: AttrSet, env: dict) -> It
         for j, (a_val, v_val) in enumerate(targets):
             if j in used:
                 continue
-            env2 = _unify_term(ctx, a_term, a_val, env)
+            env2 = _unify_term(a_term, a_val, env)
             if env2 is None:
                 continue
-            env3 = _unify_term(ctx, v_term, v_val, env2)
+            env3 = _unify_term(v_term, v_val, env2)
             if env3 is None:
                 continue
             yield from backtrack(i + 1, used | {j}, env3)
@@ -232,24 +230,34 @@ def _match_literal(ctx: _Ctx, lit: SetLiteral, target: AttrSet, env: dict) -> It
     yield from backtrack(0, set(), env)
 
 
-def _unify_attrs(ctx: _Ctx, attrs, qualifiers: AttrSet, env: dict) -> Iterator[dict]:
+def _unify_attrs(attrs, qualifiers: AttrSet, env: dict) -> Iterator[dict]:
     if attrs is None:
         yield env
     elif isinstance(attrs, SetVar):
-        bound = env.get(attrs.name)
-        if bound is None:
-            out = dict(env)
-            out[attrs.name] = qualifiers
-            yield out
-        elif bound == qualifiers:
-            yield env
+        env2 = _unify_term(attrs, qualifiers, env)
+        if env2 is not None:
+            yield env2
     else:
-        yield from _match_literal(ctx, attrs, qualifiers, env)
+        yield from _match_literal(attrs, qualifiers, env)
 
 
 # ---------------------------------------------------------------------------
 # Atom matching
 # ---------------------------------------------------------------------------
+
+
+def _candidates(ctx: _Ctx, pred_val: Optional[PropRef], rel: Rel, env: dict):
+    """Statements the best index offers for rel; pred_val is its resolved predicate."""
+    if pred_val is None:
+        return ctx.kb.statements.values()
+    prop = pred_val.entity
+    subj = _try_resolve(rel.args[0], env)
+    if subj is not None and (ent := as_entity(subj)) is not None:
+        return ctx.kb.by_prop_subject.get((prop, ent), [])
+    val = _try_resolve(rel.args[1], env)
+    if val is not None:
+        return ctx.kb.by_prop_value.get((prop, val), [])
+    return ctx.kb.by_property.get(prop, [])
 
 
 def match_rel(ctx: _Ctx, rel: Rel, env: dict, statements=None) -> Iterator[dict]:
@@ -260,83 +268,68 @@ def match_rel(ctx: _Ctx, rel: Rel, env: dict, statements=None) -> Iterator[dict]
     """
     if rel.pred == "no_value":
         for fact in ctx.kb.no_value_facts:
-            env1 = _unify_term(ctx, rel.args[0], PropRef(fact.property), env)
+            env1 = _unify_term(rel.args[0], PropRef(fact.property), env)
             if env1 is None:
                 continue
-            env2 = _unify_term(ctx, rel.args[1], entity_value(fact.subject), env1)
+            env2 = _unify_term(rel.args[1], entity_value(fact.subject), env1)
             if env2 is None:
                 continue
-            yield from _unify_attrs(ctx, rel.attrs, fact.qualifiers, env2)
+            yield from _unify_attrs(rel.attrs, fact.qualifiers, env2)
         return
     if rel.pred == "Commons_namespace":
         for page, ns in sorted(ctx.kb.commons_ns.items()):
-            env1 = _unify_term(ctx, rel.args[0], StringVal(page), env)
+            env1 = _unify_term(rel.args[0], StringVal(page), env)
             if env1 is None:
                 continue
-            env2 = _unify_term(ctx, rel.args[1], StringVal(ns), env1)
+            env2 = _unify_term(rel.args[1], StringVal(ns), env1)
             if env2 is None:
                 continue
-            yield from _unify_attrs(ctx, rel.attrs, EMPTY_ATTRS, env2)
+            yield from _unify_attrs(rel.attrs, EMPTY_ATTRS, env2)
         return
 
-    pred_val = _resolve_term(ctx, rel.pred, env)
+    pred_val = _resolve_term(rel.pred, env)
     if pred_val is not None and not isinstance(pred_val, PropRef):
         return
-    candidates: list
-    if statements is not None:
-        candidates = statements
-    elif pred_val is not None:
-        prop = pred_val.entity
-        subj = _try_resolve(ctx, rel.args[0], env)
-        val = _try_resolve(ctx, rel.args[1], env)
-        if subj is not None and (ent := as_entity(subj)) is not None:
-            candidates = ctx.kb.by_prop_subject.get((prop, ent), [])
-        elif val is not None:
-            candidates = ctx.kb.by_prop_value.get((prop, val), [])
-        else:
-            candidates = ctx.kb.by_property.get(prop, [])
-    else:
-        candidates = list(ctx.kb.statements.values())
-
-    for st in candidates:
+    if statements is None:
+        statements = _candidates(ctx, pred_val, rel, env)
+    for st in statements:
         if st.rank == "deprecated" and not ctx.cfg.include_deprecated:
             continue
-        env1 = _unify_term(ctx, rel.pred, PropRef(st.property), env)
+        env1 = _unify_term(rel.pred, PropRef(st.property), env)
         if env1 is None:
             continue
-        env2 = _unify_term(ctx, rel.args[0], entity_value(st.subject), env1)
+        env2 = _unify_term(rel.args[0], entity_value(st.subject), env1)
         if env2 is None:
             continue
-        env3 = _unify_term(ctx, rel.args[1], st.value, env2)
+        env3 = _unify_term(rel.args[1], st.value, env2)
         if env3 is None:
             continue
-        yield from _unify_attrs(ctx, rel.attrs, st.qualifiers, env3)
+        yield from _unify_attrs(rel.attrs, st.qualifiers, env3)
 
 
-def _try_resolve(ctx: _Ctx, t, env: dict):
+def _try_resolve(t, env: dict):
     try:
-        return _resolve_term(ctx, t, env)
+        return _resolve_term(t, env)
     except DatatypeError:
         return None
 
 
-def _match_member(ctx: _Ctx, atom: SetMember, env: dict) -> Iterator[dict]:
-    target = _resolve_term(ctx, atom.set, env) if not isinstance(atom.set, SetLiteral) \
-        else _resolve_literal(ctx, atom.set, env)
+def _match_member(atom: SetMember, env: dict) -> Iterator[dict]:
+    target = _resolve_term(atom.set, env)
     if target is None:
         raise EvalError("set atom evaluated before its set term was bound")
     for a_val, v_val in target.sorted_pairs():
-        env1 = _unify_term(ctx, atom.attr, a_val, env)
+        env1 = _unify_term(atom.attr, a_val, env)
         if env1 is None:
             continue
-        env2 = _unify_term(ctx, atom.value, v_val, env1)
+        env2 = _unify_term(atom.value, v_val, env1)
         if env2 is not None:
             yield env2
 
 
-def _match_eq(ctx: _Ctx, atom: Eq, env: dict) -> Iterator[dict]:
-    lv = _try_resolve(ctx, atom.left, env)
-    rv = _try_resolve(ctx, atom.right, env)
+def _match_eq(atom: Eq, env: dict) -> Iterator[dict]:
+    lv = _try_resolve(atom.left, env)
+    rv = _try_resolve(atom.right, env)
     if lv is not None and rv is not None:
         if lv == rv:
             yield env
@@ -354,19 +347,15 @@ def _match_eq(ctx: _Ctx, atom: Eq, env: dict) -> Iterator[dict]:
 
 def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:
     args = []
-    for t in atom.args:
-        try:
-            v = _resolve_term(ctx, t, env)
-        except DatatypeError as exc:
-            ctx.diagnostics.append(Diagnostic(str(exc), dict(env)))
-            return False
-        if v is None:
-            raise EvalError(f"datatype relation {atom.name} evaluated with unbound argument")
-        args.append(v)
     try:
+        for t in atom.args:
+            v = _resolve_term(t, env)
+            if v is None:
+                raise EvalError(f"datatype relation {atom.name} evaluated with unbound argument")
+            args.append(v)
         return datatype_relation(atom.name, *args)
     except DatatypeError as exc:
-        ctx.diagnostics.append(Diagnostic(str(exc), dict(env)))
+        ctx.diagnostics.append(str(exc))
         return False
 
 
@@ -375,7 +364,7 @@ def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _is_ready(ctx: _Ctx, f: Formula, env: dict) -> bool:
+def _is_ready(f: Formula, env: dict) -> bool:
     """Can this conjunct run under env without domain fallback?"""
     unbound = free_variables(f) - env.keys()
     if not unbound:
@@ -395,7 +384,7 @@ def _is_ready(ctx: _Ctx, f: Formula, env: dict) -> bool:
     if isinstance(f, And):
         return True  # satisfy() recurses and applies its own ordering
     if isinstance(f, Or):
-        return all(_is_ready(ctx, g, env) for g in f.items)
+        return all(_is_ready(g, env) for g in f.items)
     return False
 
 
@@ -415,19 +404,10 @@ def _generates(f: Formula) -> bool:
 def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
     if isinstance(rel.pred, str):
         return len(ctx.kb.no_value_facts) if rel.pred == "no_value" else len(ctx.kb.commons_ns)
-    pred_val = _try_resolve(ctx, rel.pred, env)
-    if pred_val is None:
-        return len(ctx.kb.statements)
-    if not isinstance(pred_val, PropRef):
+    pred_val = _try_resolve(rel.pred, env)
+    if pred_val is not None and not isinstance(pred_val, PropRef):
         return 0
-    prop = pred_val.entity
-    subj = _try_resolve(ctx, rel.args[0], env)
-    val = _try_resolve(ctx, rel.args[1], env)
-    if subj is not None and (ent := as_entity(subj)) is not None:
-        return len(ctx.kb.by_prop_subject.get((prop, ent), []))
-    if val is not None:
-        return len(ctx.kb.by_prop_value.get((prop, val), []))
-    return len(ctx.kb.by_property.get(prop, []))
+    return len(_candidates(ctx, pred_val, rel, env))
 
 
 def _cost(ctx: _Ctx, f: Formula, env: dict) -> int:
@@ -449,125 +429,86 @@ def _satisfy_and(ctx: _Ctx, items: tuple, env: dict) -> Iterator[dict]:
     if not items:
         yield env
         return
-    ready = [(i, f) for i, f in enumerate(items) if _is_ready(ctx, f, env)]
-    if ready:
-        i, chosen = min(ready, key=lambda pair: _cost(ctx, pair[1], env))
-        rest = items[:i] + items[i + 1:]
-        for env2 in satisfy(ctx, chosen, env):
-            yield from _satisfy_and(ctx, rest, env2)
+    ready = [(i, f) for i, f in enumerate(items) if _is_ready(f, env)]
+    if not ready:
+        # no conjunct can bind: enumerate a variable of the first one
+        yield from _enumerate_then(ctx, And(items), env, free_variables(items[0]) - env.keys())
         return
-    # fallback: enumerate one needed variable over the active domain
-    needed = sorted(free_variables(items[0]) - env.keys())
-    var = needed[0]
-    pool = ctx.set_domain if is_set_name(var) else ctx.domain
-    for value in pool:
-        env2 = dict(env)
-        env2[var] = value
-        yield from _satisfy_and(ctx, items, env2)
+    i, chosen = min(ready, key=lambda pair: _cost(ctx, pair[1], env))
+    rest = items[:i] + items[i + 1:]
+    for env2 in satisfy(ctx, chosen, env):
+        yield from _satisfy_and(ctx, rest, env2)
 
 
 def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
     """All extensions of env over f's free variables under which f holds."""
+    if isinstance(f, (Not, Implies, Forall, CountExists)):
+        unbound = free_variables(f) - env.keys()
+        if unbound:
+            # these test their variables but cannot bind them (the
+            # safe-range gate rejects such queries at the API boundary)
+            yield from _enumerate_then(ctx, f, env, unbound)
+            return
     if isinstance(f, AtomF):
         atom = f.atom
         if isinstance(atom, Rel):
             yield from match_rel(ctx, atom, env)
         elif isinstance(atom, SetMember):
-            yield from _match_member(ctx, atom, env)
+            yield from _match_member(atom, env)
         elif isinstance(atom, Eq):
-            yield from _match_eq(ctx, atom, env)
+            yield from _match_eq(atom, env)
         else:
             if _eval_dtrel(ctx, atom, env):
                 yield env
     elif isinstance(f, Not):
-        unbound = free_variables(f.body) - env.keys()
-        if unbound:
-            # negation over unrestricted variables: enumerate them (the
-            # safe-range gate rejects such queries at the API boundary)
-            yield from _enumerate_then(ctx, f, env, unbound)
-            return
-        if isinstance(f.body, Forall):
-            # !forall v.g  ==  exists v.!g, which can search by index
-            if _any_satisfy(ctx, Exists(f.body.var, negate(f.body.body)), env):
-                yield env
-            return
         if not _any_satisfy(ctx, f.body, env):
             yield env
     elif isinstance(f, And):
         yield from _satisfy_and(ctx, f.items, env)
     elif isinstance(f, Or):
         for g in f.items:
-            for env2 in satisfy(ctx, g, env):
-                yield env2
+            yield from satisfy(ctx, g, env)
     elif isinstance(f, Implies):
         # closed propositional test: !body | head
-        unbound = free_variables(f) - env.keys()
-        if unbound:
-            yield from _enumerate_then(ctx, f, env, unbound)
-            return
         if not _any_satisfy(ctx, f.body, env) or _any_satisfy(ctx, f.head, env):
             yield env
     elif isinstance(f, Exists):
-        seen = set()
         if _generates(f.body) or not (free_variables(f.body) - env.keys()):
-            for env2 in satisfy(ctx, f.body, env):
-                out = {k: v for k, v in env2.items() if k != f.var}
-                key = frozenset(out.items())
-                if key not in seen:
-                    seen.add(key)
-                    yield out
+            solutions = satisfy(ctx, f.body, env)
         else:
-            pool = ctx.set_domain if is_set_name(f.var) else ctx.domain
-            for value in pool:
-                env2 = dict(env)
-                env2[f.var] = value
-                for env3 in satisfy(ctx, f.body, env2):
-                    out = {k: v for k, v in env3.items() if k != f.var}
-                    key = frozenset(out.items())
-                    if key not in seen:
-                        seen.add(key)
-                        yield out
+            solutions = _enumerate_then(ctx, f.body, env, {f.var})
+        seen = set()
+        for env2 in solutions:
+            out = {k: v for k, v in env2.items() if k != f.var}
+            key = frozenset(out.items())
+            if key not in seen:
+                seen.add(key)
+                yield out
     elif isinstance(f, Forall):
-        unbound = free_variables(f) - env.keys()
-        if unbound:
-            yield from _enumerate_then(ctx, f, env, unbound)
-            return
         # forall v.g  ==  !exists v.!g; the existential search can use indexes
         if not _any_satisfy(ctx, Exists(f.var, negate(f.body)), env):
             yield env
     elif isinstance(f, CountExists):
-        unbound = free_variables(f) - env.keys()
-        if unbound:
-            yield from _enumerate_then(ctx, f, env, unbound)
-            return
-        witnesses = set()
         if _generates(f.body):
-            for env2 in satisfy(ctx, f.body, env):
-                if f.var in env2:
-                    witnesses.add(env2[f.var])
-                if len(witnesses) >= f.min:
-                    break
+            solutions = satisfy(ctx, f.body, env)
         else:
-            for value in ctx.domain:
-                env2 = dict(env)
-                env2[f.var] = value
-                if _any_satisfy(ctx, f.body, env2):
-                    witnesses.add(value)
-                    if len(witnesses) >= f.min:
-                        break
-        if len(witnesses) >= f.min:
-            yield env
+            solutions = _enumerate_then(ctx, f.body, env, {f.var})
+        witnesses = set()
+        for env2 in solutions:
+            if f.var in env2:
+                witnesses.add(env2[f.var])
+            if len(witnesses) >= f.min:
+                yield env
+                return
     else:
         raise TypeError(f)
 
 
-def _enumerate_then(ctx: _Ctx, f: Formula, env: dict, unbound: set) -> Iterator[dict]:
-    var = sorted(unbound)[0]
-    pool = ctx.set_domain if is_set_name(var) else ctx.domain
-    for value in pool:
-        env2 = dict(env)
-        env2[var] = value
-        yield from satisfy(ctx, f, env2)
+def _enumerate_then(ctx: _Ctx, f: Formula, env: dict, unbound) -> Iterator[dict]:
+    """satisfy(f) once per value of the least unbound variable in its pool."""
+    var = min(unbound)
+    for value in ctx.pool(var):
+        yield from satisfy(ctx, f, {**env, var: value})
 
 
 def _any_satisfy(ctx: _Ctx, f: Formula, env: dict) -> bool:
@@ -689,7 +630,7 @@ def evaluate(
     problem = check_safe_range(f)
     if problem:
         raise UnsafeFormulaError(problem)
-    ctx = _make_ctx(kb, f, cfg, diagnostics)
+    ctx = _Ctx(kb, cfg, f, diagnostics)
     fv = free_variables(f)
     seen = set()
     count = 0
@@ -718,8 +659,7 @@ def holds(
     missing = free_variables(f) - env.keys()
     if missing:
         raise EvalError(f"binding missing variable(s): {', '.join(sorted(missing))}")
-    ctx = _make_ctx(kb, f, cfg, diagnostics)
-    return _holds(ctx, f, env)
+    return _holds(_Ctx(kb, cfg, f, diagnostics), f, env)
 
 
 def _holds(ctx: _Ctx, f: Formula, env: dict) -> bool:
@@ -730,12 +670,12 @@ def _holds(ctx: _Ctx, f: Formula, env: dict) -> bool:
                 return True
             return False
         if isinstance(atom, SetMember):
-            for _ in _match_member(ctx, atom, env):
+            for _ in _match_member(atom, env):
                 return True
             return False
         if isinstance(atom, Eq):
-            lv = _try_resolve(ctx, atom.left, env)
-            rv = _try_resolve(ctx, atom.right, env)
+            lv = _try_resolve(atom.left, env)
+            rv = _try_resolve(atom.right, env)
             return lv is not None and lv == rv
         return _eval_dtrel(ctx, atom, env)
     if isinstance(f, Not):
@@ -747,7 +687,7 @@ def _holds(ctx: _Ctx, f: Formula, env: dict) -> bool:
     if isinstance(f, Implies):
         return not _holds(ctx, f.body, env) or _holds(ctx, f.head, env)
     if isinstance(f, (Exists, Forall, CountExists)):
-        pool = ctx.set_domain if is_set_name(f.var) else ctx.domain
+        pool = ctx.pool(f.var)
         if isinstance(f, Forall):
             return all(_holds(ctx, f.body, {**env, f.var: v}) for v in pool)
         if isinstance(f, Exists):
@@ -770,12 +710,12 @@ def brute_force_evaluate(
 ) -> Iterator[Binding]:
     """Enumerate every total binding and filter by holds (testing oracle)."""
     cfg = cfg or EvalConfig()
-    ctx = _make_ctx(kb, f, cfg, diagnostics)
+    ctx = _Ctx(kb, cfg, f, diagnostics)
     if len(ctx.domain) > cfg.oracle_domain_limit:
         raise DomainTooLarge(
             f"active domain has {len(ctx.domain)} constants, oracle limit is {cfg.oracle_domain_limit}")
     fv = sorted(free_variables(f))
-    pools = [ctx.set_domain if is_set_name(v) else ctx.domain for v in fv]
+    pools = [ctx.pool(v) for v in fv]
     count = 0
     for combo in itertools.product(*pools):
         env = dict(zip(fv, combo))

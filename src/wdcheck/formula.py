@@ -97,6 +97,13 @@ class SetVar(_Node):
 class SetLiteral(_Node):
     pairs: tuple  # of (Term, Term)
 
+    @cached_property
+    def ground(self) -> Optional[AttrSet]:
+        """The literal as an AttrSet when every attribute and value is a constant, else None."""
+        if all(isinstance(a, Const) and isinstance(v, Const) for a, v in self.pairs):
+            return AttrSet.of((a.value, v.value) for a, v in self.pairs)
+        return None
+
 
 SetTerm = Union[SetVar, SetLiteral]
 
@@ -282,9 +289,8 @@ def all_constants(f: Formula) -> set:
 
 
 def ground_set_literals(f: Formula) -> set:
-    """Variable-free set literals of a formula, as AttrSet values."""
-    return {AttrSet.of((a.value, v.value) for a, v in n.pairs)
-            for n in _nodes(f) if isinstance(n, SetLiteral) and not free_variables(n)}
+    """Set literals of a formula made only of constants, as AttrSet values."""
+    return {n.ground for n in _nodes(f) if isinstance(n, SetLiteral) and n.ground is not None}
 
 
 # ---------------------------------------------------------------------------

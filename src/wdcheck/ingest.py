@@ -188,8 +188,8 @@ def load_native(
     kb = kb or KnowledgeBase()
     stats = IngestStats()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         try:
             fact = _LineParser(line, labels, kb).fact_line()
@@ -293,7 +293,10 @@ def _decode_time(dv: dict) -> TimeVal:
     precision = int(dv.get("precision", 11))
     month_i = max(int(month), 1)
     day_i = max(int(day), 1)
-    ts = datetime(int(year), month_i, day_i, int(hh), int(mm), int(ss))
+    try:
+        ts = datetime(int(year), month_i, day_i, int(hh), int(mm), int(ss))
+    except ValueError as exc:
+        raise IngestError(f"invalid date {dv['time']!r}: {exc}") from exc
     return TimeVal(ts, precision)
 
 
@@ -314,10 +317,15 @@ def _decode_quantity(dv: dict) -> QuantityVal:
     return QuantityVal(amount, unit, lower, upper)
 
 
-_STRING_DATATYPES = (
-    "string", "external-id", "commonsMedia", "url", "math",
-    "musical-notation", "geo-shape", "tabular-data",
-)
+def _decode_entity_id(data) -> EntityId:
+    """Entity id of a wikibase-entityid value; legacy values carry only a numeric id."""
+    ident = data.get("id") if isinstance(data, dict) else data
+    if ident is None and isinstance(data, dict):
+        prefix = {"item": "Q", "property": "P"}.get(data.get("entity-type"), "")
+        ident = f"{prefix}{data.get('numeric-id')}"
+    if not isinstance(ident, str):
+        raise IngestError(f"bad entity value {data!r}")
+    return EntityId.parse(ident)
 
 
 def _decode_snak(snak: dict, kb: KnowledgeBase) -> Value:
@@ -331,8 +339,7 @@ def _decode_snak(snak: dict, kb: KnowledgeBase) -> Value:
     dtype = dv.get("type")
     data = dv.get("value")
     if dtype == "wikibase-entityid":
-        ident = data.get("id") if isinstance(data, dict) else data
-        ent = EntityId.parse(ident)
+        ent = _decode_entity_id(data)
         return ItemRef(ent) if ent.kind == "item" else PropRef(ent)
     if dtype == "string":
         return StringVal(data)

@@ -340,14 +340,6 @@ class KnowledgeBase:
             return list(out)
         return [st for st in out if st.rank != "deprecated"]
 
-    def all_statements(self, include_deprecated: bool = False) -> Iterator[Statement]:
-        for st in self.statements.values():
-            if include_deprecated or st.rank != "deprecated":
-                yield st
-
-    def properties_in_use(self) -> list[EntityId]:
-        return sorted(self.by_property)
-
     def attr_sets(self) -> set:
         """Attribute sets realized anywhere in the KB (set-variable domain)."""
         out = {st.qualifiers for st in self.statements.values()}

@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .evaluator import EvalConfig, _Ctx, _make_ctx, _resolve_term, _satisfy_and, match_rel
+from .evaluator import EvalConfig, _Ctx, _resolve_term, _satisfy_and, match_rel
 from .formula import (
     And,
     AtomF,
-    Const,
-    Eq,
     Formula,
     Implies,
     Rel,
@@ -186,10 +184,10 @@ def _fire(ctx: _Ctx, rule: Rule, delta: Optional[list]) -> Iterator[dict]:
             return  # full join once is enough when unrestricted
 
 
-def _derived_statement(ctx: _Ctx, rule: Rule, env: dict, kb: KnowledgeBase) -> Optional[Statement]:
-    pred = _resolve_term(ctx, rule.head.pred, env)
-    subj = _resolve_term(ctx, rule.head.args[0], env)
-    value = _resolve_term(ctx, rule.head.args[1], env)
+def _derived_statement(rule: Rule, env: dict, kb: KnowledgeBase) -> Optional[Statement]:
+    pred = _resolve_term(rule.head.pred, env)
+    subj = _resolve_term(rule.head.args[0], env)
+    value = _resolve_term(rule.head.args[1], env)
     if not isinstance(pred, PropRef):
         return None
     subj_ent = as_entity(subj) if subj is not None else None
@@ -199,7 +197,7 @@ def _derived_statement(ctx: _Ctx, rule: Rule, env: dict, kb: KnowledgeBase) -> O
         quals = AttrSet.of([(RANK_ATTR, StringVal("normal"))])
         rank, refs = "normal", ()
     else:
-        copied = _resolve_term(ctx, rule.head.attrs, env)
+        copied = _resolve_term(rule.head.attrs, env)
         if not isinstance(copied, AttrSet):
             return None
         ranks = [v for a, v in copied if a == RANK_ATTR and isinstance(v, StringVal)]
@@ -233,10 +231,10 @@ def closure(
         if max_rounds is not None and result.rounds > max_rounds:
             raise RuleError(f"closure did not settle within {max_rounds} rounds")
         fresh: list = []
-        ctx = _make_ctx(kb, AtomF(Eq(Const(StringVal("")), Const(StringVal("")))), cfg, None)
+        ctx = _Ctx(kb, cfg)
         pending = [(rule, env) for rule in rules for env in _fire(ctx, rule, delta)]
         for rule, env in pending:
-            st = _derived_statement(ctx, rule, env, kb)
+            st = _derived_statement(rule, env, kb)
             if st is None:
                 continue
             kb.add_statement(st)

@@ -156,6 +156,11 @@ class TestQuery:
                            "--format", "json", "P26(?x, ?y) & !P26(?y, ?x)")
         assert json.loads(out) == [{"x": "Q3", "y": "Q4"}]
 
+    def test_function_term_in_ground_set_literal(self, capsys, family_file):
+        code, out, err = run(capsys, "query", "--input", family_file, "--no-close",
+                             "P26(?x, ?y)@{P580: difference(2020-01-01, 2019-01-01)}")
+        assert (code, out, err) == (0, "no bindings\n", "")
+
     def test_unsafe_query_is_error(self, capsys, family_file):
         code, _, err = run(capsys, "query", "--input", family_file, "!P26(?x, ?y)")
         assert code == 2
@@ -216,6 +221,15 @@ class TestErrors:
     def test_no_input(self, capsys):
         code, _, err = run(capsys, "check")
         assert code == 2
+
+    def test_crash_exits_2_not_1(self, capsys, family_file, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("wdcheck.cli.check", crash)
+        code, out, err = run(capsys, "check", "--input", family_file)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "boom" in err
 
 
 class TestLabelEnvironment:

@@ -104,6 +104,19 @@ class TestConnectives:
         kb = kb_from("P26(Q1, Q2)\nP26(Q1, Q3)\nP26(Q4, Q5)")
         got = rows(kb, "P26(?x, ?o) & exists[2] ?y . P26(?x, ?y)")
         assert got == [{"x": "Q1", "o": "Q2"}, {"x": "Q1", "o": "Q3"}]
+        # a body that cannot bind ?y by index counts over the active domain
+        assert len(rows(kb, "P26(?x, ?o) & exists[1] ?y . ?y = ?o")) == 3
+        assert rows(kb, "P26(?x, ?o) & exists[2] ?y . ?y = ?o") == []
+
+    def test_index_driven_queries_never_build_the_domain(self, family_kb, monkeypatch):
+        def refuse():
+            raise AssertionError("variable pool built")
+
+        monkeypatch.setattr(family_kb, "active_domain", refuse)
+        monkeypatch.setattr(family_kb, "attr_sets", refuse)
+        assert rows(family_kb, "P26(?x, ?y) & !P26(?y, ?x)") == [{"x": "Q3", "y": "Q4"}]
+        got = rows(family_kb, "P31(?x, Q5) & !(forall ?y . (P26(?x, ?y) -> P26(?y, ?x)))")
+        assert got == [{"x": "Q3"}]
 
     def test_max_bindings(self, family_kb):
         got = list(evaluate(family_kb, parse("P31(?x, Q5)"), EvalConfig(max_bindings=2)))

@@ -174,7 +174,8 @@ class TestVariableAccounting:
                 TimeVal(datetime(1988, 6, 12))} <= consts
 
     def test_ground_set_literals(self):
-        f = parse("?p(?s, ?o)@{P580: 1988-06-12} & (?a : ?b) in {P1: Q1}")
+        f = parse("?p(?s, ?o)@{P580: 1988-06-12} & (?a : ?b) in {P1: Q1}"
+                  " & P26(?s, ?o)@{P580: difference(2020-01-01, 2019-01-01)}")
         sets = ground_set_literals(f)
         assert AttrSet.of([(PropRef(P(1)), ItemRef(Q(1)))]) in sets
         assert len(sets) == 2

@@ -74,6 +74,12 @@ class TestNativeFormat:
         kb, stats = load_native("# header\n\nP26(Q1, Q2)  # trailing\n")
         assert stats.statements == 1
 
+    def test_hash_inside_string_is_not_a_comment(self):
+        kb, stats = load_native('P1(Q1, "C#")  # note\n')
+        assert stats.statements == 1
+        (st,) = kb.statements.values()
+        assert st.value == StringVal("C#")
+
     def test_error_reports_line_number(self):
         with pytest.raises(IngestError, match="line 2"):
             load_native("P26(Q1, Q2)\nP26(Q1,\n")
@@ -202,6 +208,22 @@ class TestWikidataJson:
         kb, stats = load_wikidata_json([doc])
         assert stats.statements == 0
         assert stats.skipped
+
+    def test_invalid_calendar_date_skipped(self):
+        doc = entity_doc("Q1", {"P569": [claim("P569", value_snak(
+            "time", {"time": "+2020-02-30T00:00:00Z", "precision": 11}))]})
+        kb, stats = load_wikidata_json([doc])
+        assert stats.statements == 0
+        assert [reason for reason, _ in stats.skipped] == ["mainsnak"]
+
+    @pytest.mark.parametrize("entity_type, expected", [
+        ("item", ItemRef(Q(2))), ("property", PropRef(P(2)))])
+    def test_legacy_entity_value_without_id(self, entity_type, expected):
+        doc = entity_doc("Q1", {"P1889": [claim("P1889", value_snak(
+            "wikibase-entityid", {"entity-type": entity_type, "numeric-id": 2}))]})
+        kb, stats = load_wikidata_json([doc])
+        (st,) = kb.statements.values()
+        assert st.value == expected
 
     def test_zero_month_day_clamped(self):
         doc = entity_doc("Q1", {"P569": [claim("P569", value_snak(
