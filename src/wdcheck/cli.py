@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .catalog import (
     builtin_templates,
@@ -51,9 +52,14 @@ def _load_inputs(specs: list, labels: LabelTable) -> KnowledgeBase:
             # native text never starts with a JSON object or array
             fmt = "json" if text.lstrip()[:1] in ("{", "[") else "native"
         if fmt == "json":
-            kb, _stats = load_wikidata_json(text)
+            kb, stats = load_wikidata_json(text)
         else:
-            kb, _stats = load_native(text, labels)
+            kb, stats = load_native(text, labels)
+        if stats.skipped:
+            counts = Counter(reason for reason, _detail in stats.skipped)
+            shown = ", ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
+            print(f"note: {path}: skipped {len(stats.skipped)} claim(s) ({shown})",
+                  file=sys.stderr)
         kbs.append(kb)
     if not kbs:
         raise CliError("no --input given")

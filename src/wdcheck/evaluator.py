@@ -6,8 +6,10 @@ the formula's own constants) and set quantifiers over the qualifier sets
 realized in the KB plus the formula's ground set literals.
 
 The main evaluator orders conjuncts greedily so that index lookups drive the
-search; ``brute_force_evaluate`` enumerates every total binding and filters
-with ``holds``.  The two share atom matching (``match_rel``), so the oracle
+search.  ``_binds`` is the one binding analysis: the safe-range gate
+(``check_safe_range``) and the conjunct order (``_cost``) both read it.
+``brute_force_evaluate`` enumerates every total binding and filters with
+``holds``.  The two share atom matching (``match_rel``), so the oracle
 checks the search order and the domain fallback, not statement matching.
 """
 
@@ -364,43 +366,6 @@ def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _is_ready(f: Formula, env: dict) -> bool:
-    """Can this conjunct run under env without domain fallback?"""
-    unbound = free_variables(f) - env.keys()
-    if not unbound:
-        return True
-    if isinstance(f, AtomF):
-        atom = f.atom
-        if isinstance(atom, Rel):
-            return True
-        if isinstance(atom, SetMember):
-            return free_variables(atom.set) <= env.keys()
-        if isinstance(atom, Eq):
-            return free_variables(atom.left) <= env.keys() or \
-                free_variables(atom.right) <= env.keys()
-        return False
-    if isinstance(f, Exists):
-        return _generates(f)
-    if isinstance(f, And):
-        return True  # satisfy() recurses and applies its own ordering
-    if isinstance(f, Or):
-        return all(_is_ready(g, env) for g in f.items)
-    return False
-
-
-def _generates(f: Formula) -> bool:
-    """Rough check that evaluating f can bind variables (by matching statements)."""
-    if isinstance(f, AtomF):
-        return isinstance(f.atom, (Rel, SetMember))
-    if isinstance(f, And):
-        return any(_generates(g) for g in f.items)
-    if isinstance(f, Or):
-        return all(_generates(g) for g in f.items)
-    if isinstance(f, Exists):
-        return _generates(f.body)
-    return False
-
-
 def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
     if isinstance(rel.pred, str):
         return len(ctx.kb.no_value_facts) if rel.pred == "no_value" else len(ctx.kb.commons_ns)
@@ -410,18 +375,20 @@ def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
     return len(_candidates(ctx, pred_val, rel, env))
 
 
-def _cost(ctx: _Ctx, f: Formula, env: dict) -> int:
+def _cost(ctx: _Ctx, f: Formula, env: dict) -> Optional[int]:
+    """Work to match f under env; None when matching cannot bind its unbound variables."""
     unbound = free_variables(f) - env.keys()
     if not unbound:
         return 0  # pure test, run first
+    if not unbound <= _binds(f, env.keys()):
+        return None
     if isinstance(f, AtomF):
         atom = f.atom
         if isinstance(atom, Eq):
             return 1
         if isinstance(atom, SetMember):
             return 2
-        if isinstance(atom, Rel):
-            return 3 + _rel_cost(ctx, atom, env)
+        return 3 + _rel_cost(ctx, atom, env)
     return 10_000
 
 
@@ -429,20 +396,20 @@ def _satisfy_and(ctx: _Ctx, items: tuple, env: dict) -> Iterator[dict]:
     if not items:
         yield env
         return
-    ready = [(i, f) for i, f in enumerate(items) if _is_ready(f, env)]
+    ready = [(c, i) for i, g in enumerate(items) if (c := _cost(ctx, g, env)) is not None]
     if not ready:
         # no conjunct can bind: enumerate a variable of the first one
         yield from _enumerate_then(ctx, And(items), env, free_variables(items[0]) - env.keys())
         return
-    i, chosen = min(ready, key=lambda pair: _cost(ctx, pair[1], env))
+    _, i = min(ready)
     rest = items[:i] + items[i + 1:]
-    for env2 in satisfy(ctx, chosen, env):
+    for env2 in satisfy(ctx, items[i], env):
         yield from _satisfy_and(ctx, rest, env2)
 
 
 def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
     """All extensions of env over f's free variables under which f holds."""
-    if isinstance(f, (Not, Implies, Forall, CountExists)):
+    if isinstance(f, (Not, Implies, Forall)):
         unbound = free_variables(f) - env.keys()
         if unbound:
             # these test their variables but cannot bind them (the
@@ -472,34 +439,26 @@ def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
         # closed propositional test: !body | head
         if not _any_satisfy(ctx, f.body, env) or _any_satisfy(ctx, f.head, env):
             yield env
-    elif isinstance(f, Exists):
-        if _generates(f.body) or not (free_variables(f.body) - env.keys()):
+    elif isinstance(f, (Exists, CountExists)):
+        if free_variables(f.body) - env.keys() <= _binds(f.body, env.keys()):
             solutions = satisfy(ctx, f.body, env)
         else:
             solutions = _enumerate_then(ctx, f.body, env, {f.var})
-        seen = set()
+        # project f.var away; each outer binding holds once it has `need`
+        # distinct witnesses
+        need = f.min if isinstance(f, CountExists) else 1
+        witnesses: dict = {}
         for env2 in solutions:
             out = {k: v for k, v in env2.items() if k != f.var}
-            key = frozenset(out.items())
-            if key not in seen:
-                seen.add(key)
-                yield out
+            seen = witnesses.setdefault(frozenset(out.items()), set())
+            if len(seen) < need:
+                seen.add(env2.get(f.var))
+                if len(seen) == need:
+                    yield out
     elif isinstance(f, Forall):
         # forall v.g  ==  !exists v.!g; the existential search can use indexes
         if not _any_satisfy(ctx, Exists(f.var, negate(f.body)), env):
             yield env
-    elif isinstance(f, CountExists):
-        if _generates(f.body):
-            solutions = satisfy(ctx, f.body, env)
-        else:
-            solutions = _enumerate_then(ctx, f.body, env, {f.var})
-        witnesses = set()
-        for env2 in solutions:
-            if f.var in env2:
-                witnesses.add(env2[f.var])
-            if len(witnesses) >= f.min:
-                yield env
-                return
     else:
         raise TypeError(f)
 
@@ -518,100 +477,97 @@ def _any_satisfy(ctx: _Ctx, f: Formula, env: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Safe-range analysis
+# Binding analysis and the safe-range gate
 # ---------------------------------------------------------------------------
+
+_NOTHING: frozenset = frozenset()
+
+
+def _binds(f: Formula, pre) -> frozenset:
+    """The free variables of f that matching f binds once the variables in pre are bound.
+
+    This is the one place that knows which constructs bind: the safe-range
+    gate, the conjunct planner and the rule gate all read it.
+    """
+    if isinstance(f, AtomF):
+        atom = f.atom
+        if isinstance(atom, Rel):
+            return free_variables(f)
+        if isinstance(atom, SetMember):
+            return free_variables(f) if free_variables(atom.set) <= pre else _NOTHING
+        if isinstance(atom, Eq):
+            if free_variables(atom.left) <= pre or free_variables(atom.right) <= pre:
+                return free_variables(f)
+        return _NOTHING  # a datatype relation, or an equality open on both sides
+    if isinstance(f, And):
+        # fixpoint; an item that bound all its variables is not asked again
+        bound = set(pre)
+        todo = f.items
+        while todo:
+            size = len(bound)
+            open_items = []
+            for g in todo:
+                new = _binds(g, bound)
+                bound |= new
+                if len(new) < len(free_variables(g)):
+                    open_items.append(g)
+            if len(bound) == size:
+                break
+            todo = open_items
+        return free_variables(f) & bound
+    if isinstance(f, Or):
+        return frozenset.intersection(*[_binds(g, pre) for g in f.items])
+    if isinstance(f, (Exists, CountExists)):
+        return _binds(f.body, pre) - {f.var}
+    return _NOTHING  # Not, Implies and Forall only test
 
 
 def check_safe_range(f: Formula) -> Optional[str]:
     """None if every variable is range-restricted; else a diagnostic."""
     problems: list = []
-    bound = _rr(f, frozenset(), problems)
-    missing = free_variables(f) - bound
-    if missing:
-        problems.append(f"free variable(s) not range-restricted: {', '.join(sorted(missing))}")
-    if problems:
-        return "; ".join(problems)
-    return None
+    _check(f, _NOTHING, problems)
+    _report(problems, "free variable(s)", free_variables(f) - _binds(f, _NOTHING))
+    return "; ".join(problems) if problems else None
 
 
-def _rr(f: Formula, pre: frozenset, problems: list) -> frozenset:
-    if isinstance(f, AtomF):
-        atom = f.atom
-        if isinstance(atom, Rel):
-            return pre | free_variables(f)
-        if isinstance(atom, SetMember):
-            set_vars = free_variables(atom.set)
-            if set_vars <= pre or isinstance(atom.set, SetLiteral):
-                return pre | free_variables(f)
-            return pre
-        if isinstance(atom, Eq):
-            if free_variables(atom.left) <= pre:
-                return pre | free_variables(atom.right)
-            if free_variables(atom.right) <= pre:
-                return pre | free_variables(atom.left)
-            return pre
-        return pre  # DtRel restricts nothing
+def _check(f: Formula, pre: frozenset, problems: list) -> None:
+    """Append the safe-range problems inside f, given that pre is bound."""
     if isinstance(f, And):
-        bound = pre
-        changed = True
-        while changed:
-            changed = False
-            for g in f.items:
-                new = _rr(g, bound, [])
-                if not new <= bound:
-                    bound = bound | new
-                    changed = True
+        bound = pre | _binds(f, pre)
         for g in f.items:
-            _rr(g, bound, problems)
+            _check(g, bound, problems)
             _require_supported(g, bound, problems)
-        return bound
-    if isinstance(f, Or):
-        branch_bounds = [_rr(g, pre, problems) for g in f.items]
+    elif isinstance(f, Or):
+        for g in f.items:
+            _check(g, pre, problems)
         for g in f.items:
             _require_supported(g, pre, problems)
-        out = branch_bounds[0]
-        for b in branch_bounds[1:]:
-            out = out & (b | pre)
-        return frozenset(out)
-    if isinstance(f, Not):
-        inner = _rr(f.body, pre, problems)
-        loose = free_variables(f.body) - inner
-        if loose:
-            problems.append(
-                "variable(s) under negation not range-restricted: " + ", ".join(sorted(loose)))
-        return pre
-    if isinstance(f, Implies):
-        body_bound = _rr(f.body, pre, problems)
-        loose = free_variables(f.body) - body_bound
-        if loose:
-            problems.append(
-                "implication body variable(s) not range-restricted: " + ", ".join(sorted(loose)))
-        head_bound = _rr(f.head, body_bound, problems)
-        loose = free_variables(f.head) - head_bound
-        if loose:
-            problems.append(
-                "implication head variable(s) not range-restricted: " + ", ".join(sorted(loose)))
-        return pre
-    if isinstance(f, Exists):
-        inner = _rr(f.body, pre, problems)
-        return frozenset((pre | inner) - {f.var})
-    if isinstance(f, Forall):
-        inner = _rr(f.body, pre, problems)
-        return pre
-    if isinstance(f, CountExists):
-        inner = _rr(f.body, pre, problems)
-        if f.var not in inner:
+    elif isinstance(f, Not):
+        _check(f.body, pre, problems)
+        _report(problems, "variable(s) under negation",
+                free_variables(f.body) - pre - _binds(f.body, pre))
+    elif isinstance(f, Implies):
+        _check(f.body, pre, problems)
+        body_bound = pre | _binds(f.body, pre)
+        _report(problems, "implication body variable(s)", free_variables(f.body) - body_bound)
+        _check(f.head, body_bound, problems)
+        _report(problems, "implication head variable(s)",
+                free_variables(f.head) - body_bound - _binds(f.head, body_bound))
+    elif isinstance(f, (Exists, Forall, CountExists)):
+        _check(f.body, pre, problems)
+        if isinstance(f, CountExists) and f.var not in _binds(f.body, pre):
             problems.append(f"counting variable not range-restricted: {f.var}")
-        return frozenset((pre | inner) - {f.var})
-    raise TypeError(f)
 
 
 def _require_supported(g: Formula, bound: frozenset, problems: list) -> None:
     if isinstance(g, AtomF) and isinstance(g.atom, (DtRel, Eq)):
-        loose = free_variables(g) - bound
-        if loose:
-            kind = "datatype relation" if isinstance(g.atom, DtRel) else "equality"
-            problems.append(f"{kind} variable(s) not range-restricted: " + ", ".join(sorted(loose)))
+        kind = "datatype relation" if isinstance(g.atom, DtRel) else "equality"
+        _report(problems, f"{kind} variable(s)", free_variables(g) - bound)
+
+
+def _report(problems: list, what: str, loose) -> None:
+    if loose:
+        problems.append(f"{what} not range-restricted: " + ", ".join(sorted(loose)))
 
 
 # ---------------------------------------------------------------------------

@@ -757,9 +757,13 @@ class Parser:
         return Const(QuantityVal(amount, unit, lower, upper))
 
 
+_ESCAPE_RE = re.compile(r'\\(["\\]|u[0-9a-fA-F]{4})')
+
+
 def _unquote(raw: str) -> str:
-    body = raw[1:-1]
-    return body.replace('\\"', '"').replace("\\\\", "\\")
+    r"""Decode \\, \" and \uXXXX in one left-to-right pass; other backslashes stay."""
+    return _ESCAPE_RE.sub(
+        lambda m: chr(int(m[1][1:], 16)) if m[1][0] == "u" else m[1], raw[1:-1])
 
 
 def _parse_time(tok: Token) -> TimeVal:

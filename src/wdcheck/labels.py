@@ -11,7 +11,7 @@ import json
 import os
 from typing import Optional
 
-from .model import EntityId, P, Pseudo, Q, StringVal, Value
+from .model import EntityId, P, Pseudo, Q, StringVal, Value, entity_value
 
 # -- properties -------------------------------------------------------------
 
@@ -200,10 +200,7 @@ class LabelTable:
 
     def resolve(self, name: str) -> Optional[Value]:
         if name in self.entities:
-            ent = self.entities[name]
-            from .model import entity_value
-
-            return entity_value(ent)
+            return entity_value(self.entities[name])
         return _VALUE_LABELS.get(name)
 
     def resolve_entity(self, name: str) -> Optional[EntityId]:

@@ -80,12 +80,21 @@ class PropRef:
         return str(self.entity)
 
 
+# Every character str.splitlines breaks a line at, written as \uXXXX so a
+# quoted string stays on one line of native text.
+_LINE_BREAK_ESCAPES = {ord(c): f"\\u{ord(c):04x}"
+                       for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 @dataclass(frozen=True)
 class StringVal:
     text: str
 
     def __str__(self) -> str:
-        return '"' + self.text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        text = self.text.replace("\\", "\\\\").replace('"', '\\"')
+        if not text.isprintable():  # line breaks are not printable; translate is slow
+            text = text.translate(_LINE_BREAK_ESCAPES)
+        return '"' + text + '"'
 
 
 @dataclass(frozen=True)

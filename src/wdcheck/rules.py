@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .evaluator import EvalConfig, _Ctx, _resolve_term, _satisfy_and, match_rel
+from .evaluator import EvalConfig, _Ctx, _resolve_term, _satisfy_and, check_safe_range, match_rel
 from .formula import (
     And,
     AtomF,
@@ -40,6 +40,7 @@ from .labels import (
 )
 from .model import (
     AttrSet,
+    EMPTY_ATTRS,
     KnowledgeBase,
     PropRef,
     RANK_ATTR,
@@ -47,6 +48,7 @@ from .model import (
     Statement,
     StringVal,
     as_entity,
+    make_statement,
 )
 
 
@@ -70,29 +72,24 @@ def rule_from_formula(name: str, f: Formula) -> Rule:
     """Validate an implication as a rule and package it."""
     if not isinstance(f, Implies):
         raise RuleError(f"rule {name!r} must be an implication")
-    body = f.body.items if isinstance(f.body, And) else (f.body,)
-    atoms = []
-    bound: set = set()
-    has_statement_atom = False
-    for g in body:
-        if not isinstance(g, AtomF):
-            raise RuleError(f"rule {name!r} body must be a conjunction of atoms")
-        atoms.append(g)
-        bound |= free_variables(g)
-        if isinstance(g.atom, Rel) and not isinstance(g.atom.pred, str):
-            has_statement_atom = True
-    if not has_statement_atom:
+    body = f.body if isinstance(f.body, And) else And((f.body,))
+    if not all(isinstance(g, AtomF) for g in body.items):
+        raise RuleError(f"rule {name!r} body must be a conjunction of atoms")
+    if not any(isinstance(g.atom, Rel) and not isinstance(g.atom.pred, str) for g in body.items):
         raise RuleError(f"rule {name!r} needs at least one statement atom in its body")
     if not isinstance(f.head, AtomF) or not isinstance(f.head.atom, Rel):
         raise RuleError(f"rule {name!r} head must be a relational atom")
     head = f.head.atom
     if isinstance(head.pred, str):
         raise RuleError(f"rule {name!r} may not derive builtin facts")
-    loose = free_variables(head) - bound
+    problem = check_safe_range(body)
+    if problem:
+        raise RuleError(f"rule {name!r} body is not safe-range: {problem}")
+    loose = free_variables(head) - free_variables(body)
     if loose:
         raise RuleError(
             f"rule {name!r} head variable(s) not bound in body: " + ", ".join(sorted(loose)))
-    return Rule(name, tuple(atoms), head)
+    return Rule(name, body.items, head)
 
 
 def rules_from_blocks(blocks: list) -> list:
@@ -193,24 +190,20 @@ def _derived_statement(rule: Rule, env: dict, kb: KnowledgeBase) -> Optional[Sta
     subj_ent = as_entity(subj) if subj is not None else None
     if subj_ent is None or value is None:
         return None
-    if rule.head.attrs is None:
-        quals = AttrSet.of([(RANK_ATTR, StringVal("normal"))])
-        rank, refs = "normal", ()
-    else:
+    quals, rank, refs = EMPTY_ATTRS, "normal", ()
+    if rule.head.attrs is not None:
         copied = _resolve_term(rule.head.attrs, env)
         if not isinstance(copied, AttrSet):
             return None
-        ranks = [v for a, v in copied if a == RANK_ATTR and isinstance(v, StringVal)]
-        rank = ranks[0].text if ranks else "normal"
-        refs = tuple(sorted(v.text for a, v in copied if a == REFERENCE_ATTR
-                            and isinstance(v, StringVal)))
-        pairs = set(copied.pairs)
-        if not ranks:
-            pairs.add((RANK_ATTR, StringVal("normal")))
-        quals = AttrSet.of(pairs)
+        quals = copied.without_pseudo()
+        rank = next((v.text for a, v in copied if a == RANK_ATTR and isinstance(v, StringVal)),
+                    "normal")
+        refs = sorted(v.text for a, v in copied
+                      if a == REFERENCE_ATTR and isinstance(v, StringVal))
     if kb.has_fact(subj_ent, pred.entity, value, quals):
         return None
-    return Statement(kb.fresh_statement_id("d"), subj_ent, pred.entity, value, quals, rank, refs)
+    return make_statement(kb.fresh_statement_id("d"), subj_ent, pred.entity, value, quals,
+                          rank, refs)
 
 
 def closure(

@@ -186,6 +186,36 @@ class TestInfer:
         code, twice, _ = run(capsys, "infer", "--input", str(closed))
         assert once == twice
 
+    def test_rule_body_must_be_safe_range(self, capsys, tmp_path):
+        rules = tmp_path / "bad.rules"
+        rules.write_text("name: loose\nkind: rule\nP1(?x, ?y) & ?z = ?w -> P2(?x, ?z)\n")
+        kb = tmp_path / "kb.native"
+        kb.write_text('P1(Q1, "a")\nP3(Q2, Q3)\n')
+        code, out, err = run(capsys, "infer", "--input", str(kb), "--rules", str(rules))
+        assert (code, out) == (2, "")
+        assert "not range-restricted" in err
+
+
+class TestSliceFixture:
+    """Reports on the Wikidata slice, pinned byte for byte."""
+
+    SLICE = str(FIXTURES / "wikidata_slice.json")
+
+    def test_check_json_report(self, capsys):
+        code, out, _ = run(capsys, "check", "--format", "json", "--input", self.SLICE)
+        assert code == 1
+        assert out == (FIXTURES / "slice_check.json").read_text(encoding="utf-8")
+
+    def test_infer_explain(self, capsys):
+        code, out, _ = run(capsys, "infer", "--explain", "--input", self.SLICE)
+        assert code == 0
+        assert out == (FIXTURES / "slice_infer.txt").read_text(encoding="utf-8")
+
+    def test_skipped_claims_noted_on_stderr(self, capsys):
+        code, _, err = run(capsys, "check", "--input", self.SLICE)
+        assert code == 1
+        assert f"note: {self.SLICE}: skipped 5 claim(s) (mainsnak: 5)" in err
+
 
 class TestCatalog:
     def test_listing(self, capsys):

@@ -104,7 +104,9 @@ class TestConnectives:
         kb = kb_from("P26(Q1, Q2)\nP26(Q1, Q3)\nP26(Q4, Q5)")
         got = rows(kb, "P26(?x, ?o) & exists[2] ?y . P26(?x, ?y)")
         assert got == [{"x": "Q1", "o": "Q2"}, {"x": "Q1", "o": "Q3"}]
-        # a body that cannot bind ?y by index counts over the active domain
+        # the count groups by the outer variables the body binds
+        assert rows(kb, "exists[2] ?y . P26(?x, ?y)") == [{"x": "Q1"}]
+        # an equality binds the counted variable too
         assert len(rows(kb, "P26(?x, ?o) & exists[1] ?y . ?y = ?o")) == 3
         assert rows(kb, "P26(?x, ?o) & exists[2] ?y . ?y = ?o") == []
 
@@ -117,6 +119,8 @@ class TestConnectives:
         assert rows(family_kb, "P26(?x, ?y) & !P26(?y, ?x)") == [{"x": "Q3", "y": "Q4"}]
         got = rows(family_kb, "P31(?x, Q5) & !(forall ?y . (P26(?x, ?y) -> P26(?y, ?x)))")
         assert got == [{"x": "Q3"}]
+        got = rows(family_kb, "exists[1] ?y . P26(?x, ?y)")
+        assert got == [{"x": "Q1"}, {"x": "Q2"}, {"x": "Q3"}]
 
     def test_max_bindings(self, family_kb):
         got = list(evaluate(family_kb, parse("P31(?x, Q5)"), EvalConfig(max_bindings=2)))
@@ -140,6 +144,9 @@ class TestSafeRange:
         "integer(?o)",
         "P26(?x, ?y) | P31(?x, ?z)",
         "P26(?x, ?y) & !P31(?x, ?z)",
+        # a variable inside a set literal is bound only by some other atom
+        "(?a : ?b) in {P580: ?x}",
+        "P26(?y, ?z) & (P580 : ?z) in {P580: ?x}",
     ])
     def test_unsafe(self, text):
         assert check_safe_range(parse(text)) is not None

@@ -5,6 +5,8 @@ from datetime import datetime
 from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import kb_from
 from wdcheck.ingest import (
@@ -17,12 +19,14 @@ from wdcheck.ingest import (
 from wdcheck.model import (
     AnonConst,
     ItemRef,
+    KnowledgeBase,
     P,
     PropRef,
     Q,
     QuantityVal,
     StringVal,
     TimeVal,
+    make_statement,
 )
 
 
@@ -98,6 +102,25 @@ class TestNativeFormat:
         text = export_native(kb)
         assert "rank=preferred" in text and "refs=1" in text
         assert "{" not in text  # pseudo pairs are not rendered as qualifiers
+
+    @given(st.text())
+    def test_any_string_round_trips(self, text):
+        kb = KnowledgeBase()
+        kb.add_statement(make_statement("s1", Q(1), P(1), StringVal(text)))
+        kb2, _ = load_native(export_native(kb))
+        assert [stmt.value for stmt in kb2.statements.values()] == [StringVal(text)]
+
+    def test_json_string_with_line_break_round_trips(self):
+        doc = entity_doc("Q1", {"P1": [claim("P1", value_snak("string", "a\nb"))]})
+        kb, _ = load_wikidata_json([doc])
+        text = export_native(kb)
+        assert text.count("\n") == 1
+        kb2, _ = load_native(text)
+        assert [stmt.value for stmt in kb2.statements.values()] == [StringVal("a\nb")]
+
+    def test_unknown_escape_kept_as_written(self):
+        kb, _ = load_native(r'P1793(Q1, "97[89]-[\d-]+")')
+        assert [stmt.value for stmt in kb.statements.values()] == [StringVal(r"97[89]-[\d-]+")]
 
 
 class TestMerge:

@@ -39,6 +39,14 @@ class TestRuleValidation:
         with pytest.raises(RuleError):
             rule_from_formula("bad", parse("P26(?x, ?y) -> P26(?x, ?z)"))
 
+    @pytest.mark.parametrize("text", [
+        "P1(?x, ?y) & ?z = ?w -> P2(?x, ?z)",
+        "P1(?x, ?y) & less_than(?z, ?y) -> P2(?x, ?z)",
+    ])
+    def test_rejects_body_that_is_not_safe_range(self, text):
+        with pytest.raises(RuleError, match="not range-restricted"):
+            rule_from_formula("bad", parse(text))
+
     def test_requires_statement_atom(self):
         with pytest.raises(RuleError):
             rule_from_formula("bad", parse("no_value(?p, ?s) -> P31(?s, Q1)"))
