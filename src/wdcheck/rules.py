@@ -5,11 +5,24 @@ builtin ontology covers subclass transitivity, instance propagation along
 subclass edges, subproperty lifting, and symmetric / transitive / reflexive
 properties (declared via instance_of on the property entity).
 
-``closure`` runs semi-naive forward chaining: after the first round only
-statements derived in the previous round are allowed to match one body atom,
-which keeps rounds from redoing old joins.  Derived facts are deduplicated
-against (subject, property, value, qualifiers), so closure reaches a least
-fixpoint and terminates on any finite base.
+``closure`` reaches the least fixpoint in rounds.  A rule of the shape
+``guards & B(?x, ?y) & A(?y, ?z) -> B(?x, ?z)`` (no qualifier terms on the
+two chain atoms, guards that bind the predicate variables without
+mentioning ?x, ?y or ?z) closes by reachability: for each guard binding,
+one breadth-first search over the non-deprecated A edges from every B
+subject derives all of B o A+ at once (Nuutila 1995).  Subclass
+transitivity, instance propagation and the transitive-property axiom have
+this shape, and so may a ``--rules`` rule.  Such a rule runs again only
+when another pass added A or B facts, or when a deprecated statement
+stopped its search in a pass that derived facts.  Every other rule is joined
+semi-naively (Bancilhon and Ramakrishnan 1986): after the first round one
+body atom must match a statement derived in the previous round, and an atom
+whose predicate is a variable is matched after its guard, so it reads only
+the new statements of the properties the guard binds.  Derived facts are
+deduplicated against (subject, property, value, qualifiers), so closure
+terminates on any finite base.  The derived facts do not depend on the
+evaluation order; their order, their ``d`` ids and the ?y that a chain
+derivation names do.
 """
 
 from __future__ import annotations
@@ -17,12 +30,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .evaluator import EvalConfig, _Ctx, _resolve_term, _satisfy_and, check_safe_range, match_rel
+from .evaluator import (
+    EvalConfig,
+    _binds,
+    _Ctx,
+    _resolve_term,
+    _satisfy_and,
+    check_safe_range,
+    match_rel,
+)
 from .formula import (
     And,
     AtomF,
     Formula,
     Implies,
+    ObjVar,
     Rel,
     free_variables,
     parse,
@@ -41,6 +63,7 @@ from .labels import (
 from .model import (
     AttrSet,
     EMPTY_ATTRS,
+    EntityId,
     KnowledgeBase,
     PropRef,
     RANK_ATTR,
@@ -48,6 +71,7 @@ from .model import (
     Statement,
     StringVal,
     as_entity,
+    entity_value,
     make_statement,
 )
 
@@ -162,8 +186,15 @@ class ClosureResult:
         return f"{statement_id}: {head} derived by rule {d.rule} with {env}"
 
 
-def _fire(ctx: _Ctx, rule: Rule, delta: Optional[list]) -> Iterator[dict]:
-    """Bindings of the rule body, with one statement atom matched in delta."""
+def _fire(ctx: _Ctx, rule: Rule, delta: Optional[dict]) -> Iterator[dict]:
+    """Bindings of the rule body, with one statement atom matched in delta.
+
+    ``delta`` maps each property to the statements the last round derived
+    for it; None joins over the whole KB.  A delta atom whose predicate is a
+    variable is matched after its guard, the conjuncts that mention that
+    variable and nothing else of the atom, so it reads only the delta
+    statements of the properties the guard binds.
+    """
     items = rule.body
     seen_positions = set()
     for i, item in enumerate(items):
@@ -175,10 +206,113 @@ def _fire(ctx: _Ctx, rule: Rule, delta: Optional[list]) -> Iterator[dict]:
             continue
         seen_positions.add(key)
         rest = items[:i] + items[i + 1:]
-        for env0 in match_rel(ctx, atom, {}, statements=delta):
-            yield from _satisfy_and(ctx, rest, env0)
         if delta is None:
+            for env0 in match_rel(ctx, atom, {}):
+                yield from _satisfy_and(ctx, rest, env0)
             return  # full join once is enough when unrestricted
+        pred_vars = free_variables(atom.pred)
+        own = free_variables(item) - pred_vars
+        guard = tuple(g for g in rest if pred_vars & free_variables(g)
+                      and not own & free_variables(g)
+                      and free_variables(g) <= _binds(g, frozenset()))
+        if not pred_vars <= _binds(And(guard), frozenset()):
+            guard = ()
+        after = tuple(g for g in rest if g not in guard)
+        for genv in _satisfy_and(ctx, guard, {}):
+            pred = _resolve_term(atom.pred, genv)
+            if pred is None:
+                statements = [st for sts in delta.values() for st in sts]
+            else:
+                statements = delta.get(as_entity(pred), ())
+            for env0 in match_rel(ctx, atom, genv, statements=statements):
+                yield from _satisfy_and(ctx, after, env0)
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A rule read as guards & B(?x, ?y) & A(?y, ?z) -> B(?x, ?z)."""
+
+    guards: tuple
+    b: Rel
+    a: Rel
+
+
+def _chain(rule: Rule) -> Optional[_Chain]:
+    """The chain reading of a rule, or None when the rule has another shape.
+
+    The chain atoms carry no qualifier terms, the head repeats B, and the
+    guards bind the predicate variables by themselves without mentioning
+    ?x, ?y or ?z.
+    """
+    head = rule.head
+    x, z = head.args
+    if head.attrs is not None or not isinstance(x, ObjVar) or not isinstance(z, ObjVar) \
+            or x == z:
+        return None
+    items = rule.body
+    rels = [i for i, g in enumerate(items) if isinstance(g.atom, Rel)
+            and not isinstance(g.atom.pred, str) and g.atom.attrs is None]
+    for i in rels:
+        b = items[i].atom
+        y = b.args[1]
+        if b.pred != head.pred or b.args[0] != x or not isinstance(y, ObjVar) or y in (x, z):
+            continue
+        for j in rels:
+            a = items[j].atom
+            if j == i or a.args != (y, z):
+                continue
+            guards = tuple(g for k, g in enumerate(items) if k not in (i, j))
+            guard_vars = free_variables(And(guards))
+            if (guard_vars <= _binds(And(guards), frozenset())
+                    and free_variables(a.pred) | free_variables(b.pred) <= guard_vars
+                    and not guard_vars & {x.name, y.name, z.name}):
+                return _Chain(guards, b, a)
+    return None
+
+
+def _close_chain(ctx: _Ctx, rule: Rule, chain: _Chain, genv: dict, b: EntityId,
+                 a: EntityId, record) -> bool:
+    """Derive B(x, z) for every z that A+ reaches from a B-successor of x.
+
+    One breadth-first search over the non-deprecated A edges per B subject;
+    each new fact's ?y is the node the search reached it from, whose B fact
+    is asserted or was derived before it.  A node whose B fact exists only
+    as a deprecated statement is not expanded.  Returns True when that
+    happened and the pass derived something: facts derived later in the
+    pass may open a way around that node, so the rule must run again.
+    """
+    kb = ctx.kb
+    keep_deprecated = ctx.cfg.include_deprecated
+    edges: dict = {}
+    for st in kb.by_property.get(a, ()):
+        if keep_deprecated or st.rank != "deprecated":
+            edges.setdefault(entity_value(st.subject), []).append(st.value)
+    sources: dict = {}
+    for st in kb.by_property.get(b, ()) if edges else ():
+        if keep_deprecated or st.rank != "deprecated":
+            sources.setdefault(st.subject, []).append(st.value)
+    xn, yn, zn = chain.b.args[0].name, chain.a.args[0].name, chain.a.args[1].name
+    blocked = derived = False
+    for s, values in sources.items():
+        x = entity_value(s)
+        # values z for which the fact B(s, z) with no qualifiers exists, of any rank
+        have = {st.value for st in kb.by_prop_subject[(b, s)]
+                if not st.qualifiers.without_pseudo()}
+        queue = list(dict.fromkeys(values))
+        reached = set(queue)
+        for y in queue:
+            for z in edges.get(y, ()):
+                if z in have:
+                    blocked = blocked or z not in reached
+                    continue
+                record(rule, {**genv, xn: x, yn: y, zn: z},
+                       make_statement(kb.fresh_statement_id("d"), s, b, z))
+                derived = True
+                have.add(z)
+                if z not in reached:
+                    reached.add(z)
+                    queue.append(z)
+    return blocked and derived
 
 
 def _derived_statement(rule: Rule, env: dict, kb: KnowledgeBase) -> Optional[Statement]:
@@ -218,23 +352,50 @@ def closure(
     cfg = cfg or EvalConfig()
     kb = base.copy()
     result = ClosureResult(kb=kb)
-    delta: Optional[list] = None  # first round joins over everything
+    shapes = [(rule, _chain(rule)) for rule in rules]
+    generic = [rule for rule, chain in shapes if chain is None]
+    chains = [(n, rule, chain) for n, (rule, chain) in enumerate(shapes) if chain is not None]
+    closed: dict = {}  # (chain, B, A) -> numbers of B and A statements after its last pass
+    delta: Optional[dict] = None  # first round joins over everything
+    fresh: list = []
+
+    def record(rule: Rule, env: dict, st: Statement) -> None:
+        kb.add_statement(st)
+        shown = {k: v for k, v in env.items() if not isinstance(v, AttrSet)}
+        result.provenance[st.id] = Derivation(rule.name, shown)
+        result.derived_ids.append(st.id)
+        fresh.append(st)
+
+    def sizes(b: EntityId, a: EntityId) -> tuple:
+        return len(kb.by_property.get(b, ())), len(kb.by_property.get(a, ()))
+
     while True:
         result.rounds += 1
         if max_rounds is not None and result.rounds > max_rounds:
             raise RuleError(f"closure did not settle within {max_rounds} rounds")
-        fresh: list = []
+        fresh.clear()
         ctx = _Ctx(kb, cfg)
-        pending = [(rule, env) for rule in rules for env in _fire(ctx, rule, delta)]
+        pending = [(rule, env) for rule in generic for env in _fire(ctx, rule, delta)]
         for rule, env in pending:
             st = _derived_statement(rule, env, kb)
-            if st is None:
-                continue
-            kb.add_statement(st)
-            shown = {k: v for k, v in env.items() if not isinstance(v, AttrSet)}
-            result.provenance[st.id] = Derivation(rule.name, shown)
-            result.derived_ids.append(st.id)
-            fresh.append(st)
+            if st is not None:
+                record(rule, env, st)
+        for n, rule, chain in chains:
+            # listed first: the passes below add statements to the indexes it reads
+            for genv in list(_satisfy_and(ctx, chain.guards, {})):
+                b = _resolve_term(chain.b.pred, genv)
+                a = _resolve_term(chain.a.pred, genv)
+                if not isinstance(b, PropRef) or not isinstance(a, PropRef):
+                    continue
+                key = (n, b.entity, a.entity)
+                if closed.get(key) == sizes(b.entity, a.entity):
+                    continue  # no B or A fact arrived since its last pass
+                if _close_chain(ctx, rule, chain, genv, b.entity, a.entity, record):
+                    closed.pop(key, None)
+                else:
+                    closed[key] = sizes(b.entity, a.entity)
         if not fresh:
             return result
-        delta = fresh
+        delta = {}
+        for st in fresh:
+            delta.setdefault(st.property, []).append(st)

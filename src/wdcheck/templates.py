@@ -13,6 +13,7 @@ Variant texts mention entities by label; see labels.py for the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from . import labels as L
@@ -433,8 +434,11 @@ def builtin_templates() -> list:
     return t
 
 
+@cache
+def _templates_by_name() -> dict:
+    # built once: every template and variant is a frozen dataclass of tuples
+    return {tpl.name: tpl for tpl in builtin_templates()}
+
+
 def template_by_name(name: str) -> Optional[ConstraintTemplate]:
-    for tpl in builtin_templates():
-        if tpl.name == name:
-            return tpl
-    return None
+    return _templates_by_name().get(name)

@@ -192,3 +192,9 @@ class TestCatalogSelfTest:
     def test_categories_covered(self):
         cats = {t.category for t in builtin_templates()}
         assert cats == {"existing", "proposed", "non_property"}
+
+    def test_template_by_name_builds_the_catalog_once(self):
+        assert template_by_name("symmetric") is template_by_name("symmetric")
+        assert template_by_name("symmetric") == next(
+            t for t in builtin_templates() if t.name == "symmetric")
+        assert template_by_name("no_such_template") is None

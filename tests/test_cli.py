@@ -1,7 +1,10 @@
 """Command line behavior and exit-status contract."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -228,6 +231,15 @@ class TestCatalog:
         code, _, err = run(capsys, "catalog", "--self-test")
         assert code == 0
         assert err == ""
+
+    def test_runs_as_module(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "wdcheck", "catalog", "--self-test"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "symmetric constraint (Q21510862)" in proc.stdout
 
     def test_json_listing(self, capsys):
         code, out, _ = run(capsys, "catalog", "--format", "json")

@@ -11,6 +11,7 @@ from wdcheck.labels import SYMMETRIC_PROPERTY, TRANSITIVE_PROPERTY
 from wdcheck.model import AttrSet, ItemRef, P, PropRef, Q, StringVal
 from wdcheck.rules import (
     RuleError,
+    _chain,
     builtin_ontology,
     closure,
     parse_rules,
@@ -70,6 +71,11 @@ class TestBuiltinOntology:
         names = {r.name for r in builtin_ontology()}
         assert {"subclass-transitivity", "instance-propagation", "subproperty-lifting",
                 "symmetric-property", "transitive-property"} <= names
+
+    def test_chain_shaped_rules(self):
+        chains = {r.name for r in builtin_ontology() if _chain(r) is not None}
+        assert chains == {"subclass-transitivity", "instance-propagation",
+                          "transitive-property"}
 
 
 class TestClosure:
@@ -145,6 +151,7 @@ class TestClosure:
             P40(?x, ?y) & P40(?y, ?z) -> P1038(?x, ?z)
             """
         ))
+        assert _chain(rules[0]) is None  # the head is not P40: the generic join
         kb = kb_from("P40(Q1, Q2)\nP40(Q2, Q3)")
         closed = closure(kb, rules=rules).kb
         assert closed.has_fact(Q(1), P(1038), ItemRef(Q(3)), AttrSet())
@@ -160,3 +167,70 @@ class TestClosure:
         st = result.kb.statements[result.derived_ids[0]]
         assert st.rank == "normal"
         assert (st.qualifiers.values_for(StringVal("x")) == [])
+
+
+def _derived_keys(result) -> set:
+    return {result.kb.statements[sid].content_key() for sid in result.derived_ids}
+
+
+class TestReachability:
+    """Chain-shaped rules close by one search per subject."""
+
+    def test_deep_chain(self):
+        kb = kb_from("\n".join(f"P279(Q{i}, Q{i + 1})" for i in range(1, 201)))
+        result = closure(kb)
+        assert len(result.derived_ids) == 19_900
+        assert _derived_keys(result) == {
+            (Q(i), P(279), ItemRef(Q(j)), AttrSet())
+            for i in range(1, 202) for j in range(i + 2, 202)}
+        assert {d.rule for d in result.provenance.values()} == {"subclass-transitivity"}
+        assert set(result.provenance) == set(result.derived_ids)
+
+    def test_cycle_reaches_every_member_from_itself(self):
+        kb = kb_from("P279(Q1, Q2)\nP279(Q2, Q3)\nP279(Q3, Q1)")
+        closed = closure(kb).kb
+        for n in (1, 2, 3):
+            assert closed.has_fact(Q(n), P(279), ItemRef(Q(n)), AttrSet())
+
+    def test_deprecated_edge_not_followed(self):
+        kb = kb_from("P31(Q9, Q1)\nP279(Q1, Q2)\nP279(Q2, Q3) rank=deprecated\n"
+                     "P279(Q3, Q4)")
+        result = closure(kb)
+        assert _derived_keys(result) == {(Q(9), P(31), ItemRef(Q(2)), AttrSet())}
+
+    def test_deprecated_fact_blocks_only_its_own_split(self):
+        # the deprecated Q1 -> Q3 stops the search from Q1 at Q3, but Q1 -> Q4
+        # still follows from Q1 -> Q2 and the derived Q2 -> Q4
+        kb = kb_from("P279(Q1, Q2)\nP279(Q2, Q3)\nP279(Q3, Q4)\n"
+                     "P279(Q1, Q3) rank=deprecated")
+        result = closure(kb)
+        assert _derived_keys(result) == {(Q(2), P(279), ItemRef(Q(4)), AttrSet()),
+                                         (Q(1), P(279), ItemRef(Q(4)), AttrSet())}
+        first, second = (result.provenance[sid] for sid in result.derived_ids)
+        assert second.binding["y"] == ItemRef(Q(2))
+
+    def test_qualified_edge_followed_without_its_qualifiers(self):
+        kb = kb_from("P279(Q1, Q2) @ {P580: 2020-01-01}\nP279(Q2, Q3)")
+        result = closure(kb)
+        (sid,) = result.derived_ids
+        st = result.kb.statements[sid]
+        assert (st.subject, st.value) == (Q(1), ItemRef(Q(3)))
+        assert st.qualifiers.without_pseudo() == AttrSet()
+
+    def test_rules_file_rule_of_the_same_shape(self):
+        (rule,) = parse_rules(textwrap.dedent(
+            f"""
+            name: my-transitive
+            kind: rule
+            P31(?p, {TRANSITIVE_PROPERTY}) & ?p(?a, ?b) & ?p(?b, ?c) -> ?p(?a, ?c)
+            """
+        ))
+        assert _chain(rule) is not None
+        kb = kb_from(f"P31(P131, {TRANSITIVE_PROPERTY})\nP131(Q1, Q2)\nP131(Q2, Q3)\n"
+                     "P131(Q3, Q1)\nP131(Q3, Q4) @ {P580: 2020-01-01}\n"
+                     "P131(Q4, Q5) rank=deprecated")
+        builtin = [r for r in builtin_ontology() if r.name == "transitive-property"]
+        mine = closure(kb, rules=[rule])
+        assert _derived_keys(mine) == _derived_keys(closure(kb, rules=builtin))
+        assert len(mine.derived_ids) == 9
+        assert {d.rule for d in mine.provenance.values()} == {"my-transitive"}
