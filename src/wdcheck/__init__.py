@@ -36,10 +36,9 @@ from .evaluator import (
     EvalConfig,
     EvalError,
     UnsafeFormulaError,
-    brute_force_evaluate,
     check_safe_range,
     evaluate,
-    holds,
 )
+from .oracle import brute_force_evaluate, holds
 
 __version__ = "0.1.0"

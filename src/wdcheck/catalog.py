@@ -1,12 +1,12 @@
 """Constraint declaration extraction, violation checking and reporting.
 
 A property constraint is declared as a statement
-``property_constraint(P_x, <type item>) @ {params...}``.  For each
-declaration we instantiate the matching template's positive formulae with the
-property and the declaration's parameter set, negate them into violation
-queries and evaluate those over the knowledge base.  Global templates (the
-non-property constraints plus asymmetry) have no declarations and are
-evaluated as written.
+``property_constraint(P_x, <type item>) @ {params...}``.  Each template
+variant is parsed and negated into a violation query once per process, with
+the property ?p and the declaration's parameter set ?CQ left free; each
+declaration then evaluates that query with ?p and ?CQ bound to its own
+values.  Global templates (the non-property constraints plus asymmetry) have
+no declarations and are evaluated as written.
 """
 
 from __future__ import annotations
@@ -125,15 +125,19 @@ def _count_value(params: AttrSet, attr: EntityId) -> Optional[int]:
     return None
 
 
-# label table -> {variant text: parsed formula}; keyed by the table object, so
-# a new table starts cold even when it reuses the address of a freed one
-_PARSE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# label table -> {variant text: violation query}; keyed by the table object,
+# so a new table starts cold even when it reuses the address of a freed one
+_QUERY_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# the variables a property template's query takes from its declaration
+_PARAMS = frozenset(("p", "CQ"))
 
 
-def _parse_variant(text: str, labels: LabelTable) -> Formula:
-    cache = _PARSE_CACHE.setdefault(labels, {})
+def _violation_query(text: str, labels: LabelTable) -> Formula:
+    """The negated variant text, parsed once per label table; ?p and ?CQ stay free."""
+    cache = _QUERY_CACHE.setdefault(labels, {})
     if text not in cache:
-        cache[text] = parse(text, labels)
+        cache[text] = negate_to_violation_query(parse(text, labels))
     return cache[text]
 
 
@@ -150,19 +154,16 @@ def applicable_variants(tpl: ConstraintTemplate, decl: Declaration) -> list:
     return out
 
 
-def derive_violation_queries(
-    tpl: ConstraintTemplate,
-    decl: Optional[Declaration] = None,
-    labels: Optional[LabelTable] = None,
-) -> list:
-    """(variant, query) pairs: negated formulae, parametrized if declared."""
-    labels = labels or DEFAULT_LABELS
+def _variant_queries(tpl: ConstraintTemplate, decl: Optional[Declaration],
+                     labels: LabelTable) -> Iterator[tuple]:
+    """(variant, violation query) for each variant that applies to the declaration."""
     if tpl.type_item is None:
-        return [(var, _variant_query(var.text, None, labels))
-                for var in tpl.variants if var.enabled]
+        for var in tpl.variants:
+            if var.enabled:
+                yield var, _violation_query(var.text, labels)
+        return
     if decl is None:
         raise CatalogError(f"template {tpl.name} needs a declaration")
-    out = []
     for var in applicable_variants(tpl, decl):
         text = var.text
         if var.count_param is not None:
@@ -170,20 +171,36 @@ def derive_violation_queries(
             if k is None:
                 continue
             text = text.replace("<K>", str(k))
-        out.append((var, _variant_query(text, decl, labels)))
-    return out
+        yield var, _violation_query(text, labels)
 
 
-def _variant_query(text: str, decl: Optional[Declaration], labels: LabelTable) -> Formula:
-    """Parse one variant, bind ?p and ?CQ to the declaration (if any), negate."""
-    f = _parse_variant(text, labels)
-    if decl is not None:
-        f = substitute(f, {"p": PropRef(decl.property)}, {"CQ": decl.params})
-    return negate_to_violation_query(f)
+def _params_of(decl: Optional[Declaration]) -> dict:
+    return {} if decl is None else {"p": PropRef(decl.property), "CQ": decl.params}
+
+
+def derive_violation_queries(
+    tpl: ConstraintTemplate,
+    decl: Optional[Declaration] = None,
+    labels: Optional[LabelTable] = None,
+) -> list:
+    """(variant, query) pairs: negated formulae, with ?p and ?CQ replaced if declared."""
+    params = _params_of(decl)
+    return [(var, _ground(query, params))
+            for var, query in _variant_queries(tpl, decl, labels or DEFAULT_LABELS)]
+
+
+def _ground(query: Formula, params: dict) -> Formula:
+    if not params:
+        return query
+    return substitute(query, {"p": params["p"]}, {"CQ": params["CQ"]})
 
 
 class Instance(NamedTuple):
-    """A violation query to evaluate, or (query None) a note on what was skipped."""
+    """A violation query to evaluate, or (query None) a note on what was skipped.
+
+    A property template's query keeps ?p and ?CQ free; ``params`` binds them
+    to the declaration, and ``ground_query`` writes them in.
+    """
 
     template: ConstraintTemplate
     declaration: Optional[Declaration]
@@ -191,25 +208,36 @@ class Instance(NamedTuple):
     query: Optional[Formula]
     note: Optional[str] = None
 
+    @property
+    def params(self) -> dict:
+        return _params_of(self.declaration)
+
+    def ground_query(self) -> Formula:
+        return _ground(self.query, self.params)
+
 
 def instantiate(kb: KnowledgeBase, templates: list,
                 labels: Optional[LabelTable] = None) -> Iterator[Instance]:
     """Every violation query of the templates over the KB's declarations.
 
     Global templates are instantiated once; a property template once per
-    declaration of its type item.  Declarations that fail prevalidation and
-    queries that are not range-restricted come out as notes, in order.
+    declaration of its type item.  Each distinct variant text is parsed,
+    negated and gated once; its declarations share the query.  Declarations
+    that fail prevalidation and queries that are not range-restricted come
+    out as notes, in order.
     """
+    labels = labels or DEFAULT_LABELS
     declarations = extract_declarations(kb)
     for tpl in templates:
         decls = [None] if tpl.type_item is None else [
             d for d in declarations if d.type_item == tpl.type_item]
+        params = () if tpl.type_item is None else _PARAMS
         for decl in decls:
             if decl is not None and (note := _prevalidate(tpl, decl)):
                 yield Instance(tpl, decl, None, None, note)
                 continue
-            for var, query in derive_violation_queries(tpl, decl, labels):
-                problem = check_safe_range(query)
+            for var, query in _variant_queries(tpl, decl, labels):
+                problem = check_safe_range(query, params)
                 if problem:
                     yield Instance(tpl, decl, var, None, f"skipped {tpl.name}/{var.name}: "
                                    f"query not range-restricted ({problem})")
@@ -280,12 +308,13 @@ def _prevalidate(tpl: ConstraintTemplate, decl: Declaration) -> Optional[str]:
 def _violations(kb, instances, cfg, notes: list) -> Iterator[Violation]:
     """Evaluate each instance; skip notes go to notes as they come."""
     seen: set = set()
-    for tpl, decl, var, query, note in instances:
+    for inst in instances:
+        tpl, decl, var, query, note = inst
         if query is None:
             notes.append(note)
             continue
         diagnostics: list = []
-        for binding in evaluate(kb, query, cfg, diagnostics):
+        for binding in evaluate(kb, query, cfg, diagnostics, inst.params):
             env = binding.as_dict()
             if var.symmetric_pairs:
                 # symmetric-pair dedup is scoped per template and declaration
@@ -364,21 +393,15 @@ def validate_catalog(labels: Optional[LabelTable] = None) -> list:
     """
     labels = labels or DEFAULT_LABELS
     problems = []
-    dummy_params = AttrSet.of([
-        (PropRef(L.PARAM_PROPERTY), PropRef(L.INSTANCE_OF)),
-        (PropRef(L.PARAM_ITEM), ItemRef(L.MANDATORY_STATUS)),
-        (PropRef(L.PARAM_CLASS), ItemRef(L.MANDATORY_STATUS)),
-    ])
     for tpl in builtin_templates():
-        decl = None if tpl.type_item is None else Declaration(
-            "self-test", L.SPOUSE, tpl.type_item, dummy_params)
+        params = () if tpl.type_item is None else _PARAMS
         for var in tpl.variants:
             try:
-                query = _variant_query(var.text.replace("<K>", "2"), decl, labels)
+                query = _violation_query(var.text.replace("<K>", "2"), labels)
             except Exception as exc:
                 problems.append(f"{tpl.name}/{var.name}: {exc}")
                 continue
-            issue = check_safe_range(query)
+            issue = check_safe_range(query, params)
             if issue:
                 problems.append(f"{tpl.name}/{var.name}: {issue}")
     return problems

@@ -19,17 +19,12 @@ from .catalog import (
     render_text,
     validate_catalog,
 )
-from .evaluator import (
-    DomainTooLarge,
-    EvalConfig,
-    EvalError,
-    brute_force_evaluate,
-    evaluate,
-)
+from .evaluator import EvalConfig, EvalError, evaluate
 from .formula import FormulaError, parse
 from .ingest import IngestError, export_native, load_native, load_wikidata_json, merge
 from .labels import LabelTable
 from .model import KnowledgeBase, ModelError
+from .oracle import DomainTooLarge, brute_force_evaluate
 from .rules import RuleError, builtin_ontology, closure, parse_rules
 
 
@@ -99,17 +94,21 @@ def _select_templates(args) -> list:
 
 
 def _oracle_crosscheck(kb, templates, labels, cfg) -> list:
-    """Compare the evaluator against brute force on every query check runs."""
+    """Compare what check runs against brute force on each (variant, declaration).
+
+    check evaluates a variant's query with ?p and ?CQ bound to the
+    declaration; the oracle evaluates the query with them written in.
+    """
     mismatches = []
-    for tpl, _decl, var, query, _note in instantiate(kb, templates, labels):
-        if query is None:
+    for inst in instantiate(kb, templates, labels):
+        if inst.query is None:
             continue
         try:
-            expect = set(brute_force_evaluate(kb, query, cfg))
+            expect = set(brute_force_evaluate(kb, inst.ground_query(), cfg))
         except DomainTooLarge:
             continue
-        if set(evaluate(kb, query, cfg)) != expect:
-            mismatches.append(f"{tpl.name}/{var.name}")
+        if set(evaluate(kb, inst.query, cfg, params=inst.params)) != expect:
+            mismatches.append(f"{inst.template.name}/{inst.variant.name}")
     return mismatches
 
 
@@ -193,6 +192,16 @@ def cmd_catalog(args, labels: LabelTable) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wdcheck",
@@ -219,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--non-property", action="store_true",
                     help="run only the non-property constraint templates")
     pc.add_argument("--format", choices=("text", "json"), default="text")
-    pc.add_argument("--max-violations", type=int, metavar="N")
+    pc.add_argument("--max-violations", type=_positive_int, metavar="N")
     pc.add_argument("--oracle", action="store_true",
                     help="cross-check results against brute-force evaluation")
     pc.set_defaults(func=cmd_check)
@@ -228,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(pq)
     pq.add_argument("formula")
     pq.add_argument("--format", choices=("text", "json"), default="text")
-    pq.add_argument("--max-bindings", type=int, metavar="N")
+    pq.add_argument("--max-bindings", type=_positive_int, metavar="N")
     pq.set_defaults(func=cmd_query)
 
     pi = sub.add_parser("infer", help="print the rule closure in native format")

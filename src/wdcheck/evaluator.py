@@ -1,24 +1,26 @@
 """Formula evaluation over a knowledge base.
 
 ``evaluate`` yields the bindings of a formula's free variables that satisfy
-it, with object quantifiers ranging over the active domain (KB constants plus
-the formula's own constants) and set quantifiers over the qualifier sets
-realized in the KB plus the formula's ground set literals.
+it.  It answers only safe-range formulas (``check_safe_range``), and answers
+them by index lookups, never by enumerating the domain.  ``_binds`` is the
+one binding analysis: the gate, the plans and the rule engine read it.
 
-The main evaluator orders conjuncts greedily so that index lookups drive the
-search.  ``_binds`` is the one binding analysis: the safe-range gate
-(``check_safe_range``) and the conjunct order (``_cost``) both read it.
-``brute_force_evaluate`` enumerates every total binding and filters with
-``holds``.  The two share atom matching (``match_rel``), so the oracle
-checks the search order and the domain fallback, not statement matching.
+A formula node is compiled into a plan once for each set of variables that
+are bound when it runs, and the plan is cached on the node (``_plan``).  The
+plan fixes which conjuncts are ready and their cost classes, the index each
+statement atom reads, the projection of each quantifier and the ``exists
+v . !g`` of each ``forall``; at run time it reads only the candidate counts
+of statement atoms.  A construct that cannot bind what it leaves open raises
+``EvalError``.  The gate's verdicts are cached on the node as well, so a
+template variant whose ?p and ?CQ are parameters (``evaluate``'s ``params``)
+is gated and planned once, however many declarations run it.  The
+brute-force oracle is in ``oracle``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .formula import (
     And,
@@ -39,11 +41,9 @@ from .formula import (
     SetLiteral,
     SetMember,
     SetVar,
-    all_constants,
     free_variables,
-    ground_set_literals,
-    is_set_name,
     negate,
+    print_formula,
 )
 from .model import (
     AttrSet,
@@ -53,7 +53,6 @@ from .model import (
     PropRef,
     Pseudo,
     StringVal,
-    _value_sort_key,
     as_entity,
     datatype_function,
     datatype_relation,
@@ -67,10 +66,6 @@ class EvalError(Exception):
 
 class UnsafeFormulaError(EvalError):
     pass
-
-
-class DomainTooLarge(EvalError):
-    """Brute-force evaluation refused: the active domain exceeds the bound."""
 
 
 @dataclass(frozen=True)
@@ -105,38 +100,13 @@ class EvalConfig:
 
 
 class _Ctx:
-    """One evaluation: the KB, the config, the diagnostics and the variable pools.
+    """One evaluation: the KB, the config and the diagnostics."""
 
-    The pools are built on first use.  Safe-range queries are answered by
-    index lookups and never read them; only the domain fallback and the
-    brute-force oracle do.
-    """
-
-    def __init__(self, kb: KnowledgeBase, cfg: EvalConfig, formula: Optional[Formula] = None,
+    def __init__(self, kb: KnowledgeBase, cfg: EvalConfig,
                  diagnostics: Optional[list] = None) -> None:
         self.kb = kb
         self.cfg = cfg
-        self.formula = formula
         self.diagnostics = diagnostics if diagnostics is not None else []
-
-    @cached_property
-    def domain(self) -> list:
-        """Object-variable pool: the KB's and the formula's constants, sorted."""
-        dom = set(self.kb.active_domain())
-        if self.formula is not None:
-            dom |= all_constants(self.formula)
-        return sorted(dom, key=_value_sort_key)
-
-    @cached_property
-    def set_domain(self) -> list:
-        """Set-variable pool: the KB's qualifier sets and the formula's ground literals."""
-        sets = self.kb.attr_sets()
-        if self.formula is not None:
-            sets |= ground_set_literals(self.formula)
-        return sorted(sets, key=str)
-
-    def pool(self, var: str) -> list:
-        return self.set_domain if is_set_name(var) else self.domain
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +158,13 @@ def _unify_term(t, value, env: dict) -> Optional[dict]:
     return env if ground == value else None
 
 
-def _literal_has_pseudo(lit: SetLiteral) -> bool:
-    for a, _v in lit.pairs:
-        if isinstance(a, Const) and isinstance(a.value, Pseudo):
-            return True
-    return False
-
-
 def _match_literal(lit: SetLiteral, target: AttrSet, env: dict) -> Iterator[dict]:
     """Unify a set literal against a concrete qualifier set (bijectively).
 
     Pseudo-attribute pairs (mirrored rank/references) are ignored on the
     target side unless the literal mentions pseudo-attributes itself.
     """
-    if not _literal_has_pseudo(lit):
+    if not any(isinstance(a, Const) and isinstance(a.value, Pseudo) for a, _v in lit.pairs):
         target = target.without_pseudo()
     ground = lit.ground
     if ground is not None and len(ground) == len(lit.pairs):
@@ -268,25 +231,18 @@ def match_rel(ctx: _Ctx, rel: Rel, env: dict, statements=None) -> Iterator[dict]
     ``statements`` restricts matching to the given statements (used by the
     rule engine's delta-driven evaluation).
     """
-    if rel.pred == "no_value":
-        for fact in ctx.kb.no_value_facts:
-            env1 = _unify_term(rel.args[0], PropRef(fact.property), env)
-            if env1 is None:
-                continue
-            env2 = _unify_term(rel.args[1], entity_value(fact.subject), env1)
-            if env2 is None:
-                continue
-            yield from _unify_attrs(rel.attrs, fact.qualifiers, env2)
-        return
-    if rel.pred == "Commons_namespace":
-        for page, ns in sorted(ctx.kb.commons_ns.items()):
-            env1 = _unify_term(rel.args[0], StringVal(page), env)
-            if env1 is None:
-                continue
-            env2 = _unify_term(rel.args[1], StringVal(ns), env1)
-            if env2 is None:
-                continue
-            yield from _unify_attrs(rel.attrs, EMPTY_ATTRS, env2)
+    if isinstance(rel.pred, str):  # a builtin fact table
+        if rel.pred == "no_value":
+            rows = [(PropRef(fact.property), entity_value(fact.subject), fact.qualifiers)
+                    for fact in ctx.kb.no_value_facts]
+        else:
+            rows = [(StringVal(page), StringVal(ns), EMPTY_ATTRS)
+                    for page, ns in sorted(ctx.kb.commons_ns.items())]
+        for first, second, qualifiers in rows:
+            env1 = _unify_term(rel.args[0], first, env)
+            env2 = None if env1 is None else _unify_term(rel.args[1], second, env1)
+            if env2 is not None:
+                yield from _unify_attrs(rel.attrs, qualifiers, env2)
         return
 
     pred_val = _resolve_term(rel.pred, env)
@@ -362,8 +318,140 @@ def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Satisfaction search
+# Plans: each formula node compiled once per set of bound variables
 # ---------------------------------------------------------------------------
+
+
+def solve(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
+    """All extensions of env over f's free variables under which f holds."""
+    return _plan(f, frozenset(env))(ctx, env)
+
+
+def _plan(f: Formula, bound: frozenset):
+    """f's plan for environments that bind exactly the variables in bound, compiled once.
+
+    A plan maps (ctx, env) to the extensions of env under which f holds.
+    """
+    run = f._memo.get(bound)
+    if run is None:
+        run = f._memo[bound] = _compile(f, bound)
+    return run
+
+
+def _compile(f: Formula, bound: frozenset):
+    if isinstance(f, AtomF):
+        return _atom_plan(f.atom, bound, ())
+    if isinstance(f, And):
+        return _and_plan(f.items, bound)
+    if isinstance(f, Or):
+        branches = [_plan(g, bound) for g in f.items]
+        return lambda ctx, env: (e for branch in branches for e in branch(ctx, env))
+    if isinstance(f, (Exists, CountExists)):
+        return _exists_plan(f, bound)
+    if free_variables(f) - bound:  # !, -> and forall test their variables, never bind them
+        raise _unbound(f, free_variables(f) - bound)
+    if isinstance(f, Not):
+        body = _plan(f.body, bound)
+        return lambda ctx, env: () if _any(body(ctx, env)) else (env,)
+    if isinstance(f, Implies):
+        body, head = _plan(f.body, bound), _plan(f.head, bound)
+        return lambda ctx, env: () if _any(body(ctx, env)) and not _any(head(ctx, env)) else (env,)
+    if isinstance(f, Forall):
+        # forall v.g  ==  !exists v.!g; the existential search can use indexes
+        witness = _plan(Exists(f.var, negate(f.body)), bound)
+        return lambda ctx, env: () if _any(witness(ctx, env)) else (env,)
+    raise TypeError(f)
+
+
+def _unbound(f: Formula, loose) -> EvalError:
+    return EvalError(f"cannot evaluate {print_formula(f)}: nothing binds "
+                     + ", ".join("?" + v for v in sorted(loose)))
+
+
+def _any(solutions) -> bool:
+    return next(iter(solutions), None) is not None
+
+
+def _atom_plan(atom, bound: frozenset, siblings: tuple):
+    if isinstance(atom, Rel):
+        key = _qualifier_key(atom, bound, siblings)
+        if key is None:
+            return lambda ctx, env: match_rel(ctx, atom, env)
+        return lambda ctx, env: match_rel(
+            ctx, atom, env, ctx.kb.by_qualifier_attr.get(_resolve_term(key, env), ()))
+    if isinstance(atom, SetMember):
+        return lambda ctx, env: _match_member(atom, env)
+    if isinstance(atom, Eq):
+        return lambda ctx, env: _match_eq(atom, env)
+    return lambda ctx, env: (env,) if _eval_dtrel(ctx, atom, env) else ()
+
+
+def _qualifier_key(rel: Rel, bound: frozenset, siblings: tuple):
+    """The bound attribute a of a sibling (a : ?v) in ?SQ when rel is ?q(...)@?SQ with ?q open.
+
+    Such an atom would scan every statement, yet only the statements with an
+    a qualifier can satisfy the sibling.
+    """
+    if isinstance(rel.pred, str) or free_variables(rel.pred) <= bound \
+            or not isinstance(rel.attrs, SetVar):
+        return None
+    return next((g.atom.attr for g in siblings if isinstance(g, AtomF)
+                 and isinstance(g.atom, SetMember) and g.atom.set == rel.attrs
+                 and isinstance(g.atom.attr, (Const, ObjVar))
+                 and free_variables(g.atom.attr) <= bound), None)
+
+
+def _and_plan(items: tuple, bound: frozenset):
+    """Run the cheapest ready conjunct, then the plan of the rest.
+
+    A conjunct is ready when matching it binds what it leaves open.  Its cost
+    class: a test 0, ``=`` 1, ``in`` 2, a statement atom 3 plus its candidate
+    count, anything else 10,000; the first of the cheapest goes first.  A
+    count is read only when a statement atom could win.  A conjunct's plan,
+    and the plan of the rest after it, are compiled when it first goes first.
+    """
+    if not items:
+        return lambda ctx, env: (env,)
+    costs = {}  # ready conjunct -> its cost class; None for a statement atom
+    for i, g in enumerate(items):
+        unbound = free_variables(g) - bound
+        if unbound and not unbound <= _binds(g, bound):
+            continue
+        atom = g.atom if isinstance(g, AtomF) else None
+        costs[i] = 0 if not unbound else None if isinstance(atom, Rel) \
+            else _COST_CLASS.get(type(atom), 10_000)
+    if not costs:
+        raise _unbound(And(items), free_variables(And(items)) - bound)
+    fixed = [(c, i) for i, c in costs.items() if c is not None]
+    counted = [i for i, c in costs.items() if c is None]
+    pick = None
+    if not counted or min(fixed, default=(3,))[0] < 3:
+        pick = min(fixed)[1]  # a statement atom costs 3 or more
+    elif len(counted) == 1 and not fixed:
+        pick = counted[0]
+    steps: dict = {}
+    rests: dict = {}
+
+    def run(ctx: _Ctx, env: dict) -> Iterator[dict]:
+        i = pick
+        if i is None:
+            i = min([(3 + _rel_cost(ctx, items[j].atom, env), j) for j in counted] + fixed)[1]
+        step = steps.get(i)
+        if step is None:
+            g = items[i]
+            step = steps[i] = (_atom_plan(g.atom, bound, items[:i] + items[i + 1:])
+                               if isinstance(g, AtomF) else _plan(g, bound))
+        rest = rests.get(i)
+        for env2 in step(ctx, env):
+            if rest is None:
+                rest = rests[i] = _and_plan(items[:i] + items[i + 1:],
+                                            bound | free_variables(items[i]))
+            yield from rest(ctx, env2)
+
+    return run
+
+
+_COST_CLASS = {Eq: 1, SetMember: 2}
 
 
 def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
@@ -375,105 +463,27 @@ def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
     return len(_candidates(ctx, pred_val, rel, env))
 
 
-def _cost(ctx: _Ctx, f: Formula, env: dict) -> Optional[int]:
-    """Work to match f under env; None when matching cannot bind its unbound variables."""
-    unbound = free_variables(f) - env.keys()
-    if not unbound:
-        return 0  # pure test, run first
-    if not unbound <= _binds(f, env.keys()):
-        return None
-    if isinstance(f, AtomF):
-        atom = f.atom
-        if isinstance(atom, Eq):
-            return 1
-        if isinstance(atom, SetMember):
-            return 2
-        return 3 + _rel_cost(ctx, atom, env)
-    return 10_000
+def _exists_plan(f, bound: frozenset):
+    """The body's solutions projected onto the other variables; each outer
+    binding holds once it has one (``exists[k]``: k) distinct witnesses."""
+    loose = free_variables(f.body) - bound
+    if f.var in bound or not loose <= _binds(f.body, bound):
+        raise _unbound(f, loose)
+    body, var = _plan(f.body, bound), f.var
+    kept = tuple(sorted(bound | free_variables(f)))
+    need = f.min if isinstance(f, CountExists) else 1
 
-
-def _satisfy_and(ctx: _Ctx, items: tuple, env: dict) -> Iterator[dict]:
-    if not items:
-        yield env
-        return
-    ready = [(c, i) for i, g in enumerate(items) if (c := _cost(ctx, g, env)) is not None]
-    if not ready:
-        # no conjunct can bind: enumerate a variable of the first one
-        yield from _enumerate_then(ctx, And(items), env, free_variables(items[0]) - env.keys())
-        return
-    _, i = min(ready)
-    rest = items[:i] + items[i + 1:]
-    for env2 in satisfy(ctx, items[i], env):
-        yield from _satisfy_and(ctx, rest, env2)
-
-
-def satisfy(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
-    """All extensions of env over f's free variables under which f holds."""
-    if isinstance(f, (Not, Implies, Forall)):
-        unbound = free_variables(f) - env.keys()
-        if unbound:
-            # these test their variables but cannot bind them (the
-            # safe-range gate rejects such queries at the API boundary)
-            yield from _enumerate_then(ctx, f, env, unbound)
-            return
-    if isinstance(f, AtomF):
-        atom = f.atom
-        if isinstance(atom, Rel):
-            yield from match_rel(ctx, atom, env)
-        elif isinstance(atom, SetMember):
-            yield from _match_member(atom, env)
-        elif isinstance(atom, Eq):
-            yield from _match_eq(atom, env)
-        else:
-            if _eval_dtrel(ctx, atom, env):
-                yield env
-    elif isinstance(f, Not):
-        if not _any_satisfy(ctx, f.body, env):
-            yield env
-    elif isinstance(f, And):
-        yield from _satisfy_and(ctx, f.items, env)
-    elif isinstance(f, Or):
-        for g in f.items:
-            yield from satisfy(ctx, g, env)
-    elif isinstance(f, Implies):
-        # closed propositional test: !body | head
-        if not _any_satisfy(ctx, f.body, env) or _any_satisfy(ctx, f.head, env):
-            yield env
-    elif isinstance(f, (Exists, CountExists)):
-        if free_variables(f.body) - env.keys() <= _binds(f.body, env.keys()):
-            solutions = satisfy(ctx, f.body, env)
-        else:
-            solutions = _enumerate_then(ctx, f.body, env, {f.var})
-        # project f.var away; each outer binding holds once it has `need`
-        # distinct witnesses
-        need = f.min if isinstance(f, CountExists) else 1
+    def run(ctx: _Ctx, env: dict) -> Iterator[dict]:
         witnesses: dict = {}
-        for env2 in solutions:
-            out = {k: v for k, v in env2.items() if k != f.var}
-            seen = witnesses.setdefault(frozenset(out.items()), set())
+        for env2 in body(ctx, env):
+            key = tuple(env2[k] for k in kept)
+            seen = witnesses.setdefault(key, set())
             if len(seen) < need:
-                seen.add(env2.get(f.var))
+                seen.add(env2.get(var))
                 if len(seen) == need:
-                    yield out
-    elif isinstance(f, Forall):
-        # forall v.g  ==  !exists v.!g; the existential search can use indexes
-        if not _any_satisfy(ctx, Exists(f.var, negate(f.body)), env):
-            yield env
-    else:
-        raise TypeError(f)
+                    yield dict(zip(kept, key))
 
-
-def _enumerate_then(ctx: _Ctx, f: Formula, env: dict, unbound) -> Iterator[dict]:
-    """satisfy(f) once per value of the least unbound variable in its pool."""
-    var = min(unbound)
-    for value in ctx.pool(var):
-        yield from satisfy(ctx, f, {**env, var: value})
-
-
-def _any_satisfy(ctx: _Ctx, f: Formula, env: dict) -> bool:
-    for _ in satisfy(ctx, f, env):
-        return True
-    return False
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +532,19 @@ def _binds(f: Formula, pre) -> frozenset:
     return _NOTHING  # Not, Implies and Forall only test
 
 
-def check_safe_range(f: Formula) -> Optional[str]:
-    """None if every variable is range-restricted; else a diagnostic."""
-    problems: list = []
-    _check(f, _NOTHING, problems)
-    _report(problems, "free variable(s)", free_variables(f) - _binds(f, _NOTHING))
-    return "; ".join(problems) if problems else None
+def check_safe_range(f: Formula, params=_NOTHING) -> Optional[str]:
+    """None if every variable is range-restricted once params are bound; else a diagnostic.
+
+    The verdict is kept on f, so each formula and parameter set is gated once.
+    """
+    key = ("safe-range", frozenset(params))
+    if key not in f._memo:
+        problems: list = []
+        _check(f, key[1], problems)
+        _report(problems, "free variable(s)",
+                free_variables(f) - key[1] - _binds(f, key[1]))
+        f._memo[key] = "; ".join(problems) if problems else None
+    return f._memo[key]
 
 
 def _check(f: Formula, pre: frozenset, problems: list) -> None:
@@ -580,19 +597,24 @@ def evaluate(
     f: Formula,
     cfg: Optional[EvalConfig] = None,
     diagnostics: Optional[list] = None,
+    params: Optional[dict] = None,
 ) -> Iterator[Binding]:
-    """Bindings of f's free variables satisfied by the KB (deduplicated)."""
+    """Bindings of f's free variables satisfied by the KB (deduplicated).
+
+    ``params`` binds some free variables before the search starts (a
+    template's ?p and ?CQ); the bindings leave them out.
+    """
     cfg = cfg or EvalConfig()
-    problem = check_safe_range(f)
+    env = dict(params or {})
+    problem = check_safe_range(f, env.keys())
     if problem:
         raise UnsafeFormulaError(problem)
-    ctx = _Ctx(kb, cfg, f, diagnostics)
-    fv = free_variables(f)
+    ctx = _Ctx(kb, cfg, diagnostics)
+    names = sorted(free_variables(f) - env.keys())
     seen = set()
     count = 0
-    for env in satisfy(ctx, f, {}):
-        proj = {k: v for k, v in env.items() if k in fv}
-        b = Binding.of(proj)
+    for out in solve(ctx, f, env):
+        b = Binding(tuple((k, out[k]) for k in names if k in out))
         if b in seen:
             continue
         seen.add(b)
@@ -600,83 +622,3 @@ def evaluate(
         count += 1
         if cfg.max_bindings is not None and count >= cfg.max_bindings:
             return
-
-
-def holds(
-    kb: KnowledgeBase,
-    f: Formula,
-    binding: Union[Binding, dict],
-    cfg: Optional[EvalConfig] = None,
-    diagnostics: Optional[list] = None,
-) -> bool:
-    """Truth of f under a total binding of its free variables."""
-    cfg = cfg or EvalConfig()
-    env = binding.as_dict() if isinstance(binding, Binding) else dict(binding)
-    missing = free_variables(f) - env.keys()
-    if missing:
-        raise EvalError(f"binding missing variable(s): {', '.join(sorted(missing))}")
-    return _holds(_Ctx(kb, cfg, f, diagnostics), f, env)
-
-
-def _holds(ctx: _Ctx, f: Formula, env: dict) -> bool:
-    if isinstance(f, AtomF):
-        atom = f.atom
-        if isinstance(atom, Rel):
-            for _ in match_rel(ctx, atom, env):
-                return True
-            return False
-        if isinstance(atom, SetMember):
-            for _ in _match_member(atom, env):
-                return True
-            return False
-        if isinstance(atom, Eq):
-            lv = _try_resolve(atom.left, env)
-            rv = _try_resolve(atom.right, env)
-            return lv is not None and lv == rv
-        return _eval_dtrel(ctx, atom, env)
-    if isinstance(f, Not):
-        return not _holds(ctx, f.body, env)
-    if isinstance(f, And):
-        return all(_holds(ctx, g, env) for g in f.items)
-    if isinstance(f, Or):
-        return any(_holds(ctx, g, env) for g in f.items)
-    if isinstance(f, Implies):
-        return not _holds(ctx, f.body, env) or _holds(ctx, f.head, env)
-    if isinstance(f, (Exists, Forall, CountExists)):
-        pool = ctx.pool(f.var)
-        if isinstance(f, Forall):
-            return all(_holds(ctx, f.body, {**env, f.var: v}) for v in pool)
-        if isinstance(f, Exists):
-            return any(_holds(ctx, f.body, {**env, f.var: v}) for v in pool)
-        count = 0
-        for v in pool:
-            if _holds(ctx, f.body, {**env, f.var: v}):
-                count += 1
-                if count >= f.min:
-                    return True
-        return False
-    raise TypeError(f)
-
-
-def brute_force_evaluate(
-    kb: KnowledgeBase,
-    f: Formula,
-    cfg: Optional[EvalConfig] = None,
-    diagnostics: Optional[list] = None,
-) -> Iterator[Binding]:
-    """Enumerate every total binding and filter by holds (testing oracle)."""
-    cfg = cfg or EvalConfig()
-    ctx = _Ctx(kb, cfg, f, diagnostics)
-    if len(ctx.domain) > cfg.oracle_domain_limit:
-        raise DomainTooLarge(
-            f"active domain has {len(ctx.domain)} constants, oracle limit is {cfg.oracle_domain_limit}")
-    fv = sorted(free_variables(f))
-    pools = [ctx.pool(v) for v in fv]
-    count = 0
-    for combo in itertools.product(*pools):
-        env = dict(zip(fv, combo))
-        if _holds(ctx, f, env):
-            yield Binding.of(env)
-            count += 1
-            if cfg.max_bindings is not None and count >= cfg.max_bindings:
-                return

@@ -61,12 +61,9 @@ class _Node:
     """Base of every term, set term, atom and formula node."""
 
     @cached_property
-    def _free_vars(self) -> frozenset:
-        """Free variable names, computed once per (immutable) node."""
-        if isinstance(self, (ObjVar, SetVar)):
-            return frozenset((self.name,))
-        out = frozenset().union(*(free_variables(c) for c in _children(self)))
-        return out - {self.var} if isinstance(self, QUANTIFIERS) else out
+    def _memo(self) -> dict:
+        """The evaluator's results for this node (safe-range verdicts, plans), filled on demand."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -279,8 +276,22 @@ def _nodes(node: _Node) -> Iterator[_Node]:
 
 
 def free_variables(f: _Node) -> frozenset:
-    """Free object- and set-variable names of a formula, atom or term."""
-    return f._free_vars
+    """Free object- and set-variable names of a formula, atom or term.
+
+    Computed once per (immutable) node and kept in its instance dictionary;
+    a cached_property would take a lock on each node's first read, and every
+    substituted query is made of fresh nodes.
+    """
+    out = f.__dict__.get("_free_vars")
+    if out is None:
+        if isinstance(f, (ObjVar, SetVar)):
+            out = frozenset((f.name,))
+        else:
+            out = frozenset().union(*(free_variables(c) for c in _children(f)))
+            if isinstance(f, QUANTIFIERS):
+                out -= {f.var}
+        f.__dict__["_free_vars"] = out
+    return out
 
 
 def all_constants(f: Formula) -> set:

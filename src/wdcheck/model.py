@@ -306,6 +306,7 @@ class KnowledgeBase:
         self._content_keys: set = set()
         self._anon_counter: int = 0
         self._domain_cache: Optional[frozenset] = None
+        self._qualifier_index: Optional[dict] = None
 
     # -- construction -------------------------------------------------------
 
@@ -328,6 +329,7 @@ class KnowledgeBase:
         self.by_prop_value.setdefault((st.property, st.value), []).append(st)
         self._content_keys.add(st.content_key())
         self._domain_cache = None
+        self._qualifier_index = None
 
     def has_fact(self, subject: EntityId, property: EntityId, value: Value, qualifiers: AttrSet) -> bool:
         return (subject, property, value, qualifiers.without_pseudo()) in self._content_keys
@@ -348,6 +350,20 @@ class KnowledgeBase:
         if include_deprecated:
             return list(out)
         return [st for st in out if st.rank != "deprecated"]
+
+    @property
+    def by_qualifier_attr(self) -> dict[Value, list[Statement]]:
+        """Qualifier attribute (pseudo ones included) -> the statements carrying it.
+
+        Built on first use after the last added statement; few queries read it.
+        """
+        if self._qualifier_index is None:
+            index: dict = {}
+            for st in self.statements.values():
+                for a in {a for a, _v in st.qualifiers}:
+                    index.setdefault(a, []).append(st)
+            self._qualifier_index = index
+        return self._qualifier_index
 
     def attr_sets(self) -> set:
         """Attribute sets realized anywhere in the KB (set-variable domain)."""

@@ -28,6 +28,7 @@ derivation names do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .evaluator import (
@@ -35,9 +36,9 @@ from .evaluator import (
     _binds,
     _Ctx,
     _resolve_term,
-    _satisfy_and,
     check_safe_range,
     match_rel,
+    solve,
 )
 from .formula import (
     And,
@@ -90,6 +91,32 @@ class Rule:
 
     def __str__(self) -> str:
         return print_formula(Implies(And(self.body), AtomF(self.head)))
+
+    @cached_property
+    def joins(self) -> tuple:
+        """(atom, rest, guard, after) per distinct statement atom of the body, in body order.
+
+        rest is every other conjunct; guard, those that bind the atom's
+        predicate variables alone; after, the rest without the guard.
+        """
+        out, seen = [], set()
+        for i, item in enumerate(self.body):
+            atom = item.atom
+            if not isinstance(atom, Rel) or isinstance(atom.pred, str) \
+                    or (atom.pred, atom.args, atom.attrs) in seen:
+                continue
+            seen.add((atom.pred, atom.args, atom.attrs))
+            rest = self.body[:i] + self.body[i + 1:]
+            pred_vars = free_variables(atom.pred)
+            own = free_variables(item) - pred_vars
+            guard = tuple(g for g in rest if pred_vars & free_variables(g)
+                          and not own & free_variables(g)
+                          and free_variables(g) <= _binds(g, frozenset()))
+            if not pred_vars <= _binds(And(guard), frozenset()):
+                guard = ()
+            out.append((atom, And(rest), And(guard),
+                        And(tuple(g for g in rest if g not in guard))))
+        return tuple(out)
 
 
 def rule_from_formula(name: str, f: Formula) -> Rule:
@@ -195,44 +222,27 @@ def _fire(ctx: _Ctx, rule: Rule, delta: Optional[dict]) -> Iterator[dict]:
     variable and nothing else of the atom, so it reads only the delta
     statements of the properties the guard binds.
     """
-    items = rule.body
-    seen_positions = set()
-    for i, item in enumerate(items):
-        atom = item.atom
-        if not isinstance(atom, Rel) or isinstance(atom.pred, str):
-            continue
-        key = (atom.pred, atom.args, atom.attrs)
-        if key in seen_positions:
-            continue
-        seen_positions.add(key)
-        rest = items[:i] + items[i + 1:]
-        if delta is None:
-            for env0 in match_rel(ctx, atom, {}):
-                yield from _satisfy_and(ctx, rest, env0)
-            return  # full join once is enough when unrestricted
-        pred_vars = free_variables(atom.pred)
-        own = free_variables(item) - pred_vars
-        guard = tuple(g for g in rest if pred_vars & free_variables(g)
-                      and not own & free_variables(g)
-                      and free_variables(g) <= _binds(g, frozenset()))
-        if not pred_vars <= _binds(And(guard), frozenset()):
-            guard = ()
-        after = tuple(g for g in rest if g not in guard)
-        for genv in _satisfy_and(ctx, guard, {}):
+    if delta is None:
+        atom, rest, _guard, _after = rule.joins[0]  # one full join is enough
+        for env0 in match_rel(ctx, atom, {}):
+            yield from solve(ctx, rest, env0)
+        return
+    for atom, _rest, guard, after in rule.joins:
+        for genv in solve(ctx, guard, {}):
             pred = _resolve_term(atom.pred, genv)
             if pred is None:
                 statements = [st for sts in delta.values() for st in sts]
             else:
                 statements = delta.get(as_entity(pred), ())
             for env0 in match_rel(ctx, atom, genv, statements=statements):
-                yield from _satisfy_and(ctx, after, env0)
+                yield from solve(ctx, after, env0)
 
 
 @dataclass(frozen=True)
 class _Chain:
     """A rule read as guards & B(?x, ?y) & A(?y, ?z) -> B(?x, ?z)."""
 
-    guards: tuple
+    guards: And
     b: Rel
     a: Rel
 
@@ -261,9 +271,9 @@ def _chain(rule: Rule) -> Optional[_Chain]:
             a = items[j].atom
             if j == i or a.args != (y, z):
                 continue
-            guards = tuple(g for k, g in enumerate(items) if k not in (i, j))
-            guard_vars = free_variables(And(guards))
-            if (guard_vars <= _binds(And(guards), frozenset())
+            guards = And(tuple(g for k, g in enumerate(items) if k not in (i, j)))
+            guard_vars = free_variables(guards)
+            if (guard_vars <= _binds(guards, frozenset())
                     and free_variables(a.pred) | free_variables(b.pred) <= guard_vars
                     and not guard_vars & {x.name, y.name, z.name}):
                 return _Chain(guards, b, a)
@@ -382,7 +392,7 @@ def closure(
                 record(rule, env, st)
         for n, rule, chain in chains:
             # listed first: the passes below add statements to the indexes it reads
-            for genv in list(_satisfy_and(ctx, chain.guards, {})):
+            for genv in list(solve(ctx, chain.guards, {})):
                 b = _resolve_term(chain.b.pred, genv)
                 a = _resolve_term(chain.a.pred, genv)
                 if not isinstance(b, PropRef) or not isinstance(a, PropRef):

@@ -5,15 +5,17 @@ import json
 import pytest
 
 from conftest import kb_from
+from wdcheck import catalog, evaluator
 from wdcheck.catalog import (
     check,
     derive_violation_queries,
     extract_declarations,
+    instantiate,
     render_json,
     render_text,
     validate_catalog,
 )
-from wdcheck.evaluator import check_safe_range
+from wdcheck.evaluator import check_safe_range, evaluate
 from wdcheck.formula import all_constants, free_variables, print_formula
 from wdcheck.labels import LabelTable
 from wdcheck.model import P, PropRef, Q
@@ -91,6 +93,56 @@ class TestQueryDerivation:
             (_, query), = derive_violation_queries(tpl, decl, table)
             pred = P(9999) if remapped else P(2302)
             assert PropRef(pred) in all_constants(query), i
+
+
+class TestVariantPlans:
+    """Each variant text is built once; its declarations bind ?p and ?CQ."""
+
+    def test_each_variant_text_parsed_negated_and_gated_once(self, monkeypatch):
+        kb = kb_from("P2302(P26, Q21510862)\nP2302(P40, Q21510862)\n"
+                     "P2302(P3373, Q21510862)\nP26(Q1, Q2)\nP40(Q3, Q4)\n")
+        calls = {"parse": 0, "negate": 0, "gate": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def report(problems, what, loose):
+            calls["gate"] += what == "free variable(s)"  # once per gate run
+            real_report(problems, what, loose)
+
+        real_report = evaluator._report
+        monkeypatch.setattr(catalog, "parse", counting("parse", catalog.parse))
+        monkeypatch.setattr(catalog, "negate_to_violation_query",
+                            counting("negate", catalog.negate_to_violation_query))
+        monkeypatch.setattr(evaluator, "_report", report)
+        tpl = template_by_name("symmetric")
+        texts = {var.text for var in tpl.variants if var.enabled}
+        result = check(kb, [tpl], LabelTable())
+        assert len(result.violations) == 2
+        assert calls == {"parse": len(texts), "negate": len(texts), "gate": len(texts)}
+
+    def test_declarations_differing_in_pseudo_pairs_report_their_own(self):
+        # one parameter set, declared three times: plain, with a rank and
+        # with references; each declaration's own statement binds ?CQ
+        kb = kb_from(
+            "P2302(P26, Q21510856) @ {P2306: P580}\n"
+            "P2302(P26, Q21510856) @ {P2306: P580} rank=preferred\n"
+            "P2302(P26, Q21510856) @ {P2306: P580} refs=2\n"
+            "P26(Q1, Q2) @ {P580: 1988-06-12}\nP26(Q3, Q4)\nP26(Q5, Q6) rank=preferred\n")
+        instances = [inst for inst in instantiate(kb, [template_by_name("mandatory_qualifier")])
+                     if inst.query is not None]
+        assert len({inst.declaration.statement_id for inst in instances}) == 3
+        assert len({id(inst.query) for inst in instances}) == 1
+        for inst in instances:
+            got = [b.as_dict() for b in evaluate(kb, inst.query, params=inst.params)]
+            assert got == [b.as_dict() for b in evaluate(kb, inst.ground_query())]
+            assert sorted(str(b["s"]) for b in got) == ["Q3", "Q5"]
+            assert not {"p", "CQ"} & set().union(*got)
+        result = check(kb, [template_by_name("mandatory_qualifier")])
+        assert len(result.violations) == 6
 
 
 def _walk(f):

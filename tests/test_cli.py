@@ -119,6 +119,15 @@ class TestCheck:
         assert code == 1
         assert len(json.loads(out)["violations"]) == cap
 
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_max_violations_must_be_positive(self, capsys, family_file, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--input", family_file, "--max-violations", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--max-violations" in err
+        assert "positive integer" in err
+
     def test_json_detected_from_content(self, capsys, tmp_path):
         dump = tmp_path / "slice.txt"
         dump.write_text((FIXTURES / "wikidata_slice.json").read_text())
@@ -163,6 +172,15 @@ class TestQuery:
         code, out, err = run(capsys, "query", "--input", family_file, "--no-close",
                              "P26(?x, ?y)@{P580: difference(2020-01-01, 2019-01-01)}")
         assert (code, out, err) == (0, "no bindings\n", "")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_bindings_must_be_positive(self, capsys, family_file, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--input", family_file, "--max-bindings", value, "P26(?x, ?y)"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "positive integer" in err
+        assert "internal error" not in err
 
     def test_unsafe_query_is_error(self, capsys, family_file):
         code, _, err = run(capsys, "query", "--input", family_file, "!P26(?x, ?y)")
@@ -213,6 +231,23 @@ class TestSliceFixture:
         code, out, _ = run(capsys, "infer", "--explain", "--input", self.SLICE)
         assert code == 0
         assert out == (FIXTURES / "slice_infer.txt").read_text(encoding="utf-8")
+
+    # the rows come out in search order, so these pin the plans' conjunct order
+    @pytest.mark.parametrize("fixture,formula", [
+        ("slice_query_spouses.txt",
+         "P26(?x, ?y)@?SQ & (P580 : ?t) in ?SQ & P31(?x, ?c) & P569(?y, ?b)"),
+        ("slice_query_qualified.txt",
+         "?p(?s, ?o)@?SQ & (P585 : ?t) in ?SQ & P31(?s, ?c) & P1082(?s, ?n)"),
+    ])
+    def test_query_rows_in_search_order(self, capsys, fixture, formula):
+        code, out, _ = run(capsys, "query", "--input", self.SLICE, formula)
+        assert code == 0
+        assert out == (FIXTURES / fixture).read_text(encoding="utf-8")
+
+    def test_max_violations_keeps_the_first_found(self, capsys):
+        code, out, _ = run(capsys, "check", "--input", self.SLICE, "--max-violations", "3")
+        assert code == 1
+        assert out == (FIXTURES / "slice_check_max3.txt").read_text(encoding="utf-8")
 
     def test_skipped_claims_noted_on_stderr(self, capsys):
         code, _, err = run(capsys, "check", "--input", self.SLICE)

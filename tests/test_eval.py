@@ -1,5 +1,6 @@
 """Formula evaluation: index-driven search against the brute-force oracle."""
 
+import re
 from datetime import datetime
 from decimal import Decimal
 
@@ -10,16 +11,17 @@ from hypothesis import strategies as st
 from conftest import kb_from
 from wdcheck.evaluator import (
     Binding,
-    DomainTooLarge,
     EvalConfig,
+    EvalError,
     UnsafeFormulaError,
-    brute_force_evaluate,
+    _Ctx,
     check_safe_range,
     evaluate,
-    holds,
+    solve,
 )
 from wdcheck.formula import parse
-from wdcheck.model import ItemRef, KnowledgeBase, Q, StringVal
+from wdcheck.model import ItemRef, KnowledgeBase, P, PropRef, Q, StringVal
+from wdcheck.oracle import DomainTooLarge, brute_force_evaluate, holds
 
 
 def rows(kb, text, cfg=None):
@@ -154,6 +156,33 @@ class TestSafeRange:
     def test_evaluate_rejects_unsafe(self, family_kb):
         with pytest.raises(UnsafeFormulaError):
             list(evaluate(family_kb, parse("!P26(?x, ?y)")))
+
+
+class TestPlans:
+    @pytest.mark.parametrize("text,named", [
+        ("!P26(?x, ?y)", "!P26(?x, ?y)"),
+        ("forall ?y . P26(?x, ?y)", "forall ?y . P26(?x, ?y)"),
+        ("P31(?x, ?c) -> P26(?x, ?y)", "P31(?x, ?c) -> P26(?x, ?y)"),
+        ("P26(?x, ?y) & integer(?z)", "integer(?z)"),
+        ("exists ?y . integer(?y)", "exists ?y . integer(?y)"),
+    ])
+    def test_no_domain_fallback(self, family_kb, text, named):
+        # past the safe-range gate, a construct that cannot bind what it
+        # leaves open is an error, not an enumeration of the domain
+        with pytest.raises(EvalError, match=f"cannot evaluate {re.escape(named)}:"):
+            list(solve(_Ctx(family_kb, EvalConfig()), parse(text), {}))
+
+    def test_plan_cached_per_bound_variables(self, family_kb):
+        f = parse("P26(?x, ?y) & !P26(?y, ?x)")
+        list(evaluate(family_kb, f))
+        plan = f._memo[frozenset()]
+        list(evaluate(family_kb, f))
+        assert f._memo[frozenset()] is plan
+
+    def test_params_bound_before_the_search(self, family_kb):
+        f = parse("?p(?x, ?y) & !?p(?y, ?x)")
+        got = [b.as_dict() for b in evaluate(family_kb, f, params={"p": PropRef(P(26))})]
+        assert got == [{"x": ItemRef(Q(3)), "y": ItemRef(Q(4))}]
 
 
 class TestHolds:
