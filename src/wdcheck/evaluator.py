@@ -24,9 +24,8 @@ from typing import Iterator, Optional
 
 from .formula import (
     And,
-    AtomF,
+    Atom,
     Const,
-    CountExists,
     DtRel,
     Eq,
     Exists,
@@ -339,14 +338,14 @@ def _plan(f: Formula, bound: frozenset):
 
 
 def _compile(f: Formula, bound: frozenset):
-    if isinstance(f, AtomF):
-        return _atom_plan(f.atom, bound, ())
+    if isinstance(f, Atom):
+        return _atom_plan(f, bound, ())
     if isinstance(f, And):
         return _and_plan(f.items, bound)
     if isinstance(f, Or):
         branches = [_plan(g, bound) for g in f.items]
         return lambda ctx, env: (e for branch in branches for e in branch(ctx, env))
-    if isinstance(f, (Exists, CountExists)):
+    if isinstance(f, Exists):
         return _exists_plan(f, bound)
     if free_variables(f) - bound:  # !, -> and forall test their variables, never bind them
         raise _unbound(f, free_variables(f) - bound)
@@ -395,10 +394,9 @@ def _qualifier_key(rel: Rel, bound: frozenset, siblings: tuple):
     if isinstance(rel.pred, str) or free_variables(rel.pred) <= bound \
             or not isinstance(rel.attrs, SetVar):
         return None
-    return next((g.atom.attr for g in siblings if isinstance(g, AtomF)
-                 and isinstance(g.atom, SetMember) and g.atom.set == rel.attrs
-                 and isinstance(g.atom.attr, (Const, ObjVar))
-                 and free_variables(g.atom.attr) <= bound), None)
+    return next((g.attr for g in siblings if isinstance(g, SetMember)
+                 and g.set == rel.attrs and isinstance(g.attr, (Const, ObjVar))
+                 and free_variables(g.attr) <= bound), None)
 
 
 def _and_plan(items: tuple, bound: frozenset):
@@ -417,9 +415,8 @@ def _and_plan(items: tuple, bound: frozenset):
         unbound = free_variables(g) - bound
         if unbound and not unbound <= _binds(g, bound):
             continue
-        atom = g.atom if isinstance(g, AtomF) else None
-        costs[i] = 0 if not unbound else None if isinstance(atom, Rel) \
-            else _COST_CLASS.get(type(atom), 10_000)
+        costs[i] = 0 if not unbound else None if isinstance(g, Rel) \
+            else _COST_CLASS.get(type(g), 10_000)
     if not costs:
         raise _unbound(And(items), free_variables(And(items)) - bound)
     fixed = [(c, i) for i, c in costs.items() if c is not None]
@@ -435,12 +432,12 @@ def _and_plan(items: tuple, bound: frozenset):
     def run(ctx: _Ctx, env: dict) -> Iterator[dict]:
         i = pick
         if i is None:
-            i = min([(3 + _rel_cost(ctx, items[j].atom, env), j) for j in counted] + fixed)[1]
+            i = min([(3 + _rel_cost(ctx, items[j], env), j) for j in counted] + fixed)[1]
         step = steps.get(i)
         if step is None:
             g = items[i]
-            step = steps[i] = (_atom_plan(g.atom, bound, items[:i] + items[i + 1:])
-                               if isinstance(g, AtomF) else _plan(g, bound))
+            step = steps[i] = (_atom_plan(g, bound, items[:i] + items[i + 1:])
+                               if isinstance(g, Atom) else _plan(g, bound))
         rest = rests.get(i)
         for env2 in step(ctx, env):
             if rest is None:
@@ -471,7 +468,7 @@ def _exists_plan(f, bound: frozenset):
         raise _unbound(f, loose)
     body, var = _plan(f.body, bound), f.var
     kept = tuple(sorted(bound | free_variables(f)))
-    need = f.min if isinstance(f, CountExists) else 1
+    need = f.count or 1
 
     def run(ctx: _Ctx, env: dict) -> Iterator[dict]:
         witnesses: dict = {}
@@ -499,16 +496,14 @@ def _binds(f: Formula, pre) -> frozenset:
     This is the one place that knows which constructs bind: the safe-range
     gate, the conjunct planner and the rule gate all read it.
     """
-    if isinstance(f, AtomF):
-        atom = f.atom
-        if isinstance(atom, Rel):
+    if isinstance(f, Rel):
+        return free_variables(f)
+    if isinstance(f, SetMember):
+        return free_variables(f) if free_variables(f.set) <= pre else _NOTHING
+    if isinstance(f, Eq):
+        if free_variables(f.left) <= pre or free_variables(f.right) <= pre:
             return free_variables(f)
-        if isinstance(atom, SetMember):
-            return free_variables(f) if free_variables(atom.set) <= pre else _NOTHING
-        if isinstance(atom, Eq):
-            if free_variables(atom.left) <= pre or free_variables(atom.right) <= pre:
-                return free_variables(f)
-        return _NOTHING  # a datatype relation, or an equality open on both sides
+        return _NOTHING  # open on both sides
     if isinstance(f, And):
         # fixpoint; an item that bound all its variables is not asked again
         bound = set(pre)
@@ -527,9 +522,9 @@ def _binds(f: Formula, pre) -> frozenset:
         return free_variables(f) & bound
     if isinstance(f, Or):
         return frozenset.intersection(*[_binds(g, pre) for g in f.items])
-    if isinstance(f, (Exists, CountExists)):
+    if isinstance(f, Exists):
         return _binds(f.body, pre) - {f.var}
-    return _NOTHING  # Not, Implies and Forall only test
+    return _NOTHING  # DtRel, Not, Implies and Forall only test
 
 
 def check_safe_range(f: Formula, params=_NOTHING) -> Optional[str]:
@@ -570,15 +565,15 @@ def _check(f: Formula, pre: frozenset, problems: list) -> None:
         _check(f.head, body_bound, problems)
         _report(problems, "implication head variable(s)",
                 free_variables(f.head) - body_bound - _binds(f.head, body_bound))
-    elif isinstance(f, (Exists, Forall, CountExists)):
+    elif isinstance(f, (Exists, Forall)):
         _check(f.body, pre, problems)
-        if isinstance(f, CountExists) and f.var not in _binds(f.body, pre):
+        if isinstance(f, Exists) and f.count is not None and f.var not in _binds(f.body, pre):
             problems.append(f"counting variable not range-restricted: {f.var}")
 
 
 def _require_supported(g: Formula, bound: frozenset, problems: list) -> None:
-    if isinstance(g, AtomF) and isinstance(g.atom, (DtRel, Eq)):
-        kind = "datatype relation" if isinstance(g.atom, DtRel) else "equality"
+    if isinstance(g, (DtRel, Eq)):
+        kind = "datatype relation" if isinstance(g, DtRel) else "equality"
         _report(problems, f"{kind} variable(s)", free_variables(g) - bound)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime
 from decimal import Decimal
 from functools import cached_property
@@ -105,8 +105,12 @@ class SetLiteral(_Node):
 SetTerm = Union[SetVar, SetLiteral]
 
 
+class Atom(_Node):
+    """Base of the four atom types; an atom is a formula by itself."""
+
+
 @dataclass(frozen=True)
-class Rel(_Node):
+class Rel(Atom):
     """Relational atom; predicate is a term or a builtin predicate name."""
 
     pred: Union[Term, str]
@@ -115,83 +119,63 @@ class Rel(_Node):
 
 
 @dataclass(frozen=True)
-class SetMember(_Node):
+class SetMember(Atom):
     attr: Term
     value: Term
     set: SetTerm
 
 
 @dataclass(frozen=True)
-class Eq(_Node):
+class Eq(Atom):
     left: Union[Term, SetTerm]
     right: Union[Term, SetTerm]
 
 
 @dataclass(frozen=True)
-class DtRel(_Node):
+class DtRel(Atom):
     name: str
     args: tuple
-
-
-Atom = Union[Rel, SetMember, Eq, DtRel]
-
-
-@dataclass(frozen=True)
-class AtomF(_Node):
-    atom: Atom
-    span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Not(_Node):
     body: "Formula"
-    span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class And(_Node):
     items: tuple
-    span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Or(_Node):
     items: tuple
-    span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Implies(_Node):
     body: "Formula"
     head: "Formula"
-    span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Exists(_Node):
+    """``exists ?var . body``; with a count k, ``exists[k]``: k distinct witnesses."""
+
     var: str
     body: "Formula"
-    span: Optional[tuple] = field(default=None, compare=False, repr=False)
+    count: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class Forall(_Node):
     var: str
     body: "Formula"
-    span: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class CountExists(_Node):
-    min: int
-    var: str
-    body: "Formula"
-    span: Optional[tuple] = field(default=None, compare=False, repr=False)
+Formula = Union[Atom, Not, And, Or, Implies, Exists, Forall]
 
-
-Formula = Union[AtomF, Not, And, Or, Implies, Exists, Forall, CountExists]
-
-QUANTIFIERS = (Exists, Forall, CountExists)
+QUANTIFIERS = (Exists, Forall)
 
 
 def is_set_name(name: str) -> bool:
@@ -225,8 +209,6 @@ def _children(node: _Node) -> tuple:
         return (node.attr, node.value, node.set)
     if isinstance(node, Eq):
         return (node.left, node.right)
-    if isinstance(node, AtomF):
-        return (node.atom,)
     if isinstance(node, (And, Or)):
         return node.items
     if isinstance(node, Implies):
@@ -237,7 +219,7 @@ def _children(node: _Node) -> tuple:
 
 
 def _map(node: _Node, fn) -> _Node:
-    """The node rebuilt with fn applied to each direct sub-node, spans kept."""
+    """The node rebuilt with fn applied to each direct sub-node."""
     if isinstance(node, (Const, ObjVar, SetVar)):
         return node
     if isinstance(node, (FuncApp, DtRel)):
@@ -252,12 +234,10 @@ def _map(node: _Node, fn) -> _Node:
         return SetMember(fn(node.attr), fn(node.value), fn(node.set))
     if isinstance(node, Eq):
         return Eq(fn(node.left), fn(node.right))
-    if isinstance(node, AtomF):
-        return AtomF(fn(node.atom), node.span)
     if isinstance(node, (And, Or)):
-        return type(node)(tuple(fn(g) for g in node.items), node.span)
+        return type(node)(tuple(fn(g) for g in node.items))
     if isinstance(node, Implies):
-        return Implies(fn(node.body), fn(node.head), node.span)
+        return Implies(fn(node.body), fn(node.head))
     if isinstance(node, (Not,) + QUANTIFIERS):
         return replace(node, body=fn(node.body))
     raise TypeError(node)
@@ -355,7 +335,7 @@ def _rename_binders(f: Formula, name_for) -> Formula:
     """
 
     def walk(g: Formula) -> Formula:
-        if isinstance(g, AtomF):
+        if isinstance(g, Atom):
             return g
         if isinstance(g, QUANTIFIERS):
             new = name_for(g)
@@ -489,9 +469,8 @@ class Parser:
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.peek().text == "->":
-            tok = self.advance()
-            right = self.implies()
-            return Implies(left, right, (tok.line, tok.col))
+            self.advance()
+            return Implies(left, self.implies())
         return left
 
     def disjunction(self) -> Formula:
@@ -512,7 +491,7 @@ class Parser:
         tok = self.peek()
         if tok.text == "!":
             self.advance()
-            return Not(self.unary(), (tok.line, tok.col))
+            return Not(self.unary())
         if tok.kind == "ident" and tok.text in ("exists", "forall"):
             return self.quantifier()
         return self.primary()
@@ -534,16 +513,14 @@ class Parser:
             names.append(self.variable_name())
         self.expect(".")
         body = self.implies()
-        span = (tok.line, tok.col)
         for name in reversed(names):
-            if count is not None and name == names[0]:
-                if is_set_name(name):
-                    self.fail("counting quantifier binds object variables only", tok)
-                body = CountExists(count, name, body, span)
-            elif kind == "exists":
-                body = Exists(name, body, span)
-            else:
-                body = Forall(name, body, span)
+            if kind == "forall":
+                body = Forall(name, body)
+                continue
+            k = count if name == names[0] else None
+            if k is not None and is_set_name(name):
+                self.fail("counting quantifier binds object variables only", tok)
+            body = Exists(name, body, k)
         return body
 
     def variable_name(self) -> str:
@@ -558,20 +535,17 @@ class Parser:
     def primary(self) -> Formula:
         tok = self.peek()
         if tok.text == "(":
-            saved = self.pos
             self.advance()
-            atom = self.try_set_atom(tok)
+            atom = self.try_set_atom()
             if atom is not None:
                 return atom
-            self.pos = saved
-            self.advance()
             inner = self.implies()
             self.expect(")")
             return inner
         return self.atom()
 
-    def try_set_atom(self, open_tok: Token) -> Optional[Formula]:
-        """After '(': attempt '(a : b) in S'; None if it is not a set atom."""
+    def try_set_atom(self) -> Optional[Formula]:
+        """After '(': attempt '(a : b) in S'; if it is not one, None with the position put back."""
         saved = self.pos
         try:
             attr = self.term()
@@ -586,7 +560,7 @@ class Parser:
                 return None
             self.advance()
             sterm = self.set_term()
-            return AtomF(SetMember(attr, value, sterm), (open_tok.line, open_tok.col))
+            return SetMember(attr, value, sterm)
         except ParseError:
             self.pos = saved
             return None
@@ -597,7 +571,7 @@ class Parser:
         if self.peek(1).text == "(" and tok.kind in ("ident", "entity", "var", "label"):
             name = tok.text
             if tok.kind == "ident" and name in DATATYPE_RELATIONS:
-                return self.dt_relation()
+                return self.call(DATATYPE_RELATIONS, DtRel)
             if tok.kind == "ident" and name in DATATYPE_FUNCTIONS:
                 pass  # function application inside a comparison; fall through
             else:
@@ -607,17 +581,18 @@ class Parser:
         if op.text == "=":
             self.advance()
             right = self.term_or_set()
-            return AtomF(Eq(left, right), (op.line, op.col))
+            return Eq(left, right)
         if op.text == "!=":
             self.advance()
             right = self.term_or_set()
-            return Not(AtomF(Eq(left, right), (op.line, op.col)), (op.line, op.col))
+            return Not(Eq(left, right))
         self.fail("expected '=' or '!=' after term")
 
-    def dt_relation(self) -> Formula:
+    def call(self, table: dict, node: type) -> _Node:
+        """name(t1, ..., tn) for a datatype relation (DtRel) or function (FuncApp) in table."""
         tok = self.advance()
         name = tok.text
-        arity = DATATYPE_RELATIONS[name][0]
+        arity = table[name][0]
         self.expect("(")
         args = [self.term()]
         while self.peek().text == ",":
@@ -626,7 +601,7 @@ class Parser:
         self.expect(")")
         if len(args) != arity:
             self.fail(f"{name} takes {arity} argument(s)", tok)
-        return AtomF(DtRel(name, tuple(args)), (tok.line, tok.col))
+        return node(name, tuple(args))
 
     def relational_atom(self) -> Formula:
         tok = self.advance()
@@ -655,7 +630,7 @@ class Parser:
         if self.peek().text == "@":
             self.advance()
             attrs = self.set_term()
-        return AtomF(Rel(pred, tuple(args), attrs), (tok.line, tok.col))
+        return Rel(pred, tuple(args), attrs)
 
     def term_or_set(self) -> Union[Term, SetTerm]:
         tok = self.peek()
@@ -718,7 +693,7 @@ class Parser:
         if tok.kind in ("ident", "label"):
             name = tok.text[1:-1] if tok.kind == "label" else tok.text
             if tok.kind == "ident" and name in DATATYPE_FUNCTIONS and self.peek(1).text == "(":
-                return self.func_app()
+                return self.call(DATATYPE_FUNCTIONS, FuncApp)
             resolved = self.labels.resolve(name)
             if resolved is None:
                 self.fail(f"unknown label {name!r}", tok)
@@ -726,20 +701,6 @@ class Parser:
             return Const(resolved)
         self.fail("expected a term")
         raise AssertionError  # unreachable
-
-    def func_app(self) -> Term:
-        tok = self.advance()
-        name = tok.text
-        arity = DATATYPE_FUNCTIONS[name][0]
-        self.expect("(")
-        args = [self.term()]
-        while self.peek().text == ",":
-            self.advance()
-            args.append(self.term())
-        self.expect(")")
-        if len(args) != arity:
-            self.fail(f"{name} takes {arity} argument(s)", tok)
-        return FuncApp(name, tuple(args))
 
     def quantity(self) -> Term:
         tok = self.advance()
@@ -847,14 +808,13 @@ def _prec(f: Formula) -> int:
 def _print(f: Formula, min_prec: int) -> str:
     text: str
     prec = _prec(f)
-    if isinstance(f, AtomF):
-        text = _print_atom(f.atom)
+    if isinstance(f, Atom):
+        text = _print_atom(f)
     elif isinstance(f, Not):
-        if isinstance(f.body, AtomF) and isinstance(f.body.atom, Eq):
-            eq = f.body.atom
-            text = f"{_print_term(eq.left)} != {_print_term(eq.right)}"
+        if isinstance(f.body, Eq):
+            text = f"{_print_term(f.body.left)} != {_print_term(f.body.right)}"
             prec = 3
-        elif isinstance(f.body, AtomF):
+        elif isinstance(f.body, Atom):
             text = "!" + _print(f.body, 3)
         else:
             text = "!(" + _print(f.body, 0) + ")"
@@ -865,11 +825,10 @@ def _print(f: Formula, min_prec: int) -> str:
     elif isinstance(f, Implies):
         text = _print(f.body, 1) + " -> " + _print(f.head, 0)
     elif isinstance(f, Exists):
-        text = f"exists ?{f.var} . " + _print(f.body, 0)
+        count = "" if f.count is None else f"[{f.count}]"
+        text = f"exists{count} ?{f.var} . " + _print(f.body, 0)
     elif isinstance(f, Forall):
         text = f"forall ?{f.var} . " + _print(f.body, 0)
-    elif isinstance(f, CountExists):
-        text = f"exists[{f.min}] ?{f.var} . " + _print(f.body, 0)
     else:
         raise TypeError(f)
     if prec < min_prec:

@@ -342,6 +342,8 @@ def _decode_snak(snak: dict, kb: KnowledgeBase) -> Value:
         ent = _decode_entity_id(data)
         return ItemRef(ent) if ent.kind == "item" else PropRef(ent)
     if dtype == "string":
+        if not isinstance(data, str):
+            raise IngestError(f"bad string value {data!r}")
         return StringVal(data)
     if dtype == "quantity":
         return _decode_quantity(data)

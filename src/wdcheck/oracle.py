@@ -20,6 +20,7 @@ from .evaluator import (
     EvalConfig,
     EvalError,
     _Ctx,
+    _any,
     _eval_dtrel,
     _match_member,
     _try_resolve,
@@ -27,8 +28,7 @@ from .evaluator import (
 )
 from .formula import (
     And,
-    AtomF,
-    CountExists,
+    DtRel,
     Eq,
     Exists,
     Forall,
@@ -90,21 +90,16 @@ def holds(
 
 
 def _holds(ctx: _PoolCtx, f: Formula, env: dict) -> bool:
-    if isinstance(f, AtomF):
-        atom = f.atom
-        if isinstance(atom, Rel):
-            for _ in match_rel(ctx, atom, env):
-                return True
-            return False
-        if isinstance(atom, SetMember):
-            for _ in _match_member(atom, env):
-                return True
-            return False
-        if isinstance(atom, Eq):
-            lv = _try_resolve(atom.left, env)
-            rv = _try_resolve(atom.right, env)
-            return lv is not None and lv == rv
-        return _eval_dtrel(ctx, atom, env)
+    if isinstance(f, Rel):
+        return _any(match_rel(ctx, f, env))
+    if isinstance(f, SetMember):
+        return _any(_match_member(f, env))
+    if isinstance(f, Eq):
+        lv = _try_resolve(f.left, env)
+        rv = _try_resolve(f.right, env)
+        return lv is not None and lv == rv
+    if isinstance(f, DtRel):
+        return _eval_dtrel(ctx, f, env)
     if isinstance(f, Not):
         return not _holds(ctx, f.body, env)
     if isinstance(f, And):
@@ -113,17 +108,14 @@ def _holds(ctx: _PoolCtx, f: Formula, env: dict) -> bool:
         return any(_holds(ctx, g, env) for g in f.items)
     if isinstance(f, Implies):
         return not _holds(ctx, f.body, env) or _holds(ctx, f.head, env)
-    if isinstance(f, (Exists, Forall, CountExists)):
-        pool = ctx.pool(f.var)
-        if isinstance(f, Forall):
-            return all(_holds(ctx, f.body, {**env, f.var: v}) for v in pool)
-        if isinstance(f, Exists):
-            return any(_holds(ctx, f.body, {**env, f.var: v}) for v in pool)
-        count = 0
-        for v in pool:
+    if isinstance(f, Forall):
+        return all(_holds(ctx, f.body, {**env, f.var: v}) for v in ctx.pool(f.var))
+    if isinstance(f, Exists):
+        need, found = f.count or 1, 0
+        for v in ctx.pool(f.var):
             if _holds(ctx, f.body, {**env, f.var: v}):
-                count += 1
-                if count >= f.min:
+                found += 1
+                if found == need:
                     return True
         return False
     raise TypeError(f)

@@ -42,7 +42,7 @@ from .evaluator import (
 )
 from .formula import (
     And,
-    AtomF,
+    Atom,
     Formula,
     Implies,
     ObjVar,
@@ -86,11 +86,11 @@ class Rule:
     """body atoms (all positive) deriving one relational head atom."""
 
     name: str
-    body: tuple  # of AtomF
+    body: tuple  # of atoms
     head: Rel
 
     def __str__(self) -> str:
-        return print_formula(Implies(And(self.body), AtomF(self.head)))
+        return print_formula(Implies(And(self.body), self.head))
 
     @cached_property
     def joins(self) -> tuple:
@@ -100,15 +100,14 @@ class Rule:
         predicate variables alone; after, the rest without the guard.
         """
         out, seen = [], set()
-        for i, item in enumerate(self.body):
-            atom = item.atom
+        for i, atom in enumerate(self.body):
             if not isinstance(atom, Rel) or isinstance(atom.pred, str) \
                     or (atom.pred, atom.args, atom.attrs) in seen:
                 continue
             seen.add((atom.pred, atom.args, atom.attrs))
             rest = self.body[:i] + self.body[i + 1:]
             pred_vars = free_variables(atom.pred)
-            own = free_variables(item) - pred_vars
+            own = free_variables(atom) - pred_vars
             guard = tuple(g for g in rest if pred_vars & free_variables(g)
                           and not own & free_variables(g)
                           and free_variables(g) <= _binds(g, frozenset()))
@@ -124,13 +123,13 @@ def rule_from_formula(name: str, f: Formula) -> Rule:
     if not isinstance(f, Implies):
         raise RuleError(f"rule {name!r} must be an implication")
     body = f.body if isinstance(f.body, And) else And((f.body,))
-    if not all(isinstance(g, AtomF) for g in body.items):
+    if not all(isinstance(g, Atom) for g in body.items):
         raise RuleError(f"rule {name!r} body must be a conjunction of atoms")
-    if not any(isinstance(g.atom, Rel) and not isinstance(g.atom.pred, str) for g in body.items):
+    if not any(isinstance(g, Rel) and not isinstance(g.pred, str) for g in body.items):
         raise RuleError(f"rule {name!r} needs at least one statement atom in its body")
-    if not isinstance(f.head, AtomF) or not isinstance(f.head.atom, Rel):
+    head = f.head
+    if not isinstance(head, Rel):
         raise RuleError(f"rule {name!r} head must be a relational atom")
-    head = f.head.atom
     if isinstance(head.pred, str):
         raise RuleError(f"rule {name!r} may not derive builtin facts")
     problem = check_safe_range(body)
@@ -199,7 +198,11 @@ class ClosureResult:
     kb: KnowledgeBase
     provenance: dict = field(default_factory=dict)  # statement id -> Derivation
     rounds: int = 0
-    derived_ids: list = field(default_factory=list)
+
+    @property
+    def derived_ids(self) -> list:
+        """Ids of the derived statements, in derivation order."""
+        return list(self.provenance)
 
     def explain(self, statement_id: str) -> str:
         st = self.kb.statements.get(statement_id)
@@ -260,15 +263,15 @@ def _chain(rule: Rule) -> Optional[_Chain]:
             or x == z:
         return None
     items = rule.body
-    rels = [i for i, g in enumerate(items) if isinstance(g.atom, Rel)
-            and not isinstance(g.atom.pred, str) and g.atom.attrs is None]
+    rels = [i for i, g in enumerate(items) if isinstance(g, Rel)
+            and not isinstance(g.pred, str) and g.attrs is None]
     for i in rels:
-        b = items[i].atom
+        b = items[i]
         y = b.args[1]
         if b.pred != head.pred or b.args[0] != x or not isinstance(y, ObjVar) or y in (x, z):
             continue
         for j in rels:
-            a = items[j].atom
+            a = items[j]
             if j == i or a.args != (y, z):
                 continue
             guards = And(tuple(g for k, g in enumerate(items) if k not in (i, j)))
@@ -373,7 +376,6 @@ def closure(
         kb.add_statement(st)
         shown = {k: v for k, v in env.items() if not isinstance(v, AttrSet)}
         result.provenance[st.id] = Derivation(rule.name, shown)
-        result.derived_ids.append(st.id)
         fresh.append(st)
 
     def sizes(b: EntityId, a: EntityId) -> tuple:

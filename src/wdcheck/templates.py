@@ -3,9 +3,10 @@
 Each template carries one or more positive formula variants written in the
 constraint language.  Property-scoped templates use the free variables ?p
 (the constrained property) and ?CQ (the qualifier set of the declaring
-property_constraint statement); both are instantiated per declaration before
-the formula is negated into a violation query.  Global templates have no
-declaration and are evaluated as written.
+property_constraint statement); each variant is negated into a violation
+query once, and ?p and ?CQ stay free in it as parameters that every
+declaration binds to its own values when the query is evaluated.  Global
+templates have no declaration and are evaluated as written.
 
 Variant texts mention entities by label; see labels.py for the table.
 """

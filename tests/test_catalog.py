@@ -199,6 +199,17 @@ class TestCheck:
         result = violations(kb)
         assert [v.binding["s"] for v in result.unsuppressed] == ["Q2"]
 
+    def test_difference_within_range(self):
+        kb = kb_from("P2302(P2048, Q21510854) @ {P2306: P2049, P2312: 0, P2313: 10}\n"
+                     "P2048(Q1, 5)\nP2049(Q1, 3)\n"     # 2: in range
+                     "P2048(Q2, 20)\nP2049(Q2, 5)\n"    # 15: above the maximum
+                     "P2048(Q3, 1)\nP2049(Q3, 4)\n")    # -3: below the minimum
+        result = violations(kb)
+        assert [(v.variant, v.binding) for v in result.unsuppressed] == [
+            ("maximum", {"max": "10", "o1": "20", "o2": "5", "p2": "P2049", "s": "Q2"}),
+            ("minimum", {"min": "0", "o1": "1", "o2": "4", "p2": "P2049", "s": "Q3"}),
+        ]
+
     def test_max_violations_cap(self):
         kb = kb_from("P2302(P26, Q21510862)\n" +
                      "\n".join(f"P26(Q{i}, Q{i + 100})" for i in range(1, 8)))

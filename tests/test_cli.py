@@ -216,6 +216,16 @@ class TestInfer:
         assert (code, out) == (2, "")
         assert "not range-restricted" in err
 
+    def test_non_string_string_value_skipped(self, capsys, tmp_path):
+        snak = {"snaktype": "value", "property": "P212",
+                "datavalue": {"type": "string", "value": 5}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"id": "Q1", "claims": {"P212": [
+            {"mainsnak": snak, "rank": "normal", "type": "statement"}]}}]))
+        code, out, err = run(capsys, "infer", "--input", str(path))
+        assert (code, out) == (0, "")
+        assert f"note: {path}: skipped 1 claim(s) (mainsnak: 1)" in err
+
 
 class TestSliceFixture:
     """Reports on the Wikidata slice, pinned byte for byte."""

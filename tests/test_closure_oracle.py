@@ -154,8 +154,7 @@ def _premise_ok(result, rules: dict, sid: str, earlier: set) -> bool:
     """The derivation of sid holds in the closed KB, on asserted or earlier facts."""
     st = result.kb.statements[sid]
     d = result.provenance[sid]
-    for item in rules[d.rule].body:
-        atom = item.atom
+    for atom in rules[d.rule].body:
         pred = _ground(atom.pred, d.binding)
         subj, value = _ground(atom.args[0], d.binding), _ground(atom.args[1], d.binding)
         found = False

@@ -32,6 +32,13 @@ def rows(kb, text, cfg=None):
     return sorted(out, key=lambda d: sorted(d.items()))
 
 
+def _agrees(kb, text, domain_limit):
+    """evaluate and the brute-force oracle give the same bindings."""
+    f = parse(text)
+    cfg = EvalConfig(oracle_domain_limit=domain_limit)
+    return set(evaluate(kb, f, cfg)) == set(brute_force_evaluate(kb, f, cfg))
+
+
 class TestAtoms:
     def test_relational_atom_binds_all_positions(self, family_kb):
         got = rows(family_kb, "P26(?x, ?y)")
@@ -77,6 +84,53 @@ class TestAtoms:
     def test_equality_binds(self, family_kb):
         assert rows(family_kb, "P26(Q1, ?y) & ?z = ?y") == [{"y": "Q2", "z": "Q2"}]
 
+    def test_set_literal_matches_pairs_bijectively(self):
+        kb = kb_from("P26(Q1, Q2) @ {P580: 1988-06-12}\n"
+                     "P26(Q3, Q4) @ {P580: 1990-01-01, P582: 2000-01-01}")
+        assert rows(kb, "P26(?x, ?y)@{P580: ?d}") == [
+            {"x": "Q1", "y": "Q2", "d": "1988-06-12T00:00:00/11"}]
+        # (?a : ?e) is tried against P580 first, then backtracks to P582
+        f = "P26(?x, ?y)@{P580: ?d, ?a: ?e}"
+        assert rows(kb, f) == [{"x": "Q3", "y": "Q4", "d": "1990-01-01T00:00:00/11",
+                                "a": "P582", "e": "2000-01-01T00:00:00/11"}]
+        assert _agrees(kb, f, 13)
+
+    def test_set_literal_resolved_under_bound_variables(self):
+        kb = kb_from("P26(Q1, Q2) @ {P580: 1988-06-12}\n"
+                     "P26(Q3, Q4) @ {P580: 1990-01-01, P582: 2000-01-01}")
+        # every qualifier set carries the rank pair; only Q1's has nothing else
+        f = 'P26(?x, ?y)@?S & (P580 : ?d) in ?S & ?S != {P580: ?d, rank: "normal"}'
+        got = rows(kb, f)
+        assert [(r["x"], r["y"], r["d"]) for r in got] == [
+            ("Q3", "Q4", "1990-01-01T00:00:00/11")]
+        assert _agrees(kb, f, 13)
+
+    def test_function_term_on_dates(self):
+        kb = kb_from("P569(Q1, 1900-01-01)\nP570(Q1, 1950-01-01)\n"
+                     "P569(Q2, 1800-01-01)\nP570(Q2, 1950-01-01)\n")
+        # lived longer than 1900-01-01 .. 2000-01-01, i.e. 36,524 days
+        f = ("P570(?s, ?d) & P569(?s, ?b)"
+             " & !leq(difference(?d, ?b), difference(2000-01-01, 1900-01-01))")
+        assert [r["s"] for r in rows(kb, f)] == ["Q2"]
+        assert _agrees(kb, f, 12)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ("2020-02-10/10", "2020-02-29", True),  # February 2020 has 29 days
+        ("2020-02-10/10", "2020-03-01", False),
+        ("2020-02-10T13:25:40/12", "2020-02-10T13:59:59/14", True),
+        ("2020-02-10T13:25:40/12", "2020-02-10T14:00:00/14", False),
+        ("2020-02-10T13:25:40/13", "2020-02-10T13:25:00/14", True),
+        ("2020-02-10T13:25:40/13", "2020-02-10T13:26:00/14", False),
+        ("2020-02-10T13:25:40/14", "2020-02-10T13:25:40/14", True),
+        ("2020-02-10T13:25:40/14", "2020-02-10T13:25:41/14", False),
+    ])
+    def test_overlaps_at_fine_precisions(self, a, b, expected):
+        kb = kb_from(f"P585(Q1, {a})")
+        f = f"P585(Q1, ?t) & overlaps(?t, {b})"
+        assert len(rows(kb, f)) == int(expected)
+        assert rows(kb, f"P585(Q1, ?t) & overlaps({b}, ?t)") == rows(kb, f)
+        assert _agrees(kb, f, 12)
+
     def test_datatype_relation_mismatch_is_false_with_diagnostic(self, family_kb):
         diags = []
         got = list(evaluate(family_kb, parse("P26(Q1, ?o) & integer(?o)"),
@@ -97,6 +151,13 @@ class TestConnectives:
     def test_exists_projects(self, family_kb):
         got = rows(family_kb, "P31(?x, Q5) & exists ?y . P26(?x, ?y)")
         assert got == [{"x": "Q1"}, {"x": "Q2"}, {"x": "Q3"}]
+
+    def test_implication_inside_conjunction(self):
+        kb = kb_from("P26(Q1, Q2)\nP26(Q2, Q1)\nP26(Q3, Q4)\nP31(Q1, Q5)")
+        # (Q2, Q1) has its inverse but Q2 is not a Q5; (Q3, Q4) has no inverse
+        f = "P26(?x, ?y) & (P26(?y, ?x) -> P31(?x, Q5))"
+        assert rows(kb, f) == [{"x": "Q1", "y": "Q2"}, {"x": "Q3", "y": "Q4"}]
+        assert _agrees(kb, f, 12)
 
     def test_forall(self, family_kb):
         got = rows(family_kb, "P31(?x, Q5) & (forall ?y . (P26(?x, ?y) -> P26(?y, ?x)))")

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from wdcheck.formula import (
     And,
-    AtomF,
     Const,
-    CountExists,
     DtRel,
     Eq,
     Exists,
@@ -58,12 +56,12 @@ from wdcheck.model import (
 class TestParsing:
     def test_relational_atom(self):
         f = parse("P26(?x, ?y)@?SQ")
-        assert f == AtomF(Rel(Const(PropRef(P(26))), (ObjVar("x"), ObjVar("y")), SetVar("SQ")))
+        assert f == Rel(Const(PropRef(P(26))), (ObjVar("x"), ObjVar("y")), SetVar("SQ"))
 
     def test_atom_without_attrs(self):
         f = parse("P26(Q1, Q2)")
-        assert f == AtomF(Rel(Const(PropRef(P(26))),
-                              (Const(ItemRef(Q(1))), Const(ItemRef(Q(2)))), None))
+        assert f == Rel(Const(PropRef(P(26))),
+                        (Const(ItemRef(Q(1))), Const(ItemRef(Q(2)))), None)
 
     def test_label_resolution(self):
         assert parse("spouse(?x, ?y)") == parse("P26(?x, ?y)")
@@ -71,13 +69,12 @@ class TestParsing:
 
     def test_set_atom(self):
         f = parse("(P585 : ?v) in ?SQ")
-        assert f == AtomF(SetMember(Const(PropRef(P(585))), ObjVar("v"), SetVar("SQ")))
+        assert f == SetMember(Const(PropRef(P(585))), ObjVar("v"), SetVar("SQ"))
 
     def test_set_literal(self):
         f = parse("?p(?s, ?o)@{P580: 1988-06-12}")
-        atom = f.atom
-        assert isinstance(atom.attrs, SetLiteral)
-        assert atom.attrs.pairs == (
+        assert isinstance(f.attrs, SetLiteral)
+        assert f.attrs.pairs == (
             (Const(PropRef(P(580))), Const(TimeVal(datetime(1988, 6, 12)))),)
 
     def test_precedence(self):
@@ -102,38 +99,37 @@ class TestParsing:
 
     def test_counting_quantifier(self):
         f = parse("exists[3] ?o . P26(?s, ?o)")
-        assert isinstance(f, CountExists)
-        assert f.min == 3
+        assert isinstance(f, Exists)
+        assert f.count == 3
 
     def test_counting_rejects_set_variable(self):
         with pytest.raises(ParseError):
             parse("exists[2] ?SQ . P26(?s, ?o)@?SQ")
 
     def test_not_equal_sugar(self):
-        assert parse("?x != ?y") == Not(AtomF(Eq(ObjVar("x"), ObjVar("y"))))
+        assert parse("?x != ?y") == Not(Eq(ObjVar("x"), ObjVar("y")))
 
     def test_datatype_relation_and_function(self):
         f = parse("geq(difference(?a, ?b), 10)")
-        atom = f.atom
-        assert atom == DtRel("geq", (FuncApp("difference", (ObjVar("a"), ObjVar("b"))),
-                                     Const(QuantityVal(Decimal(10)))))
+        assert f == DtRel("geq", (FuncApp("difference", (ObjVar("a"), ObjVar("b"))),
+                                  Const(QuantityVal(Decimal(10)))))
 
     def test_quantity_with_bounds_and_unit(self):
         f = parse("?x = 5[4,6] unit=Q11573")
-        assert f.atom.right == Const(QuantityVal(Decimal(5), Q(11573), Decimal(4), Decimal(6)))
+        assert f.right == Const(QuantityVal(Decimal(5), Q(11573), Decimal(4), Decimal(6)))
 
     def test_time_with_precision(self):
         f = parse("?x = 1950-06-15/9")
-        assert f.atom.right == Const(TimeVal(datetime(1950, 6, 15), 9))
+        assert f.right == Const(TimeVal(datetime(1950, 6, 15), 9))
 
     def test_string_escapes(self):
         f = parse(r'?x = "a \"b\" \\c"')
-        assert f.atom.right == Const(StringVal('a "b" \\c'))
+        assert f.right == Const(StringVal('a "b" \\c'))
 
     def test_variable_case_convention(self):
         f = parse("?p(?s, ?o)@?SQ")
-        assert isinstance(f.atom.args[0], ObjVar)
-        assert isinstance(f.atom.attrs, SetVar)
+        assert isinstance(f.args[0], ObjVar)
+        assert isinstance(f.attrs, SetVar)
 
     def test_set_variable_not_a_predicate(self):
         with pytest.raises(ParseError):
@@ -159,7 +155,7 @@ class TestParsing:
         outer = f.items[1]
         inner = outer.body
         assert outer.var not in ("x", inner.var)
-        assert inner.body.atom.args == (ObjVar(outer.var), ObjVar(inner.var))
+        assert inner.body.args == (ObjVar(outer.var), ObjVar(inner.var))
 
 
 class TestVariableAccounting:
@@ -185,14 +181,14 @@ class TestVariableAccounting:
         g = substitute(f, {"p": PropRef(P(26))},
                        {"CQ": AttrSet.of([(PropRef(P(1)), ItemRef(Q(1)))])})
         assert free_variables(g) == {"s", "o"}
-        assert g.atom.pred == Const(PropRef(P(26)))
-        assert isinstance(g.atom.attrs, SetLiteral)
+        assert g.pred == Const(PropRef(P(26)))
+        assert isinstance(g.attrs, SetLiteral)
 
     def test_substitute_respects_binders(self):
         f = parse("exists ?x . P26(?x, ?y)")
         g = substitute(f, {"x": ItemRef(Q(9)), "y": ItemRef(Q(8))})
-        assert g.body.atom.args[0] == ObjVar("x")
-        assert g.body.atom.args[1] == Const(ItemRef(Q(8)))
+        assert g.body.args[0] == ObjVar("x")
+        assert g.body.args[1] == Const(ItemRef(Q(8)))
 
 
 class TestNegation:
@@ -295,12 +291,12 @@ _set_terms = st.one_of(_set_vars, _set_literals)
 _preds = st.sampled_from([Const(PropRef(P(26))), Const(PropRef(P(31))), ObjVar("p")])
 
 _atoms = st.one_of(
-    st.builds(lambda p, a, b, s: AtomF(Rel(p, (a, b), s)),
+    st.builds(lambda p, a, b, s: Rel(p, (a, b), s),
               _preds, _obj_terms, _obj_terms, st.one_of(st.none(), _set_terms)),
-    st.builds(lambda a, v, s: AtomF(SetMember(a, v, s)),
+    st.builds(lambda a, v, s: SetMember(a, v, s),
               st.sampled_from([Const(PropRef(P(585))), ObjVar("q")]), _obj_terms, _set_terms),
-    st.builds(lambda a, b: AtomF(Eq(a, b)), _obj_terms, _obj_terms),
-    st.builds(lambda a, b: AtomF(DtRel("leq", (a, b))), _obj_terms, _obj_terms),
+    st.builds(lambda a, b: Eq(a, b), _obj_terms, _obj_terms),
+    st.builds(lambda a, b: DtRel("leq", (a, b)), _obj_terms, _obj_terms),
 )
 
 
@@ -316,7 +312,7 @@ def _formulas(depth: int):
         st.builds(Implies, sub, sub),
         st.builds(lambda v, b: Exists(v, b), st.sampled_from(["x", "y", "SQ"]), sub),
         st.builds(lambda v, b: Forall(v, b), st.sampled_from(["x", "y"]), sub),
-        st.builds(lambda n, v, b: CountExists(n, v, b),
+        st.builds(lambda n, v, b: Exists(v, b, n),
                   st.integers(min_value=1, max_value=3), st.sampled_from(["x", "y"]), sub),
     )
 

@@ -1,6 +1,8 @@
 """Native text format and Wikibase JSON ingestion."""
 
 import json
+import pathlib
+import re
 from datetime import datetime
 from decimal import Decimal
 
@@ -16,6 +18,7 @@ from wdcheck.ingest import (
     load_wikidata_json,
     merge,
 )
+from wdcheck.formula import Implies, negate_to_violation_query, parse
 from wdcheck.model import (
     AnonConst,
     ItemRef,
@@ -123,6 +126,17 @@ class TestNativeFormat:
         assert [stmt.value for stmt in kb.statements.values()] == [StringVal(r"97[89]-[\d-]+")]
 
 
+def test_readme_examples_run():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    facts, formula = re.findall(r"```text\n(.*?)```", readme, flags=re.DOTALL)
+    kb, stats = load_native(facts)
+    assert (stats.statements, stats.no_value_facts, stats.commons_pages) == (5, 1, 1)
+    assert not stats.skipped
+    f = parse(formula)
+    assert isinstance(f, Implies)
+    negate_to_violation_query(f)
+
+
 class TestMerge:
     def test_merge_refreshes_ids_and_anons(self):
         a, _ = load_native("P26(Q1, somevalue)")
@@ -224,6 +238,17 @@ class TestWikidataJson:
         assert stats.statements == 0
         assert {reason for reason, _ in stats.skipped} == {"mainsnak"}
         assert len(stats.skipped) == 2
+
+    def test_non_string_string_value_skipped(self):
+        doc = entity_doc("Q1", {
+            "P212": [claim("P212", value_snak("string", 5))],
+            "P31": [claim("P31", value_snak("wikibase-entityid", {"id": "Q5"}),
+                          qualifiers={"P1545": [value_snak("string", ["1"])]})],
+        })
+        kb, stats = load_wikidata_json([doc])
+        assert stats.statements == 0
+        assert [reason for reason, _ in stats.skipped] == ["mainsnak", "qualifier"]
+        assert "bad string value 5" in stats.skipped[0][1]
 
     def test_bce_date_skipped(self):
         doc = entity_doc("Q1", {"P569": [claim("P569", value_snak(
