@@ -501,9 +501,12 @@ def _binds(f: Formula, pre) -> frozenset:
     if isinstance(f, SetMember):
         return free_variables(f) if free_variables(f.set) <= pre else _NOTHING
     if isinstance(f, Eq):
-        if free_variables(f.left) <= pre or free_variables(f.right) <= pre:
+        # a bound side binds the other only when that side is a bare variable
+        left, right = free_variables(f.left) <= pre, free_variables(f.right) <= pre
+        if (left and right or left and isinstance(f.right, (ObjVar, SetVar))
+                or right and isinstance(f.left, (ObjVar, SetVar))):
             return free_variables(f)
-        return _NOTHING  # open on both sides
+        return _NOTHING
     if isinstance(f, And):
         # fixpoint; an item that bound all its variables is not asked again
         bound = set(pre)

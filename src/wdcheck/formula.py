@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime
 from decimal import Decimal
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .labels import DEFAULT_LABELS, LabelTable
 from .model import (
@@ -48,6 +49,7 @@ class FormulaError(Exception):
 class ParseError(FormulaError):
     def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -387,39 +389,47 @@ _TOKEN_RE = re.compile(
   | (?P<label>`[^`]+`)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>->|!=|[()\[\]{},:@.&|!=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-def tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+_new_token = tuple.__new__  # Token(...) without the generated __new__'s Python frame
+
+
+def scan(text: str) -> Iterator[Token]:
+    """The tokens of text in one pass of the master pattern, without the
+    whitespace and comments; a character no token starts with is a "bad"
+    token.  Lines and columns count from 1, from the line starts."""
+    starts = [0]
+    at = text.find("\n")
+    while at >= 0:
+        starts.append(at + 1)
+        at = text.find("\n", at + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        raw = m.group(0)
         if kind != "ws":
-            tokens.append(Token(kind, raw, line, col))
-        nl = raw.count("\n")
-        if nl:
-            line += nl
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            pos = m.start()
+            line = bisect_right(starts, pos)
+            yield _new_token(Token, (kind, m.group(), line, pos - starts[line - 1] + 1))
+
+
+def tokenize(text: str) -> list:
+    """scan(text) and an "eof" token; raises ParseError at the first bad character."""
+    tokens = list(scan(text))
+    for tok in tokens:
+        if tok.kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
+    line = text.count("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - text.rfind("\n")))
     return tokens
 
 
@@ -433,10 +443,13 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.labels = labels or DEFAULT_LABELS
+        self.entity_values: dict = {}  # entity id text -> its value, one object per id
 
     # -- machinery ----------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:
+            return self.tokens[self.pos]  # advance() stops at the final eof
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
@@ -450,6 +463,13 @@ class Parser:
         if tok.text != text:
             self.fail(f"expected {text!r}", tok)
         return self.advance()
+
+    def entity_value(self, text: str) -> Value:
+        """The value of an entity id token; one object per id and parser (hash-consing)."""
+        value = self.entity_values.get(text)
+        if value is None:
+            value = self.entity_values[text] = entity_value(EntityId.parse(text))
+        return value
 
     def fail(self, message: str, tok: Optional[Token] = None) -> None:
         tok = tok or self.peek()
@@ -611,8 +631,7 @@ class Parser:
                 self.fail("set variable cannot be a predicate", tok)
             pred = ObjVar(tok.text[1:])
         elif tok.kind == "entity":
-            ent = EntityId.parse(tok.text)
-            pred = Const(entity_value(ent))
+            pred = Const(self.entity_value(tok.text))
         elif tok.text in BUILTIN_PREDICATES:
             pred = tok.text
         else:
@@ -681,7 +700,7 @@ class Parser:
             return ObjVar(name)
         if tok.kind == "entity":
             self.advance()
-            return Const(entity_value(EntityId.parse(tok.text)))
+            return Const(self.entity_value(tok.text))
         if tok.kind == "string":
             self.advance()
             return Const(StringVal(_unquote(tok.text)))
@@ -725,7 +744,7 @@ class Parser:
             ut = self.peek()
             if ut.kind != "entity":
                 self.fail("expected a unit entity id")
-            unit = EntityId.parse(self.advance().text)
+            unit = self.entity_value(self.advance().text).entity
         return Const(QuantityVal(amount, unit, lower, upper))
 
 
@@ -739,6 +758,7 @@ def _unquote(raw: str) -> str:
 
 
 def _parse_time(tok: Token) -> TimeVal:
+    """A time token, ``YYYY-MM-DD[THH:MM:SS][/precision]``, as a TimeVal."""
     text = tok.text
     precision = 11
     if "/" in text:
@@ -746,10 +766,11 @@ def _parse_time(tok: Token) -> TimeVal:
         precision = int(prec)
         if precision > 14:
             raise ParseError(f"time precision out of range: {precision}", tok.line, tok.col)
-    if "T" in text:
-        ts = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
-    else:
-        ts = datetime.strptime(text, "%Y-%m-%d")
+    clock = (int(text[11:13]), int(text[14:16]), int(text[17:19])) if len(text) > 10 else ()
+    try:
+        ts = datetime(int(text[:4]), int(text[5:7]), int(text[8:10]), *clock)
+    except ValueError as exc:
+        raise ParseError(f"invalid date {tok.text!r}: {exc}", tok.line, tok.col) from exc
     return TimeVal(ts, precision)
 
 

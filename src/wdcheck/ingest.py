@@ -7,7 +7,11 @@ The native format has one fact per line:
     commons_ns("Douglas Adams", "Category")
 
 Values use the same syntax as constants in formulae.  ``somevalue`` stands
-for an unknown value and loads as a fresh anonymous constant.
+for an unknown value and loads as a fresh anonymous constant.  A time is
+``YYYY-MM-DD[THH:MM:SS][/precision]`` with a four-digit year, zero-padded
+below 1000 as ``export_native`` writes it; a date not in the calendar
+(``2020-02-30``) is an ``IngestError`` that names its line and column, like
+any other malformed line.
 
 Wikibase JSON ingestion accepts either a dump-style object with an
 ``entities`` map or a plain list of entity documents.  Statements whose
@@ -22,9 +26,11 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Union
 
-from .formula import Const, ParseError, Parser
+from .formula import Const, ParseError, Parser, Token, scan, tokenize
 from .labels import DEFAULT_LABELS, LabelTable
 from .model import (
     AnonConst,
@@ -70,14 +76,24 @@ class IngestStats:
 
 
 class _LineParser(Parser):
-    """Reuses the formula tokenizer/term grammar for ground fact lines."""
+    """Reuses the formula term grammar for ground fact lines; one per load,
+    so its entity table interns the ids and entity values of one load."""
 
-    def __init__(self, line: str, labels: LabelTable, kb: KnowledgeBase) -> None:
-        super().__init__(line, labels)
+    def __init__(self, labels: LabelTable, kb: KnowledgeBase) -> None:
+        super().__init__("", labels)
         self.kb = kb
 
+    def fact(self, tokens: list) -> Union[Statement, NoValueFact, tuple]:
+        """The fact of one line, given the line's tokens and its eof token."""
+        self.tokens, self.pos = tokens, 0
+        return self.fact_line()
+
     def value(self) -> Value:
-        if self.peek().kind == "ident" and self.peek().text == "somevalue":
+        tok = self.peek()
+        if tok.kind == "entity":  # the common case, without term()'s Const node
+            self.advance()
+            return self.entity_value(tok.text)
+        if tok.kind == "ident" and tok.text == "somevalue":
             self.advance()
             return self.kb.fresh_anon()
         t = self.term()
@@ -88,7 +104,7 @@ class _LineParser(Parser):
     def entity(self) -> EntityId:
         tok = self.peek()
         if tok.kind == "entity":
-            return EntityId.parse(self.advance().text)
+            return self.entity_value(self.advance().text).entity
         if tok.kind in ("ident", "label"):
             name = tok.text[1:-1] if tok.kind == "label" else tok.text
             ent = self.labels.resolve_entity(name)
@@ -183,17 +199,33 @@ def load_native(
     labels: Optional[LabelTable] = None,
     kb: Optional[KnowledgeBase] = None,
 ) -> tuple:
-    """Parse native fact lines into a KB; returns (kb, stats)."""
+    """Parse native fact lines into a KB; returns (kb, stats).
+
+    The stripped lines, joined by newlines, are tokenized in one pass: a
+    token's line is then its line number and its column counts from the
+    start of its stripped line, which is what an error message gives.
+    """
     labels = labels or DEFAULT_LABELS
     kb = kb or KnowledgeBase()
     stats = IngestStats()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = [raw.strip() for raw in text.splitlines()]
+    parser = _LineParser(labels, kb)
+    for lineno, line_tokens in groupby(scan("\n".join(lines)), itemgetter(2)):
+        line = lines[lineno - 1]
+        line_tokens = list(line_tokens)
+        last = line_tokens[-1]
         try:
-            fact = _LineParser(line, labels, kb).fact_line()
-        except (ParseError, ModelError) as exc:
+            if (last.col + len(last.text) > len(line) + 1
+                    or "bad" in map(itemgetter(0), line_tokens)):
+                # a bad character, or a string or label not closed on its line
+                # (so running on): tokenizing the line alone reports it
+                line_tokens = tokenize(line)
+            else:
+                line_tokens.append(Token("eof", "", lineno, len(line) + 1))
+            fact = parser.fact(line_tokens)
+        except ParseError as exc:  # exc.col counts within the line, which is line 1 of itself
+            raise IngestError(f"line {lineno}: 1:{exc.col}: {exc.message}") from exc
+        except ModelError as exc:
             raise IngestError(f"line {lineno}: {exc}") from exc
         if isinstance(fact, Statement):
             kb.add_statement(fact)

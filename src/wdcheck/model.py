@@ -136,7 +136,9 @@ class TimeVal:
             raise ModelError(f"time precision out of range: {self.precision}")
 
     def __str__(self) -> str:
-        return self.timestamp.strftime("%Y-%m-%dT%H:%M:%S") + f"/{self.precision}"
+        ts = self.timestamp  # the year zero-padded, as the parser reads it
+        return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+                f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}/{self.precision}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,14 @@ class AttrSet:
         return [v for a, v in self.pairs if a == attr]
 
     def without_pseudo(self) -> "AttrSet":
-        return AttrSet(frozenset((a, v) for a, v in self.pairs if not isinstance(a, Pseudo)))
+        """The pairs whose attribute is not a pseudo-attribute (self when there are none)."""
+        plain = getattr(self, "_plain", None)
+        if plain is None:
+            if not any(isinstance(a, Pseudo) for a, _v in self.pairs):
+                return self
+            plain = AttrSet(frozenset((a, v) for a, v in self.pairs if not isinstance(a, Pseudo)))
+            object.__setattr__(self, "_plain", plain)
+        return plain
 
     def sorted_pairs(self) -> list:
         cached = getattr(self, "_sorted", None)
@@ -249,8 +258,15 @@ class Statement:
     references: tuple = ()
 
     def content_key(self) -> tuple:
-        """Identity of the fact irrespective of statement id, rank and references."""
-        return (self.subject, self.property, self.value, self.qualifiers.without_pseudo())
+        """Identity of the fact irrespective of statement id, rank and references.
+
+        make_statement stores it with the statement; other statements compute it once.
+        """
+        key = getattr(self, "_key", None)
+        if key is None:
+            key = (self.subject, self.property, self.value, self.qualifiers.without_pseudo())
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 def make_statement(
@@ -262,18 +278,41 @@ def make_statement(
     rank: str = "normal",
     references: Iterable[str] = (),
 ) -> Statement:
-    """Build a statement, mirroring rank and references into the qualifier set."""
+    """Build a statement, mirroring rank and references into the qualifier set.
+
+    The statement keeps its content key, and its qualifier set the pseudo-free
+    set, so neither is built again.  A statement without qualifiers and
+    references shares its rank's qualifier set.
+    """
     if rank not in RANKS:
         raise ModelError(f"bad rank: {rank!r}")
     refs = tuple(references)
-    pairs = set(qualifiers)
-    for a, _v in pairs:
+    plain = frozenset(qualifiers)
+    for a, _v in plain:
         if isinstance(a, Pseudo):
             raise ModelError(f"pseudo-attribute {a} may not be supplied directly")
-    pairs.add((RANK_ATTR, StringVal(rank)))
-    for tok in refs:
-        pairs.add((REFERENCE_ATTR, StringVal(tok)))
-    return Statement(id, subject, property, value, AttrSet.of(pairs), rank, refs)
+    if plain or refs:
+        pairs = plain | _RANK_ONLY[rank].pairs  # a union hashes no pair again
+        if refs:
+            pairs |= {(REFERENCE_ATTR, StringVal(tok)) for tok in refs}
+        quals = AttrSet(pairs)
+        plain = AttrSet(plain) if plain else EMPTY_ATTRS
+        object.__setattr__(quals, "_plain", plain)
+    else:
+        quals, plain = _RANK_ONLY[rank], EMPTY_ATTRS
+    st = Statement(id, subject, property, value, quals, rank, refs)
+    object.__setattr__(st, "_key", (subject, property, value, plain))
+    return st
+
+
+def _rank_only(rank: str) -> AttrSet:
+    quals = AttrSet(frozenset({(RANK_ATTR, StringVal(rank))}))
+    object.__setattr__(quals, "_plain", EMPTY_ATTRS)
+    return quals
+
+
+# the qualifier set of a statement without qualifiers and references, per rank
+_RANK_ONLY = {rank: _rank_only(rank) for rank in RANKS}
 
 
 @dataclass(frozen=True)
@@ -332,6 +371,7 @@ class KnowledgeBase:
         self._qualifier_index = None
 
     def has_fact(self, subject: EntityId, property: EntityId, value: Value, qualifiers: AttrSet) -> bool:
+        # without_pseudo() of a pseudo-free set, or of a statement's set, builds nothing
         return (subject, property, value, qualifiers.without_pseudo()) in self._content_keys
 
     def add_no_value(self, fact: NoValueFact) -> None:

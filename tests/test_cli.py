@@ -187,6 +187,35 @@ class TestQuery:
         assert code == 2
         assert "error:" in err
 
+    def test_invalid_date_in_formula(self, capsys, family_file):
+        code, out, err = run(capsys, "query", "--input", family_file, "P569(Q1, 2020-02-30)")
+        assert (code, out) == (2, "")
+        assert err == "error: 1:10: invalid date '2020-02-30': day is out of range for month\n"
+
+    def test_equality_binds_only_a_bare_variable(self, capsys, tmp_path):
+        # the literal's ?d is bound by nothing, so the gate rejects the query
+        path = tmp_path / "kb.native"
+        path.write_text("P26(Q1, Q2) @ {P580: 1990-01-01}\n")
+        code, out, err = run(capsys, "query", "--input", str(path), "--no-close",
+                             "P26(?x,?y)@?S & ?S = {P580: ?d}")
+        assert (code, out) == (2, "")
+        assert err == ("error: equality variable(s) not range-restricted: d; "
+                       "free variable(s) not range-restricted: d\n")
+
+    @pytest.mark.parametrize("literal,rows", [
+        # set equality counts the mirrored rank pair, as the oracle does
+        ("{P580: ?d}", "no bindings\n"),
+        ("{P580: ?d, rank: normal}",
+         '?S={P580: 1990-01-01T00:00:00/11, rank: "normal"}, '
+         "?d=1990-01-01T00:00:00/11, ?x=Q1, ?y=Q2\n"),
+    ])
+    def test_equality_after_the_set_atom_that_binds_it(self, capsys, tmp_path, literal, rows):
+        path = tmp_path / "kb.native"
+        path.write_text("P26(Q1, Q2) @ {P580: 1990-01-01}\n")
+        code, out, err = run(capsys, "query", "--input", str(path), "--no-close",
+                             f"P26(?x,?y)@?S & (P580 : ?d) in ?S & ?S = {literal}")
+        assert (code, out, err) == (0, rows, "")
+
 
 class TestInfer:
     def test_derived_only_with_explain(self, capsys, tmp_path):
@@ -308,6 +337,14 @@ class TestErrors:
     def test_no_input(self, capsys):
         code, _, err = run(capsys, "check")
         assert code == 2
+
+    def test_invalid_native_date(self, capsys, tmp_path):
+        path = tmp_path / "kb.native"
+        path.write_text("P31(Q1, Q5)\nP569(Q1, 2020-02-30)\n")
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: line 2: 1:10: invalid date '2020-02-30': "
+                       "day is out of range for month\n")
 
     def test_crash_exits_2_not_1(self, capsys, family_file, monkeypatch):
         def crash(*args, **kwargs):

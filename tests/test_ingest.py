@@ -3,11 +3,12 @@
 import json
 import pathlib
 import re
+from collections import Counter
 from datetime import datetime
 from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kb_from
@@ -20,9 +21,13 @@ from wdcheck.ingest import (
 )
 from wdcheck.formula import Implies, negate_to_violation_query, parse
 from wdcheck.model import (
+    RANK_ATTR,
+    RANKS,
     AnonConst,
+    AttrSet,
     ItemRef,
     KnowledgeBase,
+    NoValueFact,
     P,
     PropRef,
     Q,
@@ -31,6 +36,8 @@ from wdcheck.model import (
     TimeVal,
     make_statement,
 )
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class TestNativeFormat:
@@ -124,6 +131,126 @@ class TestNativeFormat:
     def test_unknown_escape_kept_as_written(self):
         kb, _ = load_native(r'P1793(Q1, "97[89]-[\d-]+")')
         assert [stmt.value for stmt in kb.statements.values()] == [StringVal(r"97[89]-[\d-]+")]
+
+    @pytest.mark.parametrize("fact,message", [
+        ("P569(Q1, 2020-02-30)",
+         "line 2: 1:10: invalid date '2020-02-30': day is out of range for month"),
+        ("P569(Q1, 0000-01-01)",
+         "line 2: 1:10: invalid date '0000-01-01': year 0 is out of range"),
+        ("P26(Q1, Q2) @ {P580: 1990-01-01T24:00:00/14}",
+         "line 2: 1:22: invalid date '1990-01-01T24:00:00/14': hour must be in 0..23"),
+    ])
+    def test_invalid_date_is_a_line_diagnostic(self, fact, message):
+        with pytest.raises(IngestError) as exc:
+            load_native(f"P31(Q1, Q5)\n  {fact}\n")
+        assert str(exc.value) == message
+
+    def test_early_year_survives_export(self):
+        doc = entity_doc("Q1", {"P569": [claim("P569", value_snak(
+            "time", {"time": "+0999-03-01T00:00:00Z", "precision": 11}))]})
+        kb, _ = load_wikidata_json([doc])
+        text = export_native(kb)
+        assert text == "P569(Q1, 0999-03-01T00:00:00/11)\n"
+        kb2, _ = load_native(text)
+        assert [stmt.value for stmt in kb2.statements.values()] == [
+            TimeVal(datetime(999, 3, 1))]
+
+
+def _bad_lines() -> list:
+    text = (FIXTURES / "bad_native_lines.txt").read_text(encoding="utf-8")
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+
+
+def _in_context(i: int, sep: str) -> str:
+    """Corpus line i as line i + 4 of a file, after good lines, a blank and a
+    comment, and before a good line with a string and the next corpus line."""
+    lines = _bad_lines()
+    before = [f"P31(Q{j + 1}, Q5)" for j in range(i)] + ["", "# a comment", 'P214(Q1, "x")']
+    after = ['P214(Q2, "tail")', lines[(i + 1) % len(lines)]]
+    return sep.join(before + [lines[i]] + after) + sep
+
+
+class TestBadLineCorpus:
+    """Each error path of load_native, pinned byte for byte."""
+
+    EXPECTED = (FIXTURES / "bad_native_lines.expected").read_text(encoding="utf-8").splitlines()
+
+    def test_one_message_per_line(self):
+        assert len(self.EXPECTED) == len(_bad_lines())
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\u2028"])
+    @pytest.mark.parametrize("i", range(len(_bad_lines())))
+    def test_message(self, i, sep):
+        with pytest.raises(IngestError) as exc:
+            load_native(_in_context(i, sep))
+        assert str(exc.value) == self.EXPECTED[i]
+
+    def test_first_bad_line_wins(self):
+        text = (FIXTURES / "bad_native_lines.txt").read_text(encoding="utf-8")
+        first = next(n for n, ln in enumerate(text.splitlines(), start=1)
+                     if ln.strip() and not ln.startswith("#"))
+        with pytest.raises(IngestError) as exc:
+            load_native(text)
+        assert str(exc.value) == re.sub(r"^line \d+", f"line {first}", self.EXPECTED[0])
+
+
+# Every value the native format represents, for the export/load round trip.
+# None stands for somevalue, a fresh anonymous constant.
+_items = st.integers(1, 10**9).map(Q)
+_props = st.integers(1, 10**5).map(P)
+_decimals = st.builds(lambda n, places: Decimal(n).scaleb(-places),
+                      st.integers(-10**15, 10**15), st.integers(0, 6))
+_units = st.none() | _items
+_quantities = (st.builds(QuantityVal, _decimals, _units)
+               | st.builds(lambda bounds, unit: QuantityVal(bounds[1], unit, bounds[0], bounds[2]),
+                           st.lists(_decimals, min_size=3, max_size=3).map(sorted), _units))
+_times = st.builds(TimeVal,
+                   st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59))
+                   .map(lambda d: d.replace(microsecond=0)),
+                   st.integers(0, 14))
+_values = st.one_of(_items.map(ItemRef), _props.map(PropRef), st.text().map(StringVal),
+                    _quantities, _times, st.none())
+_qualifiers = st.lists(st.tuples(_props.map(PropRef), _values), max_size=3)
+
+
+@st.composite
+def _native_kbs(draw):
+    kb = KnowledgeBase()
+
+    def fresh(v):
+        return kb.fresh_anon() if v is None else v
+
+    for subj, prop, value, quals, rank, refs in draw(st.lists(st.tuples(
+            _items | _props, _props, _values, _qualifiers, st.sampled_from(RANKS),
+            st.integers(0, 3)), max_size=5)):
+        kb.add_statement(make_statement(
+            kb.fresh_statement_id(), subj, prop, fresh(value),
+            [(a, fresh(v)) for a, v in quals], rank, [f"r{i}" for i in range(refs)]))
+    for prop, subj, quals, rank in draw(st.lists(st.tuples(
+            _props, _items, _qualifiers, st.sampled_from(RANKS)), max_size=2)):
+        pairs = [(a, fresh(v)) for a, v in quals] + [(RANK_ATTR, StringVal(rank))]
+        kb.add_no_value(NoValueFact(prop, subj, AttrSet.of(pairs)))
+    for page, ns in draw(st.lists(st.tuples(st.text(), st.text()), max_size=2)):
+        kb.add_commons_page(page, ns)
+    return kb
+
+
+def _content_keys(kb: KnowledgeBase) -> Counter:
+    """The statements' content keys, every anonymous constant made the same."""
+    def plain(v):
+        return None if isinstance(v, AnonConst) else v
+
+    return Counter((s, p, plain(v), frozenset((a, plain(x)) for a, x in quals))
+                   for s, p, v, quals in (st.content_key() for st in kb.statements.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_native_kbs())
+def test_export_load_round_trip(kb):
+    text = export_native(kb)
+    kb2, _ = load_native(text)
+    assert _content_keys(kb2) == _content_keys(kb)
+    assert export_native(kb2) == text
 
 
 def test_readme_examples_run():
