@@ -4,6 +4,8 @@
 it.  It answers only safe-range formulas (``check_safe_range``), and answers
 them by index lookups, never by enumerating the domain.  ``_binds`` is the
 one binding analysis: the gate, the plans and the rule engine read it.
+``_candidates`` is the one place that picks the statements an atom reads,
+the semi-naive delta of a closure round included.
 
 A formula node is compiled into a plan once for each set of variables that
 are bound when it runs, and the plan is cached on the node (``_plan``).  The
@@ -99,13 +101,18 @@ class EvalConfig:
 
 
 class _Ctx:
-    """One evaluation: the KB, the config and the diagnostics."""
+    """One evaluation: the KB, the config, the diagnostics and the delta.
+
+    ``delta`` is None, or ``(atom, {property: statements})`` in a semi-naive
+    closure round: that atom reads only the given statements.
+    """
 
     def __init__(self, kb: KnowledgeBase, cfg: EvalConfig,
-                 diagnostics: Optional[list] = None) -> None:
+                 diagnostics: Optional[list] = None, delta: Optional[tuple] = None) -> None:
         self.kb = kb
         self.cfg = cfg
         self.diagnostics = diagnostics if diagnostics is not None else []
+        self.delta = delta
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +217,23 @@ def _unify_attrs(attrs, qualifiers: AttrSet, env: dict) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _candidates(ctx: _Ctx, pred_val: Optional[PropRef], rel: Rel, env: dict):
-    """Statements the best index offers for rel; pred_val is its resolved predicate."""
+def _candidates(ctx: _Ctx, pred_val: Optional[PropRef], rel: Rel, env: dict, key=None):
+    """The statements rel reads; pred_val is its resolved predicate.
+
+    This is the one place that picks them.  The delta atom reads its delta
+    statements (all of them when its predicate is open).  Any other atom with
+    an open predicate reads the statements with a ``key`` qualifier (see
+    ``_qualifier_key``) when it has a key, or else every statement; an atom
+    with a bound predicate reads the subject, value or property index.
+    """
+    if ctx.delta is not None and ctx.delta[0] is rel:
+        delta = ctx.delta[1]
+        if pred_val is None:
+            return [st for sts in delta.values() for st in sts]
+        return delta.get(pred_val.entity, ())
     if pred_val is None:
+        if key is not None:
+            return ctx.kb.by_qualifier_attr.get(_resolve_term(key, env), ())
         return ctx.kb.statements.values()
     prop = pred_val.entity
     subj = _try_resolve(rel.args[0], env)
@@ -224,11 +245,11 @@ def _candidates(ctx: _Ctx, pred_val: Optional[PropRef], rel: Rel, env: dict):
     return ctx.kb.by_property.get(prop, [])
 
 
-def match_rel(ctx: _Ctx, rel: Rel, env: dict, statements=None) -> Iterator[dict]:
-    """Extend env over statements (or builtin fact tables) matching the atom.
+def match_rel(ctx: _Ctx, rel: Rel, env: dict, key=None) -> Iterator[dict]:
+    """Extend env over the statements (or builtin fact table rows) matching the atom.
 
-    ``statements`` restricts matching to the given statements (used by the
-    rule engine's delta-driven evaluation).
+    ``key`` is the qualifier key of an atom with an open predicate (see
+    ``_candidates``).
     """
     if isinstance(rel.pred, str):  # a builtin fact table
         if rel.pred == "no_value":
@@ -247,9 +268,7 @@ def match_rel(ctx: _Ctx, rel: Rel, env: dict, statements=None) -> Iterator[dict]
     pred_val = _resolve_term(rel.pred, env)
     if pred_val is not None and not isinstance(pred_val, PropRef):
         return
-    if statements is None:
-        statements = _candidates(ctx, pred_val, rel, env)
-    for st in statements:
+    for st in _candidates(ctx, pred_val, rel, env, key):
         if st.rank == "deprecated" and not ctx.cfg.include_deprecated:
             continue
         env1 = _unify_term(rel.pred, PropRef(st.property), env)
@@ -374,10 +393,7 @@ def _any(solutions) -> bool:
 def _atom_plan(atom, bound: frozenset, siblings: tuple):
     if isinstance(atom, Rel):
         key = _qualifier_key(atom, bound, siblings)
-        if key is None:
-            return lambda ctx, env: match_rel(ctx, atom, env)
-        return lambda ctx, env: match_rel(
-            ctx, atom, env, ctx.kb.by_qualifier_attr.get(_resolve_term(key, env), ()))
+        return lambda ctx, env: match_rel(ctx, atom, env, key)
     if isinstance(atom, SetMember):
         return lambda ctx, env: _match_member(atom, env)
     if isinstance(atom, Eq):

@@ -49,7 +49,6 @@ class FormulaError(Exception):
 class ParseError(FormulaError):
     def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(f"{line}:{col}: {message}")
-        self.message = message
         self.line = line
         self.col = col
 
@@ -405,31 +404,26 @@ class Token(NamedTuple):
 _new_token = tuple.__new__  # Token(...) without the generated __new__'s Python frame
 
 
-def scan(text: str) -> Iterator[Token]:
-    """The tokens of text in one pass of the master pattern, without the
-    whitespace and comments; a character no token starts with is a "bad"
-    token.  Lines and columns count from 1, from the line starts."""
+def tokenize(text: str) -> list:
+    """The tokens of text, without the whitespace and comments, and an "eof"
+    token; lines and columns count from 1.  Raises ParseError at the first
+    character no token starts with."""
     starts = [0]
     at = text.find("\n")
     while at >= 0:
         starts.append(at + 1)
         at = text.find("\n", at + 1)
+    tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind != "ws":
             pos = m.start()
             line = bisect_right(starts, pos)
-            yield _new_token(Token, (kind, m.group(), line, pos - starts[line - 1] + 1))
-
-
-def tokenize(text: str) -> list:
-    """scan(text) and an "eof" token; raises ParseError at the first bad character."""
-    tokens = list(scan(text))
-    for tok in tokens:
-        if tok.kind == "bad":
-            raise ParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
-    line = text.count("\n") + 1
-    tokens.append(Token("eof", "", line, len(text) - text.rfind("\n")))
+            col = pos - starts[line - 1] + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", line, col)
+            tokens.append(_new_token(Token, (kind, m.group(), line, col)))
+    tokens.append(Token("eof", "", len(starts), len(text) - starts[-1] + 1))
     return tokens
 
 

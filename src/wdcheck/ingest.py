@@ -26,11 +26,9 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
-from itertools import groupby
-from operator import itemgetter
 from typing import Optional, Union
 
-from .formula import Const, ParseError, Parser, Token, scan, tokenize
+from .formula import Const, ParseError, Parser, tokenize
 from .labels import DEFAULT_LABELS, LabelTable
 from .model import (
     AnonConst,
@@ -90,9 +88,6 @@ class _LineParser(Parser):
 
     def value(self) -> Value:
         tok = self.peek()
-        if tok.kind == "entity":  # the common case, without term()'s Const node
-            self.advance()
-            return self.entity_value(tok.text)
         if tok.kind == "ident" and tok.text == "somevalue":
             self.advance()
             return self.kb.fresh_anon()
@@ -201,31 +196,21 @@ def load_native(
 ) -> tuple:
     """Parse native fact lines into a KB; returns (kb, stats).
 
-    The stripped lines, joined by newlines, are tokenized in one pass: a
-    token's line is then its line number and its column counts from the
-    start of its stripped line, which is what an error message gives.
+    Each stripped line is tokenized alone, so an error's column counts from
+    the start of its stripped line; a line with no tokens (blank, or a
+    comment) is skipped.
     """
     labels = labels or DEFAULT_LABELS
     kb = kb or KnowledgeBase()
     stats = IngestStats()
-    lines = [raw.strip() for raw in text.splitlines()]
     parser = _LineParser(labels, kb)
-    for lineno, line_tokens in groupby(scan("\n".join(lines)), itemgetter(2)):
-        line = lines[lineno - 1]
-        line_tokens = list(line_tokens)
-        last = line_tokens[-1]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            if (last.col + len(last.text) > len(line) + 1
-                    or "bad" in map(itemgetter(0), line_tokens)):
-                # a bad character, or a string or label not closed on its line
-                # (so running on): tokenizing the line alone reports it
-                line_tokens = tokenize(line)
-            else:
-                line_tokens.append(Token("eof", "", lineno, len(line) + 1))
-            fact = parser.fact(line_tokens)
-        except ParseError as exc:  # exc.col counts within the line, which is line 1 of itself
-            raise IngestError(f"line {lineno}: 1:{exc.col}: {exc.message}") from exc
-        except ModelError as exc:
+            tokens = tokenize(raw.strip())
+            if len(tokens) == 1:  # only the eof token
+                continue
+            fact = parser.fact(tokens)
+        except (ParseError, ModelError) as exc:
             raise IngestError(f"line {lineno}: {exc}") from exc
         if isinstance(fact, Statement):
             kb.add_statement(fact)

@@ -105,6 +105,8 @@ class QuantityVal:
     upper: Optional[Decimal] = None
 
     def __post_init__(self) -> None:
+        if (self.lower is None) != (self.upper is None):
+            raise ModelError(f"quantity {format(self.amount, 'f')} has only one bound")
         if self.lower is not None and self.lower > self.amount:
             raise ModelError(f"quantity lower bound {self.lower} above amount {self.amount}")
         if self.upper is not None and self.upper < self.amount:
@@ -112,7 +114,7 @@ class QuantityVal:
 
     def __str__(self) -> str:
         s = format(self.amount, "f")
-        if self.lower is not None or self.upper is not None:
+        if self.lower is not None:
             s += f"[{format(self.lower, 'f')},{format(self.upper, 'f')}]"
         if self.unit is not None:
             s += f" unit={self.unit}"
@@ -340,6 +342,7 @@ class KnowledgeBase:
         self.by_prop_subject: dict[tuple[EntityId, EntityId], list[Statement]] = {}
         self.by_prop_value: dict[tuple[EntityId, Value], list[Statement]] = {}
         self.no_value_facts: list[NoValueFact] = []
+        self._no_value_set: set = set()  # no_value_facts, for the duplicate test
         self.commons_ns: dict[str, str] = {}
         self.labels: dict[EntityId, str] = {}
         self._content_keys: set = set()
@@ -375,7 +378,8 @@ class KnowledgeBase:
         return (subject, property, value, qualifiers.without_pseudo()) in self._content_keys
 
     def add_no_value(self, fact: NoValueFact) -> None:
-        if fact not in self.no_value_facts:
+        if fact not in self._no_value_set:
+            self._no_value_set.add(fact)
             self.no_value_facts.append(fact)
             self._domain_cache = None
 
@@ -441,6 +445,7 @@ class KnowledgeBase:
         for st in self.statements.values():
             kb.add_statement(st)
         kb.no_value_facts = list(self.no_value_facts)
+        kb._no_value_set = set(self._no_value_set)
         kb.commons_ns = dict(self.commons_ns)
         kb.labels = dict(self.labels)
         kb._anon_counter = self._anon_counter
@@ -554,10 +559,21 @@ def _check_units(name: str, a: QuantityVal, b: QuantityVal) -> None:
         raise DatatypeError(f"{name}: incomparable values {a} and {b} (unit mismatch)")
 
 
+#: Days per unit of a quantity compared with a time difference: a unitless
+#: bound, as in a difference-within-range declaration on dates, is in years.
+_DAYS_PER_UNIT = {None: Decimal("365.25"), Q(577): Decimal("365.25"), Q(573): Decimal(1)}
+
+
 def _compare(name: str, a: Value, b: Value) -> int:
     if isinstance(a, QuantityVal) and isinstance(b, QuantityVal):
-        _check_units(name, a, b)
-        return (a.amount > b.amount) - (a.amount < b.amount)
+        x, y = a.amount, b.amount
+        if a.unit == DAYS_UNIT and b.unit in _DAYS_PER_UNIT:
+            y *= _DAYS_PER_UNIT[b.unit]
+        elif b.unit == DAYS_UNIT and a.unit in _DAYS_PER_UNIT:
+            x *= _DAYS_PER_UNIT[a.unit]
+        else:
+            _check_units(name, a, b)
+        return (x > y) - (x < y)
     if isinstance(a, TimeVal) and isinstance(b, TimeVal):
         return (a.timestamp > b.timestamp) - (a.timestamp < b.timestamp)
     raise DatatypeError(f"{name} expects two quantities or two times, got {a}, {b}")

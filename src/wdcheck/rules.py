@@ -15,21 +15,22 @@ transitivity, instance propagation and the transitive-property axiom have
 this shape, and so may a ``--rules`` rule.  Such a rule runs again only
 when another pass added A or B facts, or when a deprecated statement
 stopped its search in a pass that derived facts.  Every other rule is joined
-semi-naively (Bancilhon and Ramakrishnan 1986): after the first round one
-body atom must match a statement derived in the previous round, and an atom
-whose predicate is a variable is matched after its guard, so it reads only
-the new statements of the properties the guard binds.  Derived facts are
-deduplicated against (subject, property, value, qualifiers), so closure
-terminates on any finite base.  The derived facts do not depend on the
-evaluation order; their order, their ``d`` ids and the ?y that a chain
-derivation names do.
+semi-naively (Bancilhon and Ramakrishnan 1986) by the evaluator's planner:
+the first round solves the whole body, and each later round solves it once
+per distinct statement atom, with that atom reading only the statements the
+previous round derived (``_Ctx.delta``).  The planner costs that atom by its
+delta, so a cheap guard such as ``P31(?p, symmetric_property)`` still runs
+first.  Derived facts are deduplicated against (subject, property, value,
+qualifiers), so closure terminates on any finite base.  The derived facts
+do not depend on the evaluation order; their order, their ``d`` ids and the
+?y that a chain derivation names do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 from .evaluator import (
     EvalConfig,
@@ -37,7 +38,6 @@ from .evaluator import (
     _Ctx,
     _resolve_term,
     check_safe_range,
-    match_rel,
     solve,
 )
 from .formula import (
@@ -90,32 +90,18 @@ class Rule:
     head: Rel
 
     def __str__(self) -> str:
-        return print_formula(Implies(And(self.body), self.head))
+        return print_formula(Implies(self.conjunction, self.head))
 
     @cached_property
-    def joins(self) -> tuple:
-        """(atom, rest, guard, after) per distinct statement atom of the body, in body order.
+    def conjunction(self) -> And:
+        """The body as one formula, so its plans are compiled once per closure."""
+        return And(self.body)
 
-        rest is every other conjunct; guard, those that bind the atom's
-        predicate variables alone; after, the rest without the guard.
-        """
-        out, seen = [], set()
-        for i, atom in enumerate(self.body):
-            if not isinstance(atom, Rel) or isinstance(atom.pred, str) \
-                    or (atom.pred, atom.args, atom.attrs) in seen:
-                continue
-            seen.add((atom.pred, atom.args, atom.attrs))
-            rest = self.body[:i] + self.body[i + 1:]
-            pred_vars = free_variables(atom.pred)
-            own = free_variables(atom) - pred_vars
-            guard = tuple(g for g in rest if pred_vars & free_variables(g)
-                          and not own & free_variables(g)
-                          and free_variables(g) <= _binds(g, frozenset()))
-            if not pred_vars <= _binds(And(guard), frozenset()):
-                guard = ()
-            out.append((atom, And(rest), And(guard),
-                        And(tuple(g for g in rest if g not in guard))))
-        return tuple(out)
+    @cached_property
+    def atoms(self) -> tuple:
+        """The distinct statement atoms of the body, in body order."""
+        return tuple(dict.fromkeys(g for g in self.body
+                                   if isinstance(g, Rel) and not isinstance(g.pred, str)))
 
 
 def rule_from_formula(name: str, f: Formula) -> Rule:
@@ -214,31 +200,6 @@ class ClosureResult:
             return f"{statement_id}: {head} asserted in the base knowledge base"
         env = ", ".join(f"?{k}={v}" for k, v in sorted(d.binding.items()))
         return f"{statement_id}: {head} derived by rule {d.rule} with {env}"
-
-
-def _fire(ctx: _Ctx, rule: Rule, delta: Optional[dict]) -> Iterator[dict]:
-    """Bindings of the rule body, with one statement atom matched in delta.
-
-    ``delta`` maps each property to the statements the last round derived
-    for it; None joins over the whole KB.  A delta atom whose predicate is a
-    variable is matched after its guard, the conjuncts that mention that
-    variable and nothing else of the atom, so it reads only the delta
-    statements of the properties the guard binds.
-    """
-    if delta is None:
-        atom, rest, _guard, _after = rule.joins[0]  # one full join is enough
-        for env0 in match_rel(ctx, atom, {}):
-            yield from solve(ctx, rest, env0)
-        return
-    for atom, _rest, guard, after in rule.joins:
-        for genv in solve(ctx, guard, {}):
-            pred = _resolve_term(atom.pred, genv)
-            if pred is None:
-                statements = [st for sts in delta.values() for st in sts]
-            else:
-                statements = delta.get(as_entity(pred), ())
-            for env0 in match_rel(ctx, atom, genv, statements=statements):
-                yield from solve(ctx, after, env0)
 
 
 @dataclass(frozen=True)
@@ -369,7 +330,7 @@ def closure(
     generic = [rule for rule, chain in shapes if chain is None]
     chains = [(n, rule, chain) for n, (rule, chain) in enumerate(shapes) if chain is not None]
     closed: dict = {}  # (chain, B, A) -> numbers of B and A statements after its last pass
-    delta: Optional[dict] = None  # first round joins over everything
+    delta: Optional[dict] = None
     fresh: list = []
 
     def record(rule: Rule, env: dict, st: Statement) -> None:
@@ -387,7 +348,13 @@ def closure(
             raise RuleError(f"closure did not settle within {max_rounds} rounds")
         fresh.clear()
         ctx = _Ctx(kb, cfg)
-        pending = [(rule, env) for rule in generic for env in _fire(ctx, rule, delta)]
+        if delta is None:  # the first round joins over everything
+            pending = [(rule, env) for rule in generic
+                       for env in solve(ctx, rule.conjunction, {})]
+        else:  # each statement atom in turn reads only the last round's statements
+            pending = [(rule, env) for rule in generic for atom in rule.atoms
+                       for env in solve(_Ctx(kb, cfg, delta=(atom, delta)),
+                                        rule.conjunction, {})]
         for rule, env in pending:
             st = _derived_statement(rule, env, kb)
             if st is not None:

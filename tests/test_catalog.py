@@ -210,6 +210,19 @@ class TestCheck:
             ("minimum", {"min": "0", "o1": "1", "o2": "4", "p2": "P2049", "s": "Q3"}),
         ]
 
+    @pytest.mark.parametrize("unit", ["", " unit=Q577"])
+    @pytest.mark.parametrize("birth, death, variants", [
+        ("1900-01-01", "1950-01-01", []),             # 50 years
+        ("1700-01-01", "1900-01-01", ["maximum"]),    # 200 years
+        ("1950-01-01", "1900-01-01", ["minimum"]),    # death before birth
+    ])
+    def test_difference_within_range_on_dates(self, unit, birth, death, variants):
+        kb = kb_from(f"P2302(P570, Q21510854) @ {{P2306: P569, P2312: 0{unit}, "
+                     f"P2313: 150{unit}}}\nP569(Q1, {birth})\nP570(Q1, {death})\n")
+        result = violations(kb, ["difference_within_range"])
+        assert [v.variant for v in result.violations] == variants
+        assert all(not v.diagnostics for v in result.violations)
+
     def test_max_violations_cap(self):
         kb = kb_from("P2302(P26, Q21510862)\n" +
                      "\n".join(f"P26(Q{i}, Q{i + 100})" for i in range(1, 8)))
@@ -243,6 +256,17 @@ class TestReports:
         text = render_text(violations(kb))
         assert "symmetric on P26" in text
         assert "1 violation(s), 0 suppressed" in text
+
+    def test_text_report_notes_skipped_declarations(self):
+        kb = kb_from('P2302(P212, Q21502404) @ {P1793: "\\p{L}+"}\n'
+                     'P2302(P26, Q21510862)\nP26(Q3, Q4)\nP212(Q1, "x")\n')
+        lines = render_text(violations(kb, ["format", "symmetric"])).splitlines()
+        assert lines[1:] == [
+            "note: skipped format declaration s1 on P212: "
+            "unsupported regex construct in '\\\\p{L}+'",
+            "1 violation(s), 0 suppressed",
+            "  regular: 1",
+        ]
 
 
 class TestCatalogSelfTest:

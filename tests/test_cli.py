@@ -294,6 +294,29 @@ class TestSliceFixture:
         assert f"note: {self.SLICE}: skipped 5 claim(s) (mainsnak: 5)" in err
 
 
+class TestClosureOrderFixtures:
+    """Reports on small bench inputs, pinned byte for byte.
+
+    The inputs are ``bench/gen.py``'s ``family(1, 0.2)`` and ``taxonomy(1,
+    0.3)``.  ``infer --explain`` pins the closure's derivation order and ``d``
+    ids for the symmetric rule and the three chain rules.
+    """
+
+    @pytest.mark.parametrize("name", ["family_s1", "taxonomy_s1"])
+    def test_infer_explain(self, capsys, name):
+        code, out, err = run(capsys, "infer", "--explain", "--input",
+                             str(FIXTURES / f"{name}.native"))
+        assert (code, err) == (0, "")
+        assert out == (FIXTURES / f"{name}_infer.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", ["family_s1", "taxonomy_s1"])
+    def test_check_json_report(self, capsys, name):
+        code, out, err = run(capsys, "check", "--format", "json", "--input",
+                             str(FIXTURES / f"{name}.native"))
+        assert (code, err) == (1, "")
+        assert out == (FIXTURES / f"{name}_check.json").read_text(encoding="utf-8")
+
+
 class TestCatalog:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -354,6 +377,23 @@ class TestErrors:
         code, out, err = run(capsys, "check", "--input", family_file)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "boom" in err
+
+
+    @pytest.mark.parametrize("where", ["mainsnak", "qualifier"])
+    def test_quantity_with_one_bound_is_skipped(self, capsys, tmp_path, where):
+        snak = {"snaktype": "value", "property": "P1082", "datavalue": {
+            "type": "quantity", "value": {"amount": "+5", "unit": "1", "lowerBound": "+4"}}}
+        plain = {"snaktype": "value", "property": "P1082", "datavalue": {
+            "type": "quantity", "value": {"amount": "+5", "unit": "1"}}}
+        claim = {"mainsnak": snak, "rank": "normal"} if where == "mainsnak" else \
+            {"mainsnak": plain, "rank": "normal", "qualifiers": {"P1107": [snak]}}
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps([{"id": "Q1", "claims": {"P1082": [claim]}}]))
+        for argv in (("infer",), ("query", "P1082(?x, ?v)")):
+            code, out, err = run(capsys, *argv[:1], "--input", str(path), *argv[1:])
+            assert code == 0, err
+            assert err == f"note: {path}: skipped 1 claim(s) ({where}: 1)\n"
+        assert out == "no bindings\n"
 
 
 class TestLabelEnvironment:

@@ -1,16 +1,20 @@
-"""The rule closure against a naive fixpoint coded on plain tuples.
+"""The rule closure against naive fixpoints.
 
-The oracle shares no matching code with ``rules.closure``: it applies the
-seven builtin rules to ``(subject, property, value, qualifiers, rank)``
+The first oracle shares no matching code with ``rules.closure``: it applies
+the seven builtin rules to ``(subject, property, value, qualifiers, rank)``
 tuples, every rule against every usable fact, until a pass adds nothing.
 A fact is usable unless its rank is deprecated; a head is new unless some
 fact, of any rank, already has its content key.
+
+The second checks the semi-naive rounds of rules from a rule file: each
+round it evaluates every whole body over the whole knowledge base.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wdcheck.formula import Const, ObjVar
+from wdcheck.evaluator import evaluate
+from wdcheck.formula import And, Const, ObjVar
 from wdcheck.labels import (
     INSTANCE_OF,
     REFLEXIVE_PROPERTY,
@@ -33,7 +37,7 @@ from wdcheck.model import (
     entity_value,
     make_statement,
 )
-from wdcheck.rules import builtin_ontology, closure
+from wdcheck.rules import builtin_ontology, closure, parse_rules
 
 # ---------------------------------------------------------------------------
 # The oracle
@@ -201,3 +205,57 @@ def test_oracle_blocks_a_deprecated_key():
     assert naive_closure(facts) == set()
     kb = _kb([f + (False,) for f in facts])
     assert closure(kb).derived_ids == []
+
+
+# ---------------------------------------------------------------------------
+# Rules from a rule file
+# ---------------------------------------------------------------------------
+
+# each head feeds a body, so later rounds join over derived facts
+_FILE_RULES = parse_rules("""
+rule: unguarded
+?p(?x, ?y) -> P5(?y, ?x)
+---
+rule: three-atom-join
+P1(?x, ?y) & P2(?y, ?z) & P1(?z, ?w) -> P2(?x, ?w)
+---
+rule: qualified
+?q(?s, ?o)@?S & (P580 : ?d) in ?S -> P1(?o, ?s)@?S
+---
+rule: repeated-atom
+P1(?x, ?y) & P2(?y, ?z) & P1(?x, ?y) -> P1(?z, ?x)
+""")
+
+
+def naive_rule_closure(kb: KnowledgeBase, rules: list) -> set:
+    """Content keys the rules derive, evaluating each whole body every round."""
+    kb = kb.copy()
+    derived = set()
+    while True:
+        heads = []
+        for rule in rules:
+            head = rule.head
+            for b in evaluate(kb, And(rule.body)):
+                env = b.as_dict()
+                quals = EMPTY_ATTRS if head.attrs is None else env[head.attrs.name]
+                heads.append((_ground(head.pred, env), as_entity(_ground(head.args[0], env)),
+                              _ground(head.args[1], env), quals.without_pseudo()))
+        added = False
+        for pred, subj, value, quals in heads:
+            if subj is not None and not kb.has_fact(subj, pred.entity, value, quals):
+                st = make_statement(kb.fresh_statement_id("d"), subj, pred.entity, value, quals)
+                kb.add_statement(st)
+                derived.add(st.content_key())
+                added = True
+        if not added:
+            return derived
+
+
+@settings(max_examples=200, deadline=None)
+@given(_facts, st.sets(st.sampled_from(range(len(_FILE_RULES))), min_size=1))
+def test_file_rules_closure_equals_naive_fixpoint(facts, chosen):
+    rules = [_FILE_RULES[i] for i in sorted(chosen)]
+    kb = _kb(facts)
+    result = closure(kb, rules)
+    got = {result.kb.statements[sid].content_key() for sid in result.derived_ids}
+    assert got == naive_rule_closure(kb, rules)

@@ -49,6 +49,16 @@ class TestAtoms:
         got = rows(family_kb, "?p(Q3, ?o)")
         assert {"p": "P26", "o": "Q4"} in got
 
+    @pytest.mark.parametrize("text", [
+        "P31(?p, Q5) & ?p(?x, ?y)",
+        "P31(?p, Q5) & ?p(?x, ?y) & P26(?x, ?z)",  # the open atoms are costed
+    ])
+    def test_predicate_variable_bound_to_an_item(self, text):
+        # ?p is Q1 or P26; only the property matches statements
+        kb = kb_from("P31(Q1, Q5)\nP31(P26, Q5)\nP26(Q1, Q2)\nP26(Q2, Q3)\nP26(Q3, Q1)\n")
+        assert {d["p"] for d in rows(kb, text)} == {"P26"}
+        assert _agrees(kb, text, 12)
+
     def test_attr_set_variable(self, family_kb):
         got = list(evaluate(family_kb, parse("P26(Q1, Q2)@?SQ")))
         assert len(got) == 1
@@ -213,6 +223,10 @@ class TestSafeRange:
     ])
     def test_unsafe(self, text):
         assert check_safe_range(parse(text)) is not None
+
+    def test_counting_variable_must_be_bound(self):
+        assert check_safe_range(parse("P26(?x, ?y) & exists[2] ?o . !P26(?x, ?o)")) == \
+            "counting variable not range-restricted: o"
 
     def test_evaluate_rejects_unsafe(self, family_kb):
         with pytest.raises(UnsafeFormulaError):

@@ -1,5 +1,7 @@
 """Formula parsing, printing, negation and variable accounting."""
 
+import pathlib
+import re
 import textwrap
 from datetime import datetime
 from decimal import Decimal
@@ -51,6 +53,8 @@ from wdcheck.model import (
     StringVal,
     TimeVal,
 )
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class TestParsing:
@@ -156,6 +160,34 @@ class TestParsing:
         inner = outer.body
         assert outer.var not in ("x", inner.var)
         assert inner.body.args == (ObjVar(outer.var), ObjVar(inner.var))
+
+
+def _bad_formulas() -> list:
+    text = (FIXTURES / "bad_formulas.txt").read_text(encoding="utf-8")
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+
+
+class TestBadFormulaCorpus:
+    """Each error path of parse, pinned byte for byte."""
+
+    EXPECTED = (FIXTURES / "bad_formulas.expected").read_text(encoding="utf-8").splitlines()
+
+    def test_one_message_per_formula(self):
+        assert len(self.EXPECTED) == len(_bad_formulas())
+
+    @pytest.mark.parametrize("i", range(len(_bad_formulas())))
+    def test_message(self, i):
+        with pytest.raises(ParseError) as exc:
+            parse(_bad_formulas()[i])
+        assert str(exc.value) == self.EXPECTED[i]
+
+    @pytest.mark.parametrize("i", range(len(_bad_formulas())))
+    def test_message_on_a_later_line(self, i):
+        # after a comment line and two spaces: line 2, two columns on
+        line, col, message = re.fullmatch(r"(\d+):(\d+): (.*)", self.EXPECTED[i]).groups()
+        with pytest.raises(ParseError) as exc:
+            parse("# a comment\n  " + _bad_formulas()[i])
+        assert str(exc.value) == f"{int(line) + 1}:{int(col) + 2}: {message}"
 
 
 class TestVariableAccounting:

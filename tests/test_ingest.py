@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+import time
 from collections import Counter
 from datetime import datetime
 from decimal import Decimal
@@ -27,6 +28,7 @@ from wdcheck.model import (
     AttrSet,
     ItemRef,
     KnowledgeBase,
+    NOVALUE,
     NoValueFact,
     P,
     PropRef,
@@ -412,6 +414,48 @@ class TestWikidataJson:
         doc = entity_doc("Q1", {"P31": [c, dict(c)]})
         kb, stats = load_wikidata_json([doc])
         assert stats.statements == 2
+
+    def test_novalue_qualifier(self):
+        doc = entity_doc("Q1", {"P26": [claim(
+            "P26", value_snak("wikibase-entityid", {"id": "Q2"}),
+            qualifiers={"P582": [{"snaktype": "novalue"}]})]})
+        kb, _ = load_wikidata_json([doc])
+        (st,) = kb.statements.values()
+        assert st.qualifiers.values_for(PropRef(P(582))) == [NOVALUE]
+
+    def test_single_document(self):
+        doc = entity_doc("Q1", {"P31": [claim("P31", value_snak("wikibase-entityid",
+                                                                {"id": "Q5"}))]})
+        kb, stats = load_wikidata_json(json.dumps(doc))
+        assert stats.statements == 1
+        (st,) = kb.statements.values()
+        assert (st.subject, st.value) == (Q(1), ItemRef(Q(5)))
+
+    def test_bad_ids_skipped(self):
+        good = claim("P31", value_snak("wikibase-entityid", {"id": "Q5"}))
+        docs = [entity_doc("X1", {"P31": [good]}), {"claims": {"P31": [good]}},
+                entity_doc("Q1", {"P31": [good], "bogus": [good]})]
+        kb, stats = load_wikidata_json(docs)
+        assert stats.statements == 1
+        assert stats.skipped == [("bad-entity-id", "X1"), ("bad-entity-id", "None"),
+                                 ("bad-property-id", "bogus")]
+
+    def test_unknown_rank_is_normal(self):
+        doc = entity_doc("Q1", {
+            "P31": [claim("P31", value_snak("wikibase-entityid", {"id": "Q5"}), rank="top")],
+            "P40": [claim("P40", {"snaktype": "novalue"}, rank="top")]})
+        kb, _ = load_wikidata_json([doc])
+        (st,) = kb.statements.values()
+        assert st.rank == "normal"
+        assert kb.no_value_facts[0].qualifiers == AttrSet.of([(RANK_ATTR, StringVal("normal"))])
+
+    def test_many_novalue_claims_load_in_linear_time(self):
+        docs = [entity_doc(f"Q{i}", {"P40": [claim("P40", {"snaktype": "novalue"})]})
+                for i in range(1, 10_001)]
+        start = time.perf_counter()
+        kb, stats = load_wikidata_json(docs)
+        assert time.perf_counter() - start < 5.0
+        assert stats.no_value_facts == len(kb.no_value_facts) == 10_000
 
     def test_bad_document_shape(self):
         with pytest.raises(IngestError):

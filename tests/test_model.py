@@ -145,6 +145,19 @@ class TestKnowledgeBase:
         assert clone.no_value_facts == kb.no_value_facts
         assert clone.commons_ns == kb.commons_ns
 
+    def test_no_value_duplicates_dropped_in_order(self):
+        kb = KnowledgeBase()
+        facts = [NoValueFact(P(40), Q(1)), NoValueFact(P(40), Q(2)), NoValueFact(P(40), Q(1)),
+                 NoValueFact(P(41), Q(1)), NoValueFact(P(40), Q(2))]
+        for fact in facts:
+            kb.add_no_value(fact)
+        assert kb.no_value_facts == [facts[0], facts[1], facts[3]]
+        clone = kb.copy()
+        clone.add_no_value(NoValueFact(P(41), Q(1)))
+        clone.add_no_value(NoValueFact(P(42), Q(1)))
+        assert clone.no_value_facts == [facts[0], facts[1], facts[3], NoValueFact(P(42), Q(1))]
+        assert len(kb.no_value_facts) == 3
+
 
 class TestTimeInterval:
     def test_day_precision(self):
@@ -221,6 +234,25 @@ class TestDatatypeRelations:
         q = datatype_function("difference", QuantityVal(Decimal(5)), QuantityVal(Decimal(2)))
         assert q == QuantityVal(Decimal(3))
 
+    @pytest.mark.parametrize("unit, bound, inside", [
+        (None, "50", True), (None, "49", False), (Q(577), "50", True), (Q(577), "49", False),
+        (Q(573), "18262", True), (Q(573), "18261", False)])
+    def test_time_difference_against_year_or_day_bound(self, unit, bound, inside):
+        # 1900-01-01 to 1950-01-01 is 18,262 days, 49.999 years of 365.25 days
+        days = datatype_function("difference", TimeVal(datetime(1950, 1, 1)),
+                                 TimeVal(datetime(1900, 1, 1)))
+        limit = QuantityVal(Decimal(bound), unit)
+        assert datatype_relation("leq", days, limit) is inside
+        assert datatype_relation("geq", limit, days) is inside
+
+    def test_time_difference_against_other_unit_mismatches(self):
+        days = datatype_function("difference", TimeVal(datetime(1950, 1, 1)),
+                                 TimeVal(datetime(1900, 1, 1)))
+        with pytest.raises(DatatypeError, match="unit mismatch"):
+            datatype_relation("leq", days, QuantityVal(Decimal(5), Q(11573)))
+        with pytest.raises(DatatypeError, match="unit mismatch"):
+            datatype_relation("geq", QuantityVal(Decimal(5)), QuantityVal(Decimal(5), Q(577)))
+
 
 class TestPatterns:
     def test_plain_pattern_compiles(self):
@@ -238,6 +270,11 @@ class TestQuantityBounds:
             QuantityVal(Decimal(1), None, Decimal(2), None)
         with pytest.raises(ModelError):
             QuantityVal(Decimal(5), None, None, Decimal(4))
+
+    @pytest.mark.parametrize("lower, upper", [(Decimal(4), None), (None, Decimal(6))])
+    def test_one_bound_rejected(self, lower, upper):
+        with pytest.raises(ModelError, match="has only one bound"):
+            QuantityVal(Decimal(5), None, lower, upper)
 
     def test_str_round_shape(self):
         q = QuantityVal(Decimal("2.5"), Q(11573), Decimal(2), Decimal(3))
