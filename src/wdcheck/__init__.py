@@ -6,12 +6,10 @@ from .model import (
     DatatypeError,
     EMPTY_ATTRS,
     EntityId,
-    ItemRef,
     KnowledgeBase,
     ModelError,
     NoValueFact,
     P,
-    PropRef,
     Pseudo,
     Q,
     QuantityVal,

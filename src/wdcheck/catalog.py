@@ -28,14 +28,12 @@ from .labels import DEFAULT_LABELS, LabelTable
 from .model import (
     AttrSet,
     EntityId,
-    ItemRef,
     KnowledgeBase,
-    PropRef,
     QuantityVal,
     StringVal,
     UnsupportedPattern,
-    as_entity,
     compile_pattern,
+    is_property,
 )
 from .templates import ConstraintTemplate, Variant, builtin_templates
 
@@ -97,29 +95,28 @@ def extract_declarations(kb: KnowledgeBase) -> list:
     """Decode all property_constraint statements in the KB."""
     out = []
     for st in kb.facts_for(L.PROPERTY_CONSTRAINT):
-        if st.subject.kind != "property" or not isinstance(st.value, ItemRef):
+        if not is_property(st.subject) or not isinstance(st.value, EntityId) \
+                or is_property(st.value):
             continue
         params = st.qualifiers
         severity = "regular"
-        for v in params.values_for(PropRef(L.PARAM_STATUS)):
-            if v == ItemRef(L.MANDATORY_STATUS):
+        for v in params.values_for(L.PARAM_STATUS):
+            if v == L.MANDATORY_STATUS:
                 severity = "mandatory"
-            elif v == ItemRef(L.SUGGESTION_STATUS):
+            elif v == L.SUGGESTION_STATUS:
                 severity = "suggestion"
-        exceptions = tuple(
-            ent for v in params.values_for(PropRef(L.PARAM_EXCEPTION))
-            if (ent := as_entity(v)) is not None)
-        out.append(Declaration(st.id, st.subject, st.value.entity, params,
-                               severity, exceptions))
+        exceptions = tuple(v for v in params.values_for(L.PARAM_EXCEPTION)
+                           if isinstance(v, EntityId))
+        out.append(Declaration(st.id, st.subject, st.value, params, severity, exceptions))
     return out
 
 
 def _has_param(params: AttrSet, attr: EntityId) -> bool:
-    return bool(params.values_for(PropRef(attr)))
+    return bool(params.values_for(attr))
 
 
 def _count_value(params: AttrSet, attr: EntityId) -> Optional[int]:
-    for v in params.values_for(PropRef(attr)):
+    for v in params.values_for(attr):
         if isinstance(v, QuantityVal) and v.amount == int(v.amount) and v.amount >= 1:
             return int(v.amount)
     return None
@@ -175,7 +172,7 @@ def _variant_queries(tpl: ConstraintTemplate, decl: Optional[Declaration],
 
 
 def _params_of(decl: Optional[Declaration]) -> dict:
-    return {} if decl is None else {"p": PropRef(decl.property), "CQ": decl.params}
+    return {} if decl is None else {"p": decl.property, "CQ": decl.params}
 
 
 def derive_violation_queries(
@@ -295,7 +292,7 @@ def check(
 
 def _prevalidate(tpl: ConstraintTemplate, decl: Declaration) -> Optional[str]:
     if tpl.name == "format":
-        for v in decl.params.values_for(PropRef(L.PARAM_REGEX)):
+        for v in decl.params.values_for(L.PARAM_REGEX):
             if isinstance(v, StringVal):
                 try:
                     compile_pattern(v.text)
@@ -323,11 +320,7 @@ def _violations(kb, instances, cfg, notes: list) -> Iterator[Violation]:
                 if key in seen:
                     continue
                 seen.add(key)
-            suppressed = False
-            if decl is not None and decl.exceptions:
-                subj = env.get(tpl.subject_var)
-                ent = as_entity(subj) if subj is not None else None
-                suppressed = ent is not None and ent in decl.exceptions
+            suppressed = decl is not None and env.get(tpl.subject_var) in decl.exceptions
             yield Violation(
                 template=tpl.name,
                 variant=var.name,

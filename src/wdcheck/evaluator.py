@@ -50,14 +50,13 @@ from .model import (
     AttrSet,
     DatatypeError,
     EMPTY_ATTRS,
+    EntityId,
     KnowledgeBase,
-    PropRef,
     Pseudo,
     StringVal,
-    as_entity,
     datatype_function,
     datatype_relation,
-    entity_value,
+    is_property,
 )
 
 
@@ -217,7 +216,7 @@ def _unify_attrs(attrs, qualifiers: AttrSet, env: dict) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _candidates(ctx: _Ctx, pred_val: Optional[PropRef], rel: Rel, env: dict, key=None):
+def _candidates(ctx: _Ctx, pred_val: Optional[EntityId], rel: Rel, env: dict, key=None):
     """The statements rel reads; pred_val is its resolved predicate.
 
     This is the one place that picks them.  The delta atom reads its delta
@@ -230,19 +229,18 @@ def _candidates(ctx: _Ctx, pred_val: Optional[PropRef], rel: Rel, env: dict, key
         delta = ctx.delta[1]
         if pred_val is None:
             return [st for sts in delta.values() for st in sts]
-        return delta.get(pred_val.entity, ())
+        return delta.get(pred_val, ())
     if pred_val is None:
         if key is not None:
             return ctx.kb.by_qualifier_attr.get(_resolve_term(key, env), ())
         return ctx.kb.statements.values()
-    prop = pred_val.entity
     subj = _try_resolve(rel.args[0], env)
-    if subj is not None and (ent := as_entity(subj)) is not None:
-        return ctx.kb.by_prop_subject.get((prop, ent), [])
+    if isinstance(subj, EntityId):
+        return ctx.kb.by_prop_subject.get((pred_val, subj), [])
     val = _try_resolve(rel.args[1], env)
     if val is not None:
-        return ctx.kb.by_prop_value.get((prop, val), [])
-    return ctx.kb.by_property.get(prop, [])
+        return ctx.kb.by_prop_value.get((pred_val, val), [])
+    return ctx.kb.by_property.get(pred_val, [])
 
 
 def match_rel(ctx: _Ctx, rel: Rel, env: dict, key=None) -> Iterator[dict]:
@@ -253,11 +251,16 @@ def match_rel(ctx: _Ctx, rel: Rel, env: dict, key=None) -> Iterator[dict]:
     """
     if isinstance(rel.pred, str):  # a builtin fact table
         if rel.pred == "no_value":
-            rows = [(PropRef(fact.property), entity_value(fact.subject), fact.qualifiers)
+            rows = [(fact.property, fact.subject, fact.qualifiers)
                     for fact in ctx.kb.no_value_facts]
         else:
-            rows = [(StringVal(page), StringVal(ns), EMPTY_ATTRS)
-                    for page, ns in sorted(ctx.kb.commons_ns.items())]
+            page = _try_resolve(rel.args[0], env)
+            if page is None:
+                pages = sorted(ctx.kb.commons_ns.items())
+            else:  # a bound page is read by lookup
+                ns = ctx.kb.commons_ns.get(page.text) if isinstance(page, StringVal) else None
+                pages = [] if ns is None else [(page.text, ns)]
+            rows = [(StringVal(p), StringVal(ns), EMPTY_ATTRS) for p, ns in pages]
         for first, second, qualifiers in rows:
             env1 = _unify_term(rel.args[0], first, env)
             env2 = None if env1 is None else _unify_term(rel.args[1], second, env1)
@@ -266,15 +269,15 @@ def match_rel(ctx: _Ctx, rel: Rel, env: dict, key=None) -> Iterator[dict]:
         return
 
     pred_val = _resolve_term(rel.pred, env)
-    if pred_val is not None and not isinstance(pred_val, PropRef):
+    if pred_val is not None and not is_property(pred_val):
         return
     for st in _candidates(ctx, pred_val, rel, env, key):
         if st.rank == "deprecated" and not ctx.cfg.include_deprecated:
             continue
-        env1 = _unify_term(rel.pred, PropRef(st.property), env)
+        env1 = _unify_term(rel.pred, st.property, env)
         if env1 is None:
             continue
-        env2 = _unify_term(rel.args[0], entity_value(st.subject), env1)
+        env2 = _unify_term(rel.args[0], st.subject, env1)
         if env2 is None:
             continue
         env3 = _unify_term(rel.args[1], st.value, env2)
@@ -471,7 +474,7 @@ def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
     if isinstance(rel.pred, str):
         return len(ctx.kb.no_value_facts) if rel.pred == "no_value" else len(ctx.kb.commons_ns)
     pred_val = _try_resolve(rel.pred, env)
-    if pred_val is not None and not isinstance(pred_val, PropRef):
+    if pred_val is not None and not is_property(pred_val):
         return 0
     return len(_candidates(ctx, pred_val, rel, env))
 

@@ -36,7 +36,6 @@ from .model import (
     StringVal,
     TimeVal,
     Value,
-    entity_value,
 )
 
 BUILTIN_PREDICATES = ("no_value", "Commons_namespace")
@@ -437,7 +436,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.labels = labels or DEFAULT_LABELS
-        self.entity_values: dict = {}  # entity id text -> its value, one object per id
+        self.entity_values: dict = {}  # entity id text -> its EntityId, one object per id
 
     # -- machinery ----------------------------------------------------------
 
@@ -458,11 +457,11 @@ class Parser:
             self.fail(f"expected {text!r}", tok)
         return self.advance()
 
-    def entity_value(self, text: str) -> Value:
-        """The value of an entity id token; one object per id and parser (hash-consing)."""
+    def entity_value(self, text: str) -> EntityId:
+        """The entity id of an entity id token; one object per id and parser (hash-consing)."""
         value = self.entity_values.get(text)
         if value is None:
-            value = self.entity_values[text] = entity_value(EntityId.parse(text))
+            value = self.entity_values[text] = EntityId.parse(text)
         return value
 
     def fail(self, message: str, tok: Optional[Token] = None) -> None:
@@ -633,7 +632,7 @@ class Parser:
             ent = self.labels.resolve_entity(label)
             if ent is None:
                 self.fail(f"unknown predicate label {label!r}", tok)
-            pred = Const(entity_value(ent))
+            pred = Const(ent)
         self.expect("(")
         args = [self.term()]
         self.expect(",")
@@ -738,7 +737,7 @@ class Parser:
             ut = self.peek()
             if ut.kind != "entity":
                 self.fail("expected a unit entity id")
-            unit = self.entity_value(self.advance().text).entity
+            unit = self.entity_value(self.advance().text)
         return Const(QuantityVal(amount, unit, lower, upper))
 
 

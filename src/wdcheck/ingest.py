@@ -34,12 +34,10 @@ from .model import (
     AnonConst,
     AttrSet,
     EntityId,
-    ItemRef,
     KnowledgeBase,
     ModelError,
     NOVALUE,
     NoValueFact,
-    PropRef,
     Pseudo,
     QuantityVal,
     RANKS,
@@ -99,7 +97,7 @@ class _LineParser(Parser):
     def entity(self) -> EntityId:
         tok = self.peek()
         if tok.kind == "entity":
-            return self.entity_value(self.advance().text).entity
+            return self.entity_value(self.advance().text)
         if tok.kind in ("ident", "label"):
             name = tok.text[1:-1] if tok.kind == "label" else tok.text
             ent = self.labels.resolve_entity(name)
@@ -317,11 +315,22 @@ def _decode_time(dv: dict) -> TimeVal:
     return TimeVal(ts, precision)
 
 
+def _decode_number(dv: dict, key: str) -> Decimal:
+    """The finite number under key: a string, or an int that is not a bool."""
+    raw = dv.get(key)
+    if isinstance(raw, str) or (isinstance(raw, int) and not isinstance(raw, bool)):
+        try:
+            number = Decimal(raw)
+        except InvalidOperation:
+            pass
+        else:
+            if number.is_finite():
+                return number
+    raise IngestError(f"bad quantity {key} {raw!r}")
+
+
 def _decode_quantity(dv: dict) -> QuantityVal:
-    try:
-        amount = Decimal(dv["amount"])
-    except InvalidOperation as exc:
-        raise IngestError(f"bad quantity amount {dv.get('amount')!r}") from exc
+    amount = _decode_number(dv, "amount")
     unit: Union[EntityId, None] = None
     raw_unit = dv.get("unit", "1")
     if raw_unit not in ("1", 1, None, ""):
@@ -329,8 +338,8 @@ def _decode_quantity(dv: dict) -> QuantityVal:
         if not m:
             raise IngestError(f"bad quantity unit {raw_unit!r}")
         unit = EntityId.parse(m.group(0))
-    lower = Decimal(dv["lowerBound"]) if dv.get("lowerBound") is not None else None
-    upper = Decimal(dv["upperBound"]) if dv.get("upperBound") is not None else None
+    lower = _decode_number(dv, "lowerBound") if dv.get("lowerBound") is not None else None
+    upper = _decode_number(dv, "upperBound") if dv.get("upperBound") is not None else None
     return QuantityVal(amount, unit, lower, upper)
 
 
@@ -356,8 +365,7 @@ def _decode_snak(snak: dict, kb: KnowledgeBase) -> Value:
     dtype = dv.get("type")
     data = dv.get("value")
     if dtype == "wikibase-entityid":
-        ent = _decode_entity_id(data)
-        return ItemRef(ent) if ent.kind == "item" else PropRef(ent)
+        return _decode_entity_id(data)
     if dtype == "string":
         if not isinstance(data, str):
             raise IngestError(f"bad string value {data!r}")
@@ -423,7 +431,7 @@ def _ingest_claim(kb, stats, subject: EntityId, prop: EntityId, claim: dict) -> 
     pairs = []
     try:
         for qpid, snaks in claim.get("qualifiers", {}).items():
-            qprop = PropRef(EntityId.parse(qpid))
+            qprop = EntityId.parse(qpid)
             for snak in snaks:
                 pairs.append((qprop, _decode_snak(snak, kb)))
     except (IngestError, ModelError) as exc:

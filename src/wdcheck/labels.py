@@ -11,7 +11,7 @@ import json
 import os
 from typing import Optional
 
-from .model import EntityId, P, Pseudo, Q, StringVal, Value, entity_value
+from .model import EntityId, P, Pseudo, Q, StringVal, Value
 
 # -- properties -------------------------------------------------------------
 
@@ -199,9 +199,7 @@ class LabelTable:
             self.entities.update(extra)
 
     def resolve(self, name: str) -> Optional[Value]:
-        if name in self.entities:
-            return entity_value(self.entities[name])
-        return _VALUE_LABELS.get(name)
+        return self.entities.get(name) or _VALUE_LABELS.get(name)
 
     def resolve_entity(self, name: str) -> Optional[EntityId]:
         return self.entities.get(name)

@@ -4,6 +4,10 @@ A statement is a relational fact ``p(subject, value)`` carrying a finite set
 of attribute-value pairs (its qualifiers).  Rank and reference tokens are
 mirrored into the qualifier set as reserved pseudo-attributes so that logic
 formulae can test them with ordinary set atoms.
+
+An entity id is its own value: the same ``EntityId`` is a statement's
+subject or property, a value, a qualifier attribute or a formula constant,
+so a variable bound in one position can be used in any other.
 """
 
 from __future__ import annotations
@@ -64,20 +68,8 @@ def P(num: int) -> EntityId:
     return EntityId(PROPERTY, num)
 
 
-@dataclass(frozen=True)
-class ItemRef:
-    entity: EntityId
-
-    def __str__(self) -> str:
-        return str(self.entity)
-
-
-@dataclass(frozen=True)
-class PropRef:
-    entity: EntityId
-
-    def __str__(self) -> str:
-        return str(self.entity)
+def is_property(v: object) -> bool:
+    return isinstance(v, EntityId) and v.kind == PROPERTY
 
 
 # Every character str.splitlines breaks a line at, written as \uXXXX so a
@@ -167,20 +159,9 @@ RANK_ATTR = Pseudo("rank")
 REFERENCE_ATTR = Pseudo("reference")
 NOVALUE = Pseudo("novalue")
 
-Value = Union[ItemRef, PropRef, StringVal, QuantityVal, TimeVal, AnonConst, Pseudo]
+Value = Union[EntityId, StringVal, QuantityVal, TimeVal, AnonConst, Pseudo]
 
 RANKS = ("preferred", "normal", "deprecated")
-
-
-def entity_value(entity: EntityId) -> Value:
-    """The value a subject or predicate position denotes."""
-    return ItemRef(entity) if entity.kind == ITEM else PropRef(entity)
-
-
-def as_entity(value: Value) -> Optional[EntityId]:
-    if isinstance(value, (ItemRef, PropRef)):
-        return value.entity
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +170,10 @@ def as_entity(value: Value) -> Optional[EntityId]:
 
 
 def _value_sort_key(v: Value) -> tuple:
+    # by type name, then printed form; entities sort between AnonConst and
+    # Pseudo, items before properties
+    if type(v) is EntityId:
+        return ("Entity", v.kind, str(v))
     return (type(v).__name__, str(v))
 
 
@@ -422,15 +407,15 @@ class KnowledgeBase:
             return self._domain_cache
         dom: set = set()
         for st in self.statements.values():
-            dom.add(entity_value(st.subject))
-            dom.add(PropRef(st.property))
+            dom.add(st.subject)
+            dom.add(st.property)
             dom.add(st.value)
             for a, v in st.qualifiers:
                 dom.add(a)
                 dom.add(v)
         for f in self.no_value_facts:
-            dom.add(PropRef(f.property))
-            dom.add(entity_value(f.subject))
+            dom.add(f.property)
+            dom.add(f.subject)
             for a, v in f.qualifiers:
                 dom.add(a)
                 dom.add(v)
@@ -587,21 +572,13 @@ def _rel_leq(a: Value, b: Value) -> bool:
     return _compare("leq", a, b) <= 0
 
 
-def unit_holds(unit: Union[EntityId, None], v: Value) -> bool:
-    """True iff v is a quantity carrying exactly the given unit (None = unitless)."""
-    if not isinstance(v, QuantityVal):
-        return False
-    return v.unit == unit
-
-
 def _rel_has_unit(v: Value, unit: Value) -> bool:
     # the reserved constant `no_unit` denotes unitless quantities
     if isinstance(unit, Pseudo) and unit.name == "no_unit":
-        return unit_holds(None, v)
-    ent = as_entity(unit)
-    if ent is None:
+        unit = None
+    elif not isinstance(unit, EntityId):
         raise DatatypeError(f"has_unit expects a unit entity, got {unit}")
-    return unit_holds(ent, v)
+    return isinstance(v, QuantityVal) and v.unit == unit
 
 
 DATATYPE_RELATIONS = {

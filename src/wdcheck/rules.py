@@ -66,13 +66,11 @@ from .model import (
     EMPTY_ATTRS,
     EntityId,
     KnowledgeBase,
-    PropRef,
     RANK_ATTR,
     REFERENCE_ATTR,
     Statement,
     StringVal,
-    as_entity,
-    entity_value,
+    is_property,
     make_statement,
 )
 
@@ -260,17 +258,16 @@ def _close_chain(ctx: _Ctx, rule: Rule, chain: _Chain, genv: dict, b: EntityId,
     edges: dict = {}
     for st in kb.by_property.get(a, ()):
         if keep_deprecated or st.rank != "deprecated":
-            edges.setdefault(entity_value(st.subject), []).append(st.value)
+            edges.setdefault(st.subject, []).append(st.value)
     sources: dict = {}
     for st in kb.by_property.get(b, ()) if edges else ():
         if keep_deprecated or st.rank != "deprecated":
             sources.setdefault(st.subject, []).append(st.value)
     xn, yn, zn = chain.b.args[0].name, chain.a.args[0].name, chain.a.args[1].name
     blocked = derived = False
-    for s, values in sources.items():
-        x = entity_value(s)
-        # values z for which the fact B(s, z) with no qualifiers exists, of any rank
-        have = {st.value for st in kb.by_prop_subject[(b, s)]
+    for x, values in sources.items():
+        # values z for which the fact B(x, z) with no qualifiers exists, of any rank
+        have = {st.value for st in kb.by_prop_subject[(b, x)]
                 if not st.qualifiers.without_pseudo()}
         queue = list(dict.fromkeys(values))
         reached = set(queue)
@@ -280,7 +277,7 @@ def _close_chain(ctx: _Ctx, rule: Rule, chain: _Chain, genv: dict, b: EntityId,
                     blocked = blocked or z not in reached
                     continue
                 record(rule, {**genv, xn: x, yn: y, zn: z},
-                       make_statement(kb.fresh_statement_id("d"), s, b, z))
+                       make_statement(kb.fresh_statement_id("d"), x, b, z))
                 derived = True
                 have.add(z)
                 if z not in reached:
@@ -293,10 +290,7 @@ def _derived_statement(rule: Rule, env: dict, kb: KnowledgeBase) -> Optional[Sta
     pred = _resolve_term(rule.head.pred, env)
     subj = _resolve_term(rule.head.args[0], env)
     value = _resolve_term(rule.head.args[1], env)
-    if not isinstance(pred, PropRef):
-        return None
-    subj_ent = as_entity(subj) if subj is not None else None
-    if subj_ent is None or value is None:
+    if not is_property(pred) or not isinstance(subj, EntityId) or value is None:
         return None
     quals, rank, refs = EMPTY_ATTRS, "normal", ()
     if rule.head.attrs is not None:
@@ -308,10 +302,9 @@ def _derived_statement(rule: Rule, env: dict, kb: KnowledgeBase) -> Optional[Sta
                     "normal")
         refs = sorted(v.text for a, v in copied
                       if a == REFERENCE_ATTR and isinstance(v, StringVal))
-    if kb.has_fact(subj_ent, pred.entity, value, quals):
+    if kb.has_fact(subj, pred, value, quals):
         return None
-    return make_statement(kb.fresh_statement_id("d"), subj_ent, pred.entity, value, quals,
-                          rank, refs)
+    return make_statement(kb.fresh_statement_id("d"), subj, pred, value, quals, rank, refs)
 
 
 def closure(
@@ -364,15 +357,15 @@ def closure(
             for genv in list(solve(ctx, chain.guards, {})):
                 b = _resolve_term(chain.b.pred, genv)
                 a = _resolve_term(chain.a.pred, genv)
-                if not isinstance(b, PropRef) or not isinstance(a, PropRef):
+                if not is_property(b) or not is_property(a):
                     continue
-                key = (n, b.entity, a.entity)
-                if closed.get(key) == sizes(b.entity, a.entity):
+                key = (n, b, a)
+                if closed.get(key) == sizes(b, a):
                     continue  # no B or A fact arrived since its last pass
-                if _close_chain(ctx, rule, chain, genv, b.entity, a.entity, record):
+                if _close_chain(ctx, rule, chain, genv, b, a, record):
                     closed.pop(key, None)
                 else:
-                    closed[key] = sizes(b.entity, a.entity)
+                    closed[key] = sizes(b, a)
         if not fresh:
             return result
         delta = {}

@@ -1,6 +1,7 @@
 """Declaration extraction, query derivation and violation reporting."""
 
 import json
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from wdcheck.catalog import (
 from wdcheck.evaluator import check_safe_range, evaluate
 from wdcheck.formula import all_constants, free_variables, print_formula
 from wdcheck.labels import LabelTable
-from wdcheck.model import P, PropRef, Q
+from wdcheck.model import P, Q
 from wdcheck.templates import builtin_templates, template_by_name
 
 
@@ -92,7 +93,7 @@ class TestQueryDerivation:
             table = LabelTable({"property_constraint": P(9999)} if remapped else None)
             (_, query), = derive_violation_queries(tpl, decl, table)
             pred = P(9999) if remapped else P(2302)
-            assert PropRef(pred) in all_constants(query), i
+            assert pred in all_constants(query), i
 
 
 class TestVariantPlans:
@@ -222,6 +223,23 @@ class TestCheck:
         result = violations(kb, ["difference_within_range"])
         assert [v.variant for v in result.violations] == variants
         assert all(not v.diagnostics for v in result.violations)
+
+    def test_commons_link_reads_bound_page_by_lookup(self):
+        # a page bound by ?p(?s, ?o) is looked up, not searched for among all pages
+        n, missing, wrong = 4000, 17, 3001
+        lines = ['P2302(P373, Q21510852) @ {P2307: "Category"}']
+        for i in range(1, n + 1):
+            lines.append(f'P373(Q{i}, "Page {i}")')
+            if i != missing:
+                ns = "Gallery" if i == wrong else "Category"
+                lines.append(f'commons_ns("Page {i}", "{ns}")')
+        kb = kb_from("\n".join(lines))
+        start = time.perf_counter()
+        result = violations(kb, ["commons_link"])
+        assert time.perf_counter() - start < 5.0
+        assert sorted((v.variant, v.binding["s"]) for v in result.violations) == [
+            ("namespace", f"Q{missing}"), ("namespace", f"Q{wrong}"),
+            ("page_exists", f"Q{missing}")]
 
     def test_max_violations_cap(self):
         kb = kb_from("P2302(P26, Q21510862)\n" +

@@ -395,6 +395,31 @@ class TestErrors:
             assert err == f"note: {path}: skipped 1 claim(s) ({where}: 1)\n"
         assert out == "no bindings\n"
 
+    @pytest.mark.parametrize("where", ["mainsnak", "qualifier"])
+    @pytest.mark.parametrize("field, raw", [
+        ("amount", "NaN"), ("amount", "sNaN"), ("amount", None),
+        ("lowerBound", "x"), ("lowerBound", "-Infinity")])
+    def test_malformed_quantity_number_is_skipped(self, capsys, tmp_path, where, field, raw):
+        def snak(number):
+            return {"snaktype": "value", "property": "P1082", "datavalue": {
+                "type": "quantity", "value": {"amount": number, "unit": "1"}}}
+
+        bad = snak("+5")
+        bad["datavalue"]["value"].update({"lowerBound": "+4", "upperBound": "+6", field: raw})
+        claim = {"mainsnak": bad, "rank": "normal"} if where == "mainsnak" else \
+            {"mainsnak": snak("+5"), "rank": "normal", "qualifiers": {"P1107": [bad]}}
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps([{"id": "Q1", "claims": {"P1082": [claim]}},
+                                  {"id": "Q2", "claims": {"P1082": [
+                                      {"mainsnak": snak("+20"), "rank": "normal"}]}}]))
+        decl = tmp_path / "decl.native"
+        decl.write_text("P2302(P1082, Q21510860) @ {P2312: 0, P2313: 10}\n")
+        code, out, err = run(capsys, "check", "--input", str(decl), "--input", str(kb))
+        assert code == 1, err
+        assert err == f"note: {kb}: skipped 1 claim(s) ({where}: 1)\n"
+        assert out == ("[regular] range (maximum_value) on P1082 with ?max=10, ?o=20, ?s=Q2\n"
+                       "1 violation(s), 0 suppressed\n  regular: 1\n")
+
 
 class TestLabelEnvironment:
     def test_extra_labels_from_env(self, capsys, tmp_path, monkeypatch):

@@ -27,14 +27,11 @@ from wdcheck.model import (
     AnonConst,
     AttrSet,
     EMPTY_ATTRS,
-    ItemRef,
+    EntityId,
     KnowledgeBase,
     P,
-    PropRef,
     Q,
     StringVal,
-    as_entity,
-    entity_value,
     make_statement,
 )
 from wdcheck.rules import builtin_ontology, closure, parse_rules
@@ -45,7 +42,7 @@ from wdcheck.rules import builtin_ontology, closure, parse_rules
 
 
 def _is_prop(v) -> bool:
-    return isinstance(v, PropRef)
+    return isinstance(v, EntityId) and v.kind == "property"
 
 
 def _heads(usable: list) -> list:
@@ -53,34 +50,34 @@ def _heads(usable: list) -> list:
     by_prop: dict = {}
     for f in usable:
         by_prop.setdefault(f[1], []).append(f)
-    declared = {cls: {entity_value(s) for s, _p, v, _q, _r in by_prop.get(INSTANCE_OF, [])
-                      if v == ItemRef(cls) and _is_prop(entity_value(s))}
+    declared = {cls: {s for s, _p, v, _q, _r in by_prop.get(INSTANCE_OF, [])
+                      if v == cls and _is_prop(s)}
                 for cls in (SYMMETRIC_PROPERTY, TRANSITIVE_PROPERTY, REFLEXIVE_PROPERTY)}
     out = []
 
     def chain(b, a):  # b(?x, ?y) & a(?y, ?z) -> b(?x, ?z)
         for x, _, y, _, _ in by_prop.get(b, []):
             for y2, _, z, _, _ in by_prop.get(a, []):
-                if entity_value(y2) == y:
+                if y2 == y:
                     out.append((x, b, z, EMPTY_ATTRS, "normal"))
 
     chain(SUBCLASS_OF, SUBCLASS_OF)
     chain(INSTANCE_OF, SUBCLASS_OF)
     for p, _, q, _, _ in by_prop.get(SUBPROPERTY_OF, []):
-        if _is_prop(entity_value(p)) and _is_prop(q):
+        if _is_prop(p) and _is_prop(q):
             for s, _, o, quals, rank in by_prop.get(p, []):
-                out.append((s, q.entity, o, quals, rank))
+                out.append((s, q, o, quals, rank))
     for p in declared[SYMMETRIC_PROPERTY]:
-        for s, _, o, quals, rank in by_prop.get(p.entity, []):
-            if as_entity(o) is not None:
-                out.append((as_entity(o), p.entity, entity_value(s), quals, rank))
+        for s, _, o, quals, rank in by_prop.get(p, []):
+            if isinstance(o, EntityId):
+                out.append((o, p, s, quals, rank))
     for p in declared[TRANSITIVE_PROPERTY]:
-        chain(p.entity, p.entity)
+        chain(p, p)
     for p in declared[REFLEXIVE_PROPERTY]:
-        for s, _, o, _, _ in by_prop.get(p.entity, []):
-            out.append((s, p.entity, entity_value(s), EMPTY_ATTRS, "normal"))
-            if as_entity(o) is not None:
-                out.append((as_entity(o), p.entity, o, EMPTY_ATTRS, "normal"))
+        for s, _, o, _, _ in by_prop.get(p, []):
+            out.append((s, p, s, EMPTY_ATTRS, "normal"))
+            if isinstance(o, EntityId):
+                out.append((o, p, o, EMPTY_ATTRS, "normal"))
     return out
 
 
@@ -108,16 +105,15 @@ def naive_closure(facts: list) -> set:
 _P1, _P2 = P(1), P(2)
 _SUBJECTS = [Q(1), Q(2), Q(3), Q(4), _P1]
 _PROPERTIES = [SUBCLASS_OF, SUBCLASS_OF, INSTANCE_OF, _P1, _P2]
-_VALUES = [ItemRef(Q(n)) for n in (1, 2, 3, 4)] * 2 + [PropRef(_P2), StringVal("s"),
-                                                       AnonConst(1)]
-_QUALIFIERS = [EMPTY_ATTRS, EMPTY_ATTRS, AttrSet.of([(PropRef(P(580)), StringVal("q"))])]
+_VALUES = [Q(n) for n in (1, 2, 3, 4)] * 2 + [_P2, StringVal("s"), AnonConst(1)]
+_QUALIFIERS = [EMPTY_ATTRS, EMPTY_ATTRS, AttrSet.of([(P(580), StringVal("q"))])]
 _RANKS = ["normal", "normal", "preferred", "deprecated"]
 # declarations on the two plain properties, and P1647 between them
-_DECLARATIONS = [(p, INSTANCE_OF, ItemRef(cls))
+_DECLARATIONS = [(p, INSTANCE_OF, cls)
                  for p in (_P1, _P2)
                  for cls in (SYMMETRIC_PROPERTY, TRANSITIVE_PROPERTY, REFLEXIVE_PROPERTY)]
-_DECLARATIONS += [(_P1, SUBPROPERTY_OF, PropRef(_P2)), (_P2, SUBPROPERTY_OF, PropRef(_P1)),
-                  (_P1, SUBPROPERTY_OF, PropRef(SUBCLASS_OF))]
+_DECLARATIONS += [(_P1, SUBPROPERTY_OF, _P2), (_P2, SUBPROPERTY_OF, _P1),
+                  (_P1, SUBPROPERTY_OF, SUBCLASS_OF)]
 
 _edges = st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_PROPERTIES),
                    st.sampled_from(_VALUES), st.sampled_from(_QUALIFIERS),
@@ -163,8 +159,8 @@ def _premise_ok(result, rules: dict, sid: str, earlier: set) -> bool:
         subj, value = _ground(atom.args[0], d.binding), _ground(atom.args[1], d.binding)
         found = False
         for prem in result.kb.statements.values():
-            if (prem.rank == "deprecated" or PropRef(prem.property) != pred
-                    or entity_value(prem.subject) != subj or prem.value != value):
+            if (prem.rank == "deprecated" or prem.property != pred
+                    or prem.subject != subj or prem.value != value):
                 continue
             if atom.attrs is not None and (prem.qualifiers.without_pseudo()
                                            != st.qualifiers.without_pseudo()):
@@ -197,11 +193,11 @@ def test_oracle_blocks_a_deprecated_key():
     # a -> b -> c -> d with deprecated a -> c and b -> d: no split of a -> d
     # has two usable premises, so a -> d is not derived
     a, b, c, d = Q(1), Q(2), Q(3), Q(4)
-    facts = [(a, SUBCLASS_OF, ItemRef(b), EMPTY_ATTRS, "normal"),
-             (b, SUBCLASS_OF, ItemRef(c), EMPTY_ATTRS, "normal"),
-             (c, SUBCLASS_OF, ItemRef(d), EMPTY_ATTRS, "normal"),
-             (a, SUBCLASS_OF, ItemRef(c), EMPTY_ATTRS, "deprecated"),
-             (b, SUBCLASS_OF, ItemRef(d), EMPTY_ATTRS, "deprecated")]
+    facts = [(a, SUBCLASS_OF, b, EMPTY_ATTRS, "normal"),
+             (b, SUBCLASS_OF, c, EMPTY_ATTRS, "normal"),
+             (c, SUBCLASS_OF, d, EMPTY_ATTRS, "normal"),
+             (a, SUBCLASS_OF, c, EMPTY_ATTRS, "deprecated"),
+             (b, SUBCLASS_OF, d, EMPTY_ATTRS, "deprecated")]
     assert naive_closure(facts) == set()
     kb = _kb([f + (False,) for f in facts])
     assert closure(kb).derived_ids == []
@@ -238,12 +234,12 @@ def naive_rule_closure(kb: KnowledgeBase, rules: list) -> set:
             for b in evaluate(kb, And(rule.body)):
                 env = b.as_dict()
                 quals = EMPTY_ATTRS if head.attrs is None else env[head.attrs.name]
-                heads.append((_ground(head.pred, env), as_entity(_ground(head.args[0], env)),
+                heads.append((_ground(head.pred, env), _ground(head.args[0], env),
                               _ground(head.args[1], env), quals.without_pseudo()))
         added = False
         for pred, subj, value, quals in heads:
-            if subj is not None and not kb.has_fact(subj, pred.entity, value, quals):
-                st = make_statement(kb.fresh_statement_id("d"), subj, pred.entity, value, quals)
+            if isinstance(subj, EntityId) and not kb.has_fact(subj, pred, value, quals):
+                st = make_statement(kb.fresh_statement_id("d"), subj, pred, value, quals)
                 kb.add_statement(st)
                 derived.add(st.content_key())
                 added = True

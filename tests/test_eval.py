@@ -20,7 +20,7 @@ from wdcheck.evaluator import (
     solve,
 )
 from wdcheck.formula import parse
-from wdcheck.model import ItemRef, KnowledgeBase, P, PropRef, Q, StringVal
+from wdcheck.model import KnowledgeBase, P, Q, StringVal
 from wdcheck.oracle import DomainTooLarge, brute_force_evaluate, holds
 
 
@@ -256,8 +256,8 @@ class TestPlans:
 
     def test_params_bound_before_the_search(self, family_kb):
         f = parse("?p(?x, ?y) & !?p(?y, ?x)")
-        got = [b.as_dict() for b in evaluate(family_kb, f, params={"p": PropRef(P(26))})]
-        assert got == [{"x": ItemRef(Q(3)), "y": ItemRef(Q(4))}]
+        got = [b.as_dict() for b in evaluate(family_kb, f, params={"p": P(26)})]
+        assert got == [{"x": Q(3), "y": Q(4)}]
 
 
 class TestHolds:
@@ -267,10 +267,10 @@ class TestHolds:
 
     def test_requires_total_binding(self, family_kb):
         with pytest.raises(Exception):
-            holds(family_kb, parse("P26(?x, ?y)"), {"x": ItemRef(Q(1))})
+            holds(family_kb, parse("P26(?x, ?y)"), {"x": Q(1)})
 
     def test_binding_values(self, family_kb):
-        env = {"x": ItemRef(Q(3)), "y": ItemRef(Q(4))}
+        env = {"x": Q(3), "y": Q(4)}
         assert holds(family_kb, parse("P26(?x, ?y) & !P26(?y, ?x)"), env)
 
 
@@ -326,7 +326,7 @@ def test_random_kb_oracle_agreement(stmts, with_no_value, query):
 
 
 def test_binding_api():
-    b = Binding.of({"x": ItemRef(Q(1)), "a": StringVal("s")})
-    assert b.as_dict() == {"a": StringVal("s"), "x": ItemRef(Q(1))}
-    assert "x" in b and b["x"] == ItemRef(Q(1))
-    assert b == Binding.of({"a": StringVal("s"), "x": ItemRef(Q(1))})
+    b = Binding.of({"x": Q(1), "a": StringVal("s")})
+    assert b.as_dict() == {"a": StringVal("s"), "x": Q(1)}
+    assert "x" in b and b["x"] == Q(1)
+    assert b == Binding.of({"a": StringVal("s"), "x": Q(1)})

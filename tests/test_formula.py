@@ -45,9 +45,7 @@ from wdcheck.formula import (
 )
 from wdcheck.model import (
     AttrSet,
-    ItemRef,
     P,
-    PropRef,
     Q,
     QuantityVal,
     StringVal,
@@ -60,12 +58,12 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 class TestParsing:
     def test_relational_atom(self):
         f = parse("P26(?x, ?y)@?SQ")
-        assert f == Rel(Const(PropRef(P(26))), (ObjVar("x"), ObjVar("y")), SetVar("SQ"))
+        assert f == Rel(Const(P(26)), (ObjVar("x"), ObjVar("y")), SetVar("SQ"))
 
     def test_atom_without_attrs(self):
         f = parse("P26(Q1, Q2)")
-        assert f == Rel(Const(PropRef(P(26))),
-                        (Const(ItemRef(Q(1))), Const(ItemRef(Q(2)))), None)
+        assert f == Rel(Const(P(26)),
+                        (Const(Q(1)), Const(Q(2))), None)
 
     def test_label_resolution(self):
         assert parse("spouse(?x, ?y)") == parse("P26(?x, ?y)")
@@ -73,13 +71,13 @@ class TestParsing:
 
     def test_set_atom(self):
         f = parse("(P585 : ?v) in ?SQ")
-        assert f == SetMember(Const(PropRef(P(585))), ObjVar("v"), SetVar("SQ"))
+        assert f == SetMember(Const(P(585)), ObjVar("v"), SetVar("SQ"))
 
     def test_set_literal(self):
         f = parse("?p(?s, ?o)@{P580: 1988-06-12}")
         assert isinstance(f.attrs, SetLiteral)
         assert f.attrs.pairs == (
-            (Const(PropRef(P(580))), Const(TimeVal(datetime(1988, 6, 12)))),)
+            (Const(P(580)), Const(TimeVal(datetime(1988, 6, 12)))),)
 
     def test_precedence(self):
         f = parse("P31(?x, Q1) & P31(?x, Q2) | P31(?x, Q3) -> P31(?x, Q4)")
@@ -198,29 +196,29 @@ class TestVariableAccounting:
     def test_all_constants(self):
         f = parse("P26(?x, Q5)@{P580: 1988-06-12}")
         consts = all_constants(f)
-        assert {PropRef(P(26)), ItemRef(Q(5)), PropRef(P(580)),
+        assert {P(26), Q(5), P(580),
                 TimeVal(datetime(1988, 6, 12))} <= consts
 
     def test_ground_set_literals(self):
         f = parse("?p(?s, ?o)@{P580: 1988-06-12} & (?a : ?b) in {P1: Q1}"
                   " & P26(?s, ?o)@{P580: difference(2020-01-01, 2019-01-01)}")
         sets = ground_set_literals(f)
-        assert AttrSet.of([(PropRef(P(1)), ItemRef(Q(1)))]) in sets
+        assert AttrSet.of([(P(1), Q(1))]) in sets
         assert len(sets) == 2
 
     def test_substitute_object_and_set(self):
         f = parse("?p(?s, ?o)@?CQ")
-        g = substitute(f, {"p": PropRef(P(26))},
-                       {"CQ": AttrSet.of([(PropRef(P(1)), ItemRef(Q(1)))])})
+        g = substitute(f, {"p": P(26)},
+                       {"CQ": AttrSet.of([(P(1), Q(1))])})
         assert free_variables(g) == {"s", "o"}
-        assert g.pred == Const(PropRef(P(26)))
+        assert g.pred == Const(P(26))
         assert isinstance(g.attrs, SetLiteral)
 
     def test_substitute_respects_binders(self):
         f = parse("exists ?x . P26(?x, ?y)")
-        g = substitute(f, {"x": ItemRef(Q(9)), "y": ItemRef(Q(8))})
+        g = substitute(f, {"x": Q(9), "y": Q(8)})
         assert g.body.args[0] == ObjVar("x")
-        assert g.body.args[1] == Const(ItemRef(Q(8)))
+        assert g.body.args[1] == Const(Q(8))
 
 
 class TestNegation:
@@ -299,7 +297,7 @@ class TestBlocks:
 
 _obj_terms = st.sampled_from([
     ObjVar("x"), ObjVar("y"), ObjVar("v"),
-    Const(ItemRef(Q(1))), Const(ItemRef(Q(2))), Const(PropRef(P(585))),
+    Const(Q(1)), Const(Q(2)), Const(P(585)),
     Const(StringVal("ab")), Const(QuantityVal(Decimal(3))),
     Const(TimeVal(datetime(1988, 6, 12))),
 ])
@@ -313,20 +311,20 @@ def _sorted_literal(pairs):
 
 
 _set_literals = st.lists(
-    st.tuples(st.sampled_from([Const(PropRef(P(580))), Const(PropRef(P(585))), ObjVar("q")]),
+    st.tuples(st.sampled_from([Const(P(580)), Const(P(585)), ObjVar("q")]),
               _obj_terms),
     max_size=2, unique_by=lambda p: (_print_term(p[0]), _print_term(p[1])),
 ).map(_sorted_literal)
 
 _set_terms = st.one_of(_set_vars, _set_literals)
 
-_preds = st.sampled_from([Const(PropRef(P(26))), Const(PropRef(P(31))), ObjVar("p")])
+_preds = st.sampled_from([Const(P(26)), Const(P(31)), ObjVar("p")])
 
 _atoms = st.one_of(
     st.builds(lambda p, a, b, s: Rel(p, (a, b), s),
               _preds, _obj_terms, _obj_terms, st.one_of(st.none(), _set_terms)),
     st.builds(lambda a, v, s: SetMember(a, v, s),
-              st.sampled_from([Const(PropRef(P(585))), ObjVar("q")]), _obj_terms, _set_terms),
+              st.sampled_from([Const(P(585)), ObjVar("q")]), _obj_terms, _set_terms),
     st.builds(lambda a, b: Eq(a, b), _obj_terms, _obj_terms),
     st.builds(lambda a, b: DtRel("leq", (a, b)), _obj_terms, _obj_terms),
 )
@@ -364,7 +362,7 @@ def test_print_parse_round_trip(f):
 # Property-based binder handling
 # ---------------------------------------------------------------------------
 
-_values = st.sampled_from([ItemRef(Q(7)), StringVal("z"), PropRef(P(26))])
+_values = st.sampled_from([Q(7), StringVal("z"), P(26)])
 
 
 @st.composite

@@ -26,12 +26,10 @@ from wdcheck.model import (
     RANKS,
     AnonConst,
     AttrSet,
-    ItemRef,
     KnowledgeBase,
     NOVALUE,
     NoValueFact,
     P,
-    PropRef,
     Q,
     QuantityVal,
     StringVal,
@@ -49,10 +47,10 @@ class TestNativeFormat:
         assert stats.statements == 1
         (st,) = kb.statements.values()
         assert st.subject == Q(1)
-        assert st.value == ItemRef(Q(2))
+        assert st.value == Q(2)
         assert st.rank == "preferred"
         assert len(st.references) == 2
-        assert st.qualifiers.values_for(PropRef(P(580))) == [TimeVal(datetime(1988, 6, 12))]
+        assert st.qualifiers.values_for(P(580)) == [TimeVal(datetime(1988, 6, 12))]
 
     def test_labels_in_facts(self):
         kb, _ = load_native("spouse(Q1, Q2)")
@@ -74,7 +72,7 @@ class TestNativeFormat:
         assert values[P(3)] == QuantityVal(Decimal("2.5"), Q(11573), Decimal(2), Decimal(3))
         assert values[P(4)] == TimeVal(datetime(1988, 6, 12, 10, 30), 14)
         assert isinstance(values[P(5)], AnonConst)
-        assert values[P(6)] == PropRef(P(31))
+        assert values[P(6)] == P(31)
 
     def test_no_value_and_commons(self):
         kb, stats = load_native(
@@ -210,9 +208,9 @@ _times = st.builds(TimeVal,
                    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59))
                    .map(lambda d: d.replace(microsecond=0)),
                    st.integers(0, 14))
-_values = st.one_of(_items.map(ItemRef), _props.map(PropRef), st.text().map(StringVal),
+_values = st.one_of(_items, _props, st.text().map(StringVal),
                     _quantities, _times, st.none())
-_qualifiers = st.lists(st.tuples(_props.map(PropRef), _values), max_size=3)
+_qualifiers = st.lists(st.tuples(_props, _values), max_size=3)
 
 
 @st.composite
@@ -311,10 +309,10 @@ class TestWikidataJson:
         assert stats.statements == 1
         (st,) = kb.statements.values()
         assert st.subject == Q(42)
-        assert st.value == ItemRef(Q(43))
+        assert st.value == Q(43)
         assert st.rank == "preferred"
         assert len(st.references) == 2
-        assert st.qualifiers.values_for(PropRef(P(580))) == [
+        assert st.qualifiers.values_for(P(580)) == [
             TimeVal(datetime(1991, 11, 25), 11)]
         assert kb.labels[Q(42)] == "Douglas Adams"
 
@@ -336,6 +334,15 @@ class TestWikidataJson:
         assert values[P(1082)] == QuantityVal(
             Decimal(39000), None, Decimal(38000), Decimal(40000))
         assert values[P(212)] == StringVal("978-3")
+
+    @pytest.mark.parametrize("amount, loaded", [
+        (5, True), ("+5", True), (True, False), (5.0, False), ("Infinity", False)])
+    def test_quantity_number_types(self, amount, loaded):
+        doc = entity_doc("Q1", {"P1082": [claim("P1082", value_snak("quantity", {
+            "amount": amount, "unit": "1"}))]})
+        kb, stats = load_wikidata_json([doc])
+        assert stats.statements == int(loaded)
+        assert [reason for reason, _ in stats.skipped] == ([] if loaded else ["mainsnak"])
 
     def test_quantity_unit_uri(self):
         doc = entity_doc("Q1", {"P2048": [claim("P2048", value_snak("quantity", {
@@ -394,7 +401,7 @@ class TestWikidataJson:
         assert [reason for reason, _ in stats.skipped] == ["mainsnak"]
 
     @pytest.mark.parametrize("entity_type, expected", [
-        ("item", ItemRef(Q(2))), ("property", PropRef(P(2)))])
+        ("item", Q(2)), ("property", P(2))])
     def test_legacy_entity_value_without_id(self, entity_type, expected):
         doc = entity_doc("Q1", {"P1889": [claim("P1889", value_snak(
             "wikibase-entityid", {"entity-type": entity_type, "numeric-id": 2}))]})
@@ -421,7 +428,7 @@ class TestWikidataJson:
             qualifiers={"P582": [{"snaktype": "novalue"}]})]})
         kb, _ = load_wikidata_json([doc])
         (st,) = kb.statements.values()
-        assert st.qualifiers.values_for(PropRef(P(582))) == [NOVALUE]
+        assert st.qualifiers.values_for(P(582)) == [NOVALUE]
 
     def test_single_document(self):
         doc = entity_doc("Q1", {"P31": [claim("P31", value_snak("wikibase-entityid",
@@ -429,7 +436,7 @@ class TestWikidataJson:
         kb, stats = load_wikidata_json(json.dumps(doc))
         assert stats.statements == 1
         (st,) = kb.statements.values()
-        assert (st.subject, st.value) == (Q(1), ItemRef(Q(5)))
+        assert (st.subject, st.value) == (Q(1), Q(5))
 
     def test_bad_ids_skipped(self):
         good = claim("P31", value_snak("wikibase-entityid", {"id": "Q5"}))

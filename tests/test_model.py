@@ -5,18 +5,19 @@ from decimal import Decimal
 
 import pytest
 
+from wdcheck.ingest import export_native
 from wdcheck.model import (
+    NOVALUE,
+    AnonConst,
     AttrSet,
     DatatypeError,
     EntityId,
-    ItemRef,
     KnowledgeBase,
     ModelError,
     NoValueFact,
     P,
     PRECISION_DAY,
     PRECISION_YEAR,
-    PropRef,
     Pseudo,
     Q,
     QuantityVal,
@@ -27,9 +28,9 @@ from wdcheck.model import (
     compile_pattern,
     datatype_function,
     datatype_relation,
-    entity_value,
     make_statement,
     time_interval,
+    _value_sort_key,
 )
 
 
@@ -45,90 +46,109 @@ class TestEntityId:
         with pytest.raises(ModelError):
             EntityId.parse(bad)
 
-    def test_entity_value_kind(self):
-        assert entity_value(Q(1)) == ItemRef(Q(1))
-        assert entity_value(P(1)) == PropRef(P(1))
-
 
 class TestAttrSet:
     def test_extensional_equality(self):
-        a = AttrSet.of([(PropRef(P(1)), ItemRef(Q(1))), (PropRef(P(2)), ItemRef(Q(2)))])
-        b = AttrSet.of([(PropRef(P(2)), ItemRef(Q(2))), (PropRef(P(1)), ItemRef(Q(1)))])
+        a = AttrSet.of([(P(1), Q(1)), (P(2), Q(2))])
+        b = AttrSet.of([(P(2), Q(2)), (P(1), Q(1))])
         assert a == b
         assert hash(a) == hash(b)
 
     def test_multi_valued_attribute(self):
-        s = AttrSet.of([(PropRef(P(1)), ItemRef(Q(1))), (PropRef(P(1)), ItemRef(Q(2)))])
-        assert sorted(str(v) for v in s.values_for(PropRef(P(1)))) == ["Q1", "Q2"]
+        s = AttrSet.of([(P(1), Q(1)), (P(1), Q(2))])
+        assert sorted(str(v) for v in s.values_for(P(1))) == ["Q1", "Q2"]
 
     def test_without_pseudo(self):
-        s = AttrSet.of([(RANK_ATTR, StringVal("normal")), (PropRef(P(1)), ItemRef(Q(1)))])
-        assert s.without_pseudo() == AttrSet.of([(PropRef(P(1)), ItemRef(Q(1)))])
+        s = AttrSet.of([(RANK_ATTR, StringVal("normal")), (P(1), Q(1))])
+        assert s.without_pseudo() == AttrSet.of([(P(1), Q(1))])
+
+
+class TestValueOrder:
+    """One total order over values: by kind (anonymous, item, property,
+    pseudo, quantity, string), then by printed form.  It fixes the printed
+    qualifier sets, exported lines, JSON params and set-atom iteration."""
+
+    VALUES = [StringVal("s"), QuantityVal(Decimal(2)), P(5), Q(10), NOVALUE, Q(2), AnonConst(3)]
+
+    def test_sort_key(self):
+        ordered = sorted(self.VALUES, key=_value_sort_key)
+        assert [str(v) for v in ordered] == ['_:3', 'Q10', 'Q2', 'P5', 'novalue', '2', '"s"']
+
+    def test_attr_set_str(self):
+        s = AttrSet.of((P(1), v) for v in self.VALUES)
+        assert str(s) == '{P1: _:3, P1: Q10, P1: Q2, P1: P5, P1: novalue, P1: 2, P1: "s"}'
+
+    def test_export_native_line(self):
+        kb = KnowledgeBase()
+        kb.add_statement(make_statement("s1", Q(1), P(26), Q(2),
+                                        [(P(1), v) for v in self.VALUES]))
+        assert export_native(kb) == (
+            'P26(Q1, Q2) @ {P1: somevalue, P1: Q10, P1: Q2, P1: P5, P1: novalue, P1: 2, P1: "s"}\n')
 
 
 class TestStatement:
     def test_rank_and_references_mirrored(self):
-        st = make_statement("s1", Q(1), P(26), ItemRef(Q(2)),
+        st = make_statement("s1", Q(1), P(26), Q(2),
                             rank="preferred", references=["s1:r1"])
         assert (RANK_ATTR, StringVal("preferred")) in st.qualifiers
         assert (Pseudo("reference"), StringVal("s1:r1")) in st.qualifiers
 
     def test_direct_pseudo_rejected(self):
         with pytest.raises(ModelError):
-            make_statement("s1", Q(1), P(26), ItemRef(Q(2)),
+            make_statement("s1", Q(1), P(26), Q(2),
                            qualifiers=[(RANK_ATTR, StringVal("normal"))])
 
     def test_bad_rank_rejected(self):
         with pytest.raises(ModelError):
-            make_statement("s1", Q(1), P(26), ItemRef(Q(2)), rank="best")
+            make_statement("s1", Q(1), P(26), Q(2), rank="best")
 
     def test_content_key_ignores_rank_and_refs(self):
-        a = make_statement("s1", Q(1), P(26), ItemRef(Q(2)), rank="preferred")
-        b = make_statement("s2", Q(1), P(26), ItemRef(Q(2)), references=["s2:r1"])
+        a = make_statement("s1", Q(1), P(26), Q(2), rank="preferred")
+        b = make_statement("s2", Q(1), P(26), Q(2), references=["s2:r1"])
         assert a.content_key() == b.content_key()
 
 
 class TestKnowledgeBase:
     def test_indexes(self):
         kb = KnowledgeBase()
-        kb.add_statement(make_statement("s1", Q(1), P(26), ItemRef(Q(2))))
-        kb.add_statement(make_statement("s2", Q(1), P(26), ItemRef(Q(3))))
-        kb.add_statement(make_statement("s3", Q(9), P(31), ItemRef(Q(5))))
+        kb.add_statement(make_statement("s1", Q(1), P(26), Q(2)))
+        kb.add_statement(make_statement("s2", Q(1), P(26), Q(3)))
+        kb.add_statement(make_statement("s3", Q(9), P(31), Q(5)))
         assert len(kb.by_property[P(26)]) == 2
         assert len(kb.by_prop_subject[(P(26), Q(1))]) == 2
-        assert len(kb.by_prop_value[(P(26), ItemRef(Q(3)))]) == 1
+        assert len(kb.by_prop_value[(P(26), Q(3))]) == 1
 
     def test_duplicate_id_rejected(self):
         kb = KnowledgeBase()
-        kb.add_statement(make_statement("s1", Q(1), P(26), ItemRef(Q(2))))
+        kb.add_statement(make_statement("s1", Q(1), P(26), Q(2)))
         with pytest.raises(ModelError):
-            kb.add_statement(make_statement("s1", Q(1), P(26), ItemRef(Q(3))))
+            kb.add_statement(make_statement("s1", Q(1), P(26), Q(3)))
 
     def test_deprecated_filtered_by_default(self):
         kb = KnowledgeBase()
-        kb.add_statement(make_statement("s1", Q(1), P(26), ItemRef(Q(2)), rank="deprecated"))
+        kb.add_statement(make_statement("s1", Q(1), P(26), Q(2), rank="deprecated"))
         assert kb.facts_for(P(26)) == []
         assert len(kb.facts_for(P(26), include_deprecated=True)) == 1
 
     def test_active_domain(self):
         kb = KnowledgeBase()
         kb.add_statement(make_statement(
-            "s1", Q(1), P(26), ItemRef(Q(2)),
-            qualifiers=[(PropRef(P(580)), TimeVal(datetime(1988, 6, 12)))]))
+            "s1", Q(1), P(26), Q(2),
+            qualifiers=[(P(580), TimeVal(datetime(1988, 6, 12)))]))
         dom = kb.active_domain()
-        assert ItemRef(Q(1)) in dom
-        assert PropRef(P(26)) in dom
-        assert ItemRef(Q(2)) in dom
-        assert PropRef(P(580)) in dom
+        assert Q(1) in dom
+        assert P(26) in dom
+        assert Q(2) in dom
+        assert P(580) in dom
         assert TimeVal(datetime(1988, 6, 12)) in dom
         # the mirrored rank pair counts as well
         assert StringVal("normal") in dom
 
     def test_has_fact_ignores_rank(self):
         kb = KnowledgeBase()
-        kb.add_statement(make_statement("s1", Q(1), P(26), ItemRef(Q(2)), rank="preferred"))
-        assert kb.has_fact(Q(1), P(26), ItemRef(Q(2)), AttrSet())
-        assert not kb.has_fact(Q(2), P(26), ItemRef(Q(1)), AttrSet())
+        kb.add_statement(make_statement("s1", Q(1), P(26), Q(2), rank="preferred"))
+        assert kb.has_fact(Q(1), P(26), Q(2), AttrSet())
+        assert not kb.has_fact(Q(2), P(26), Q(1), AttrSet())
 
     def test_attr_sets_contains_empty(self):
         kb = KnowledgeBase()
@@ -136,11 +156,11 @@ class TestKnowledgeBase:
 
     def test_copy_is_independent(self):
         kb = KnowledgeBase()
-        kb.add_statement(make_statement("s1", Q(1), P(26), ItemRef(Q(2))))
+        kb.add_statement(make_statement("s1", Q(1), P(26), Q(2)))
         kb.add_no_value(NoValueFact(P(40), Q(1)))
         kb.add_commons_page("Page", "Category")
         clone = kb.copy()
-        clone.add_statement(make_statement("s2", Q(3), P(26), ItemRef(Q(4))))
+        clone.add_statement(make_statement("s2", Q(3), P(26), Q(4)))
         assert len(kb.statements) == 1
         assert clone.no_value_facts == kb.no_value_facts
         assert clone.commons_ns == kb.commons_ns
@@ -221,8 +241,8 @@ class TestDatatypeRelations:
     def test_has_unit(self):
         metre = QuantityVal(Decimal(5), Q(11573))
         plain = QuantityVal(Decimal(5))
-        assert datatype_relation("has_unit", metre, ItemRef(Q(11573)))
-        assert not datatype_relation("has_unit", plain, ItemRef(Q(11573)))
+        assert datatype_relation("has_unit", metre, Q(11573))
+        assert not datatype_relation("has_unit", plain, Q(11573))
         assert datatype_relation("has_unit", plain, Pseudo("no_unit"))
         assert not datatype_relation("has_unit", StringVal("x"), Pseudo("no_unit"))
 

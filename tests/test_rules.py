@@ -8,7 +8,7 @@ from conftest import kb_from
 from wdcheck.formula import parse
 from wdcheck.ingest import export_native
 from wdcheck.labels import SYMMETRIC_PROPERTY, TRANSITIVE_PROPERTY
-from wdcheck.model import AttrSet, ItemRef, P, PropRef, Q, StringVal
+from wdcheck.model import AttrSet, P, Q, StringVal
 from wdcheck.rules import (
     RuleError,
     _chain,
@@ -84,16 +84,16 @@ class TestClosure:
         result = closure(kb)
         derived = {(st.subject, st.value) for sid in result.derived_ids
                    for st in [result.kb.statements[sid]]}
-        assert (Q(1), ItemRef(Q(3))) in derived
-        assert (Q(1), ItemRef(Q(4))) in derived
-        assert (Q(2), ItemRef(Q(4))) in derived
+        assert (Q(1), Q(3)) in derived
+        assert (Q(1), Q(4)) in derived
+        assert (Q(2), Q(4)) in derived
         assert len(derived) == 3
 
     def test_instance_propagation_depth(self):
         kb = kb_from("P31(Q1, Q2)\nP279(Q2, Q3)\nP279(Q3, Q4)")
         closed = closure(kb).kb
-        assert closed.has_fact(Q(1), P(31), ItemRef(Q(3)), AttrSet())
-        assert closed.has_fact(Q(1), P(31), ItemRef(Q(4)), AttrSet())
+        assert closed.has_fact(Q(1), P(31), Q(3), AttrSet())
+        assert closed.has_fact(Q(1), P(31), Q(4), AttrSet())
 
     def test_symmetric_property_copies_qualifiers(self):
         kb = kb_from(
@@ -104,7 +104,7 @@ class TestClosure:
         derived = [st for st in closed.facts_for(P(26), include_deprecated=True)
                    if st.subject == Q(2)]
         assert len(derived) == 1
-        assert derived[0].qualifiers.values_for(PropRef(P(580)))
+        assert derived[0].qualifiers.values_for(P(580))
         assert derived[0].rank == "preferred"
 
     def test_symmetric_does_not_duplicate_existing(self):
@@ -116,14 +116,14 @@ class TestClosure:
         kb = kb_from(f"P31(P131, {TRANSITIVE_PROPERTY})\n"
                      "P131(Q1, Q2)\nP131(Q2, Q3)\nP131(Q3, Q4)")
         closed = closure(kb).kb
-        assert closed.has_fact(Q(1), P(131), ItemRef(Q(4)), AttrSet())
+        assert closed.has_fact(Q(1), P(131), Q(4), AttrSet())
 
     def test_subproperty_lifting(self):
         kb = kb_from("P1647(P40, P1038)\nP40(Q1, Q2) @ {P585: 2020-01-01}")
         closed = closure(kb).kb
         lifted = closed.facts_for(P(1038))
         assert len(lifted) == 1
-        assert lifted[0].qualifiers.values_for(PropRef(P(585)))
+        assert lifted[0].qualifiers.values_for(P(585))
 
     def test_provenance_explain(self):
         kb = kb_from("P279(Q1, Q2)\nP279(Q2, Q3)")
@@ -154,7 +154,7 @@ class TestClosure:
         assert _chain(rules[0]) is None  # the head is not P40: the generic join
         kb = kb_from("P40(Q1, Q2)\nP40(Q2, Q3)")
         closed = closure(kb, rules=rules).kb
-        assert closed.has_fact(Q(1), P(1038), ItemRef(Q(3)), AttrSet())
+        assert closed.has_fact(Q(1), P(1038), Q(3), AttrSet())
 
     def test_max_rounds_guard(self):
         kb = kb_from("P279(Q1, Q2)\nP279(Q2, Q1)")
@@ -181,7 +181,7 @@ class TestReachability:
         result = closure(kb)
         assert len(result.derived_ids) == 19_900
         assert _derived_keys(result) == {
-            (Q(i), P(279), ItemRef(Q(j)), AttrSet())
+            (Q(i), P(279), Q(j), AttrSet())
             for i in range(1, 202) for j in range(i + 2, 202)}
         assert {d.rule for d in result.provenance.values()} == {"subclass-transitivity"}
         assert set(result.provenance) == set(result.derived_ids)
@@ -190,13 +190,13 @@ class TestReachability:
         kb = kb_from("P279(Q1, Q2)\nP279(Q2, Q3)\nP279(Q3, Q1)")
         closed = closure(kb).kb
         for n in (1, 2, 3):
-            assert closed.has_fact(Q(n), P(279), ItemRef(Q(n)), AttrSet())
+            assert closed.has_fact(Q(n), P(279), Q(n), AttrSet())
 
     def test_deprecated_edge_not_followed(self):
         kb = kb_from("P31(Q9, Q1)\nP279(Q1, Q2)\nP279(Q2, Q3) rank=deprecated\n"
                      "P279(Q3, Q4)")
         result = closure(kb)
-        assert _derived_keys(result) == {(Q(9), P(31), ItemRef(Q(2)), AttrSet())}
+        assert _derived_keys(result) == {(Q(9), P(31), Q(2), AttrSet())}
 
     def test_deprecated_fact_blocks_only_its_own_split(self):
         # the deprecated Q1 -> Q3 stops the search from Q1 at Q3, but Q1 -> Q4
@@ -204,17 +204,17 @@ class TestReachability:
         kb = kb_from("P279(Q1, Q2)\nP279(Q2, Q3)\nP279(Q3, Q4)\n"
                      "P279(Q1, Q3) rank=deprecated")
         result = closure(kb)
-        assert _derived_keys(result) == {(Q(2), P(279), ItemRef(Q(4)), AttrSet()),
-                                         (Q(1), P(279), ItemRef(Q(4)), AttrSet())}
+        assert _derived_keys(result) == {(Q(2), P(279), Q(4), AttrSet()),
+                                         (Q(1), P(279), Q(4), AttrSet())}
         first, second = (result.provenance[sid] for sid in result.derived_ids)
-        assert second.binding["y"] == ItemRef(Q(2))
+        assert second.binding["y"] == Q(2)
 
     def test_qualified_edge_followed_without_its_qualifiers(self):
         kb = kb_from("P279(Q1, Q2) @ {P580: 2020-01-01}\nP279(Q2, Q3)")
         result = closure(kb)
         (sid,) = result.derived_ids
         st = result.kb.statements[sid]
-        assert (st.subject, st.value) == (Q(1), ItemRef(Q(3)))
+        assert (st.subject, st.value) == (Q(1), Q(3))
         assert st.qualifiers.without_pseudo() == AttrSet()
 
     def test_rules_file_rule_of_the_same_shape(self):
