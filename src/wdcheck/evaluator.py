@@ -4,24 +4,25 @@
 it.  It answers only safe-range formulas (``check_safe_range``), and answers
 them by index lookups, never by enumerating the domain.  ``_binds`` is the
 one binding analysis: the gate, the plans and the rule engine read it.
-``_candidates`` is the one place that picks the statements an atom reads,
-the semi-naive delta of a closure round included.
 
 A formula node is compiled into a plan once for each set of variables that
 are bound when it runs, and the plan is cached on the node (``_plan``).  The
-plan fixes which conjuncts are ready and their cost classes, the index each
-statement atom reads, the projection of each quantifier and the ``exists
-v . !g`` of each ``forall``; at run time it reads only the candidate counts
-of statement atoms.  A construct that cannot bind what it leaves open raises
-``EvalError``.  The gate's verdicts are cached on the node as well, so a
-template variant whose ?p and ?CQ are parameters (``evaluate``'s ``params``)
-is gated and planned once, however many declarations run it.  The
-brute-force oracle is in ``oracle``.
+plan fixes which conjuncts are ready and their cost classes, the projection
+of each quantifier, the ``exists v . !g`` of each ``forall``, and the access
+path of each statement atom (``_rel_path``): the one place that picks the
+statements an atom reads, the semi-naive delta of a closure round included,
+and that binds them with one environment per match.  At run time a plan
+reads only candidate counts.  A construct that cannot bind what it leaves
+open raises ``EvalError``.  The gate's verdicts are cached on the node as
+well, so a template variant whose ?p and ?CQ are parameters (``evaluate``'s
+``params``) is gated and planned once, however many declarations run it.
+The brute-force oracle, with its own atom matcher, is in ``oracle``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Iterator, Optional
 
 from .formula import (
@@ -50,13 +51,12 @@ from .model import (
     AttrSet,
     DatatypeError,
     EMPTY_ATTRS,
-    EntityId,
     KnowledgeBase,
     Pseudo,
+    Statement,
     StringVal,
     datatype_function,
     datatype_relation,
-    is_property,
 )
 
 
@@ -115,7 +115,7 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# Term resolution and unification
+# Terms
 # ---------------------------------------------------------------------------
 
 
@@ -126,212 +126,195 @@ def _resolve_term(t, env: dict):
     if isinstance(t, (ObjVar, SetVar)):
         return env.get(t.name)
     if isinstance(t, FuncApp):
-        args = []
-        for a in t.args:
-            v = _resolve_term(a, env)
-            if v is None:
-                return None
-            args.append(v)
-        return datatype_function(t.name, *args)
+        args = [_resolve_term(a, env) for a in t.args]
+        return None if None in args else datatype_function(t.name, *args)
     if isinstance(t, SetLiteral):
-        return _resolve_literal(t, env)
+        if t.ground is not None:
+            return t.ground
+        pairs = [(_resolve_term(a, env), _resolve_term(v, env)) for a, v in t.pairs]
+        return None if any(None in pair for pair in pairs) else AttrSet.of(pairs)
     raise TypeError(t)
 
 
-def _resolve_literal(lit: SetLiteral, env: dict) -> Optional[AttrSet]:
-    if lit.ground is not None:
-        return lit.ground
-    pairs = []
-    for a, v in lit.pairs:
-        av = _resolve_term(a, env)
-        vv = _resolve_term(v, env)
-        if av is None or vv is None:
-            return None
-        pairs.append((av, vv))
-    return AttrSet.of(pairs)
-
-
-def _unify_term(t, value, env: dict) -> Optional[dict]:
-    if isinstance(t, (ObjVar, SetVar)):
-        bound = env.get(t.name)
-        if bound is None:
-            out = dict(env)
-            out[t.name] = value
-            return out
-        return env if bound == value else None
-    ground = _resolve_term(t, env)
-    return env if ground == value else None
-
-
-def _match_literal(lit: SetLiteral, target: AttrSet, env: dict) -> Iterator[dict]:
-    """Unify a set literal against a concrete qualifier set (bijectively).
-
-    Pseudo-attribute pairs (mirrored rank/references) are ignored on the
-    target side unless the literal mentions pseudo-attributes itself.
-    """
-    if not any(isinstance(a, Const) and isinstance(a.value, Pseudo) for a, _v in lit.pairs):
-        target = target.without_pseudo()
-    ground = lit.ground
-    if ground is not None and len(ground) == len(lit.pairs):
-        if ground == target:
-            yield env
-        return
-    pairs = list(lit.pairs)
-    targets = target.sorted_pairs()
-    if len(pairs) != len(targets):
-        return
-
-    def backtrack(i: int, used: set, env: dict) -> Iterator[dict]:
-        if i == len(pairs):
-            yield env
-            return
-        a_term, v_term = pairs[i]
-        for j, (a_val, v_val) in enumerate(targets):
-            if j in used:
-                continue
-            env2 = _unify_term(a_term, a_val, env)
-            if env2 is None:
-                continue
-            env3 = _unify_term(v_term, v_val, env2)
-            if env3 is None:
-                continue
-            yield from backtrack(i + 1, used | {j}, env3)
-
-    yield from backtrack(0, set(), env)
-
-
-def _unify_attrs(attrs, qualifiers: AttrSet, env: dict) -> Iterator[dict]:
-    if attrs is None:
-        yield env
-    elif isinstance(attrs, SetVar):
-        env2 = _unify_term(attrs, qualifiers, env)
-        if env2 is not None:
-            yield env2
-    else:
-        yield from _match_literal(attrs, qualifiers, env)
-
-
-# ---------------------------------------------------------------------------
-# Atom matching
-# ---------------------------------------------------------------------------
-
-
-def _candidates(ctx: _Ctx, pred_val: Optional[EntityId], rel: Rel, env: dict, key=None):
-    """The statements rel reads; pred_val is its resolved predicate.
-
-    This is the one place that picks them.  The delta atom reads its delta
-    statements (all of them when its predicate is open).  Any other atom with
-    an open predicate reads the statements with a ``key`` qualifier (see
-    ``_qualifier_key``) when it has a key, or else every statement; an atom
-    with a bound predicate reads the subject, value or property index.
-    """
-    if ctx.delta is not None and ctx.delta[0] is rel:
-        delta = ctx.delta[1]
-        if pred_val is None:
-            return [st for sts in delta.values() for st in sts]
-        return delta.get(pred_val, ())
-    if pred_val is None:
-        if key is not None:
-            return ctx.kb.by_qualifier_attr.get(_resolve_term(key, env), ())
-        return ctx.kb.statements.values()
-    subj = _try_resolve(rel.args[0], env)
-    if isinstance(subj, EntityId):
-        return ctx.kb.by_prop_subject.get((pred_val, subj), [])
-    val = _try_resolve(rel.args[1], env)
-    if val is not None:
-        return ctx.kb.by_prop_value.get((pred_val, val), [])
-    return ctx.kb.by_property.get(pred_val, [])
-
-
-def match_rel(ctx: _Ctx, rel: Rel, env: dict, key=None) -> Iterator[dict]:
-    """Extend env over the statements (or builtin fact table rows) matching the atom.
-
-    ``key`` is the qualifier key of an atom with an open predicate (see
-    ``_candidates``).
-    """
-    if isinstance(rel.pred, str):  # a builtin fact table
-        if rel.pred == "no_value":
-            rows = [(fact.property, fact.subject, fact.qualifiers)
-                    for fact in ctx.kb.no_value_facts]
-        else:
-            page = _try_resolve(rel.args[0], env)
-            if page is None:
-                pages = sorted(ctx.kb.commons_ns.items())
-            else:  # a bound page is read by lookup
-                ns = ctx.kb.commons_ns.get(page.text) if isinstance(page, StringVal) else None
-                pages = [] if ns is None else [(page.text, ns)]
-            rows = [(StringVal(p), StringVal(ns), EMPTY_ATTRS) for p, ns in pages]
-        for first, second, qualifiers in rows:
-            env1 = _unify_term(rel.args[0], first, env)
-            env2 = None if env1 is None else _unify_term(rel.args[1], second, env1)
-            if env2 is not None:
-                yield from _unify_attrs(rel.attrs, qualifiers, env2)
-        return
-
-    pred_val = _resolve_term(rel.pred, env)
-    if pred_val is not None and not is_property(pred_val):
-        return
-    for st in _candidates(ctx, pred_val, rel, env, key):
-        if st.rank == "deprecated" and not ctx.cfg.include_deprecated:
-            continue
-        env1 = _unify_term(rel.pred, st.property, env)
-        if env1 is None:
-            continue
-        env2 = _unify_term(rel.args[0], st.subject, env1)
-        if env2 is None:
-            continue
-        env3 = _unify_term(rel.args[1], st.value, env2)
-        if env3 is None:
-            continue
-        yield from _unify_attrs(rel.attrs, st.qualifiers, env3)
-
-
 def _try_resolve(t, env: dict):
+    """As _resolve_term, but None where a function is undefined: nothing equals it."""
     try:
         return _resolve_term(t, env)
     except DatatypeError:
         return None
 
 
-def _match_member(atom: SetMember, env: dict) -> Iterator[dict]:
-    target = _resolve_term(atom.set, env)
-    if target is None:
-        raise EvalError("set atom evaluated before its set term was bound")
-    for a_val, v_val in target.sorted_pairs():
-        env1 = _unify_term(atom.attr, a_val, env)
-        if env1 is None:
+def _value_of(t):
+    """env -> the value of a term whose variables env binds, chosen once per term."""
+    if isinstance(t, (ObjVar, SetVar)):
+        return methodcaller("get", t.name)
+    return (lambda env, v=t.value: v) if isinstance(t, Const) else lambda env: _try_resolve(t, env)
+
+
+def _extend(terms: tuple, values: tuple, env: dict) -> Optional[dict]:
+    """env extended so that each term equals its value (one new dict at most), or None."""
+    out = env
+    for t, v in zip(terms, values):
+        if isinstance(t, Const):
+            if t.value != v:
+                return None
+        elif isinstance(t, (ObjVar, SetVar)) and t.name not in out:
+            if out is env:
+                out = dict(env)
+            out[t.name] = v
+        elif _try_resolve(t, out) != v:
+            return None
+    return out
+
+
+def _names_pseudo(lit: SetLiteral) -> bool:
+    return any(isinstance(a, Const) and isinstance(a.value, Pseudo) for a, _v in lit.pairs)
+
+
+def _bijections(lit: SetLiteral, quals: AttrSet, env: dict, i: int = 0, used=frozenset()):
+    """Extensions of env under which the literal's pairs from the i-th on map one to one
+    onto the pairs of quals not yet used.  Pseudo pairs of quals (mirrored rank and
+    references) count only when the literal names a pseudo attribute itself."""
+    targets = (quals if _names_pseudo(lit) else quals.without_pseudo()).sorted_pairs()
+    if i == len(lit.pairs) == len(targets):
+        yield env
+    elif len(lit.pairs) == len(targets):
+        for j, target in enumerate(targets):
+            out = None if j in used else _extend(lit.pairs[i], target, env)
+            if out is not None:
+                yield from _bijections(lit, quals, out, i + 1, used | {j})
+
+
+# ---------------------------------------------------------------------------
+# Access paths: how each statement atom reads the KB, fixed at plan time
+# ---------------------------------------------------------------------------
+
+
+def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
+    """rel's access path for environments that bind exactly bound: (read, run).
+
+    ``read(ctx, env)`` returns the candidates of the one index fixed here, and
+    their number is rel's cost: the delta of a closure round that names rel;
+    the subject, value or property index for a known predicate; the subject
+    index, the ``_qualifier_key`` bucket or every statement for an open one; a
+    builtin table's rows.  ``run(ctx, env, candidates=None)`` builds one
+    environment per match.  Each position is a known value (tested unless the
+    index keyed on it), a fresh variable, a repeat of one, or a term resolved
+    under the match; a literal is one known set or is matched pair by pair.
+    """
+    args = {"no_value": ("property", "subject"), "Commons_namespace": ("subject", "value")}
+    terms = dict(zip(args.get(rel.pred, ("subject", "value")), rel.args))
+    if not isinstance(rel.pred, str):
+        terms["property"] = rel.pred
+    if isinstance(rel.attrs, SetVar):
+        terms["qualifiers"] = rel.attrs
+    known = {f: _value_of(t) for f, t in terms.items() if free_variables(t) <= bound}
+    fresh, same, late = {}, [], []  # fresh: variable -> the field that binds it
+    for f, t in terms.items():
+        if f in known:
             continue
-        env2 = _unify_term(atom.value, v_val, env1)
-        if env2 is not None:
-            yield env2
+        if not isinstance(t, (ObjVar, SetVar)):
+            late.append((f, t))
+        elif t.name in fresh:
+            same.append((f, fresh[t.name]))
+        else:
+            fresh[t.name] = f
+    pred, subj, value = known.get("property"), known.get("subject"), known.get("value")
+    key = _qualifier_key(rel, bound, siblings)
+    if isinstance(rel.pred, str):  # only a Commons page is looked up
+        page = subj if rel.pred == "Commons_namespace" else None
+        index, lookup, covered = rel.pred, page, ("subject",) if page else ()
+    elif pred and (subj or value):
+        other, p = subj or value, rel.pred.value if isinstance(rel.pred, Const) else None
+        index, covered = ("by_prop_subject", "subject") if subj else ("by_prop_value", "value")
+        lookup = (lambda env: (pred(env), other(env))) if p is None else (lambda env: (p, other(env)))
+        covered = ("property", covered)
+    else:
+        index, lookup, covered = ("by_property", pred, ("property",)) if pred \
+            else ("by_subject", subj, ("subject",)) if subj \
+            else ("by_qualifier_attr", _value_of(key), ()) if key else (None, None, ())
+    tests = [(f, get) for f, get in known.items() if f not in covered]
+    delta_tests = [(f, get) for f, get in known.items() if f != "property"]
+    lit = rel.attrs if isinstance(rel.attrs, SetLiteral) else None
+    whole = lit is not None and free_variables(lit) <= bound
+    pseudo = lit is not None and _names_pseudo(lit)
+
+    def read(ctx: _Ctx, env: dict):
+        if ctx.delta is not None and ctx.delta[0] is rel:
+            delta = ctx.delta[1]
+            return delta.get(pred(env), ()) if pred else [st for sts in delta.values() for st in sts]
+        if index is None:
+            return ctx.kb.statements.values()
+        if index in args:
+            return _table(ctx.kb, index, lookup, env)
+        return getattr(ctx.kb, index).get(lookup(env), ())
+
+    def run(ctx: _Ctx, env: dict, candidates=None):
+        if candidates is None:
+            candidates = read(ctx, env)
+        want = _try_resolve(lit, env) if whole else None  # collapsed pairs match no set
+        if not candidates or whole and (want is None or len(want) < len(lit.pairs)):
+            return ()
+        checks = delta_tests if ctx.delta is not None and ctx.delta[0] is rel else tests
+        return scan(env, candidates, checks and [(f, get(env)) for f, get in checks], want,
+                    ctx.cfg.include_deprecated)
+
+    def scan(env: dict, candidates, checks: list, want, keep_deprecated: bool):
+        for st in candidates:
+            if st.rank == "deprecated" and not keep_deprecated \
+                    or checks and any(getattr(st, f) != v for f, v in checks) \
+                    or same and any(getattr(st, f) != getattr(st, g) for f, g in same) \
+                    or whole and want != (st.qualifiers if pseudo else st.qualifiers.without_pseudo()):
+                continue
+            out = env
+            if fresh:
+                out = env.copy()
+                for name, f in fresh.items():
+                    out[name] = getattr(st, f)
+            for out2 in (out,) if lit is None or whole else _bijections(lit, st.qualifiers, out):
+                if not late or all(_try_resolve(t, out2) == getattr(st, f) for f, t in late):
+                    yield out2
+
+    return read, run
+
+
+def _table(kb: KnowledgeBase, name: str, page, env: dict) -> list:
+    """The rows of a builtin fact table as statements; a known Commons page is one lookup."""
+    if name == "no_value":
+        return [Statement("", f.subject, f.property, None, f.qualifiers) for f in kb.no_value_facts]
+    key = page and page(env)
+    ns = kb.commons_ns.get(key.text) if isinstance(key, StringVal) else None
+    pages = sorted(kb.commons_ns.items()) if page is None else [] if ns is None else [(key.text, ns)]
+    return [Statement("", StringVal(p), None, StringVal(ns), EMPTY_ATTRS) for p, ns in pages]
+
+
+def _match_member(atom: SetMember, env: dict) -> Iterator[dict]:
+    target = _try_resolve(atom.set, env)
+    if target is None and free_variables(atom.set) - env.keys():
+        raise EvalError("set atom evaluated before its set term was bound")
+    for pair in target.sorted_pairs() if target is not None else ():
+        out = _extend((atom.attr, atom.value), pair, env)
+        if out is not None:
+            yield out
 
 
 def _match_eq(atom: Eq, env: dict) -> Iterator[dict]:
-    lv = _try_resolve(atom.left, env)
-    rv = _try_resolve(atom.right, env)
+    lv, rv = _try_resolve(atom.left, env), _try_resolve(atom.right, env)
     if lv is not None and rv is not None:
         if lv == rv:
             yield env
-    elif lv is not None and isinstance(atom.right, (ObjVar, SetVar)):
-        out = dict(env)
-        out[atom.right.name] = lv
-        yield out
-    elif rv is not None and isinstance(atom.left, (ObjVar, SetVar)):
-        out = dict(env)
-        out[atom.left.name] = rv
-        yield out
-    else:
+        return
+    side, value = (atom.right, lv) if lv is not None else (atom.left, rv)
+    if value is None or not isinstance(side, (ObjVar, SetVar)):
         raise EvalError("equality with both sides unbound")
+    yield {**env, side.name: value}
 
 
 def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:
-    args = []
     try:
-        for t in atom.args:
-            v = _resolve_term(t, env)
-            if v is None:
-                raise EvalError(f"datatype relation {atom.name} evaluated with unbound argument")
-            args.append(v)
+        args = [_resolve_term(t, env) for t in atom.args]
+        if None in args:
+            raise EvalError(f"datatype relation {atom.name} evaluated with unbound argument")
         return datatype_relation(atom.name, *args)
     except DatatypeError as exc:
         ctx.diagnostics.append(str(exc))
@@ -371,6 +354,8 @@ def _compile(f: Formula, bound: frozenset):
         return _exists_plan(f, bound)
     if free_variables(f) - bound:  # !, -> and forall test their variables, never bind them
         raise _unbound(f, free_variables(f) - bound)
+    if isinstance(f, Not) and isinstance(f.body, Forall):  # !forall v.g == exists v.!g
+        return _plan(Exists(f.body.var, negate(f.body.body)), bound)
     if isinstance(f, Not):
         body = _plan(f.body, bound)
         return lambda ctx, env: () if _any(body(ctx, env)) else (env,)
@@ -395,21 +380,23 @@ def _any(solutions) -> bool:
 
 def _atom_plan(atom, bound: frozenset, siblings: tuple):
     if isinstance(atom, Rel):
-        key = _qualifier_key(atom, bound, siblings)
-        return lambda ctx, env: match_rel(ctx, atom, env, key)
+        return _rel_path(atom, bound, siblings)[1]
     if isinstance(atom, SetMember):
+        if free_variables(atom) <= bound:  # a known pair is one membership test
+            s, a, v = _value_of(atom.set), _value_of(atom.attr), _value_of(atom.value)
+            return lambda ctx, env: (env,) if (a(env), v(env)) in (s(env) or ()) else ()
         return lambda ctx, env: _match_member(atom, env)
     if isinstance(atom, Eq):
+        if free_variables(atom) <= bound:  # a test
+            left, right = _value_of(atom.left), _value_of(atom.right)
+            return lambda ctx, env: (env,) if (v := left(env)) is not None and v == right(env) else ()
         return lambda ctx, env: _match_eq(atom, env)
     return lambda ctx, env: (env,) if _eval_dtrel(ctx, atom, env) else ()
 
 
 def _qualifier_key(rel: Rel, bound: frozenset, siblings: tuple):
-    """The bound attribute a of a sibling (a : ?v) in ?SQ when rel is ?q(...)@?SQ with ?q open.
-
-    Such an atom would scan every statement, yet only the statements with an
-    a qualifier can satisfy the sibling.
-    """
+    """The bound attribute a of a sibling (a : ?v) in ?SQ when rel is ?q(...)@?SQ with ?q
+    open: only the statements with an a qualifier can satisfy the sibling."""
     if isinstance(rel.pred, str) or free_variables(rel.pred) <= bound \
             or not isinstance(rel.attrs, SetVar):
         return None
@@ -422,10 +409,12 @@ def _and_plan(items: tuple, bound: frozenset):
     """Run the cheapest ready conjunct, then the plan of the rest.
 
     A conjunct is ready when matching it binds what it leaves open.  Its cost
-    class: a test 0, ``=`` 1, ``in`` 2, a statement atom 3 plus its candidate
-    count, anything else 10,000; the first of the cheapest goes first.  A
-    count is read only when a statement atom could win.  A conjunct's plan,
-    and the plan of the rest after it, are compiled when it first goes first.
+    class: a test 0, ``=`` 1, ``in`` 2, a statement atom 3 plus the number of
+    candidates its access path reads, anything else 10,000; the first of the
+    cheapest goes first.  Candidates are read only when a statement atom
+    could win, and the winner scans the ones read for its cost.  A
+    conjunct's plan, and the plan of the rest after it, are compiled when it
+    first goes first.
     """
     if not items:
         return lambda ctx, env: (env,)
@@ -438,6 +427,13 @@ def _and_plan(items: tuple, bound: frozenset):
             else _COST_CLASS.get(type(g), 10_000)
     if not costs:
         raise _unbound(And(items), free_variables(And(items)) - bound)
+    if len(items) == 1:  # the last conjunct needs no plan for the rest
+        return _atom_plan(items[0], bound, ()) if isinstance(items[0], Atom) \
+            else _plan(items[0], bound)
+    if all(costs.get(i) == 0 and isinstance(g, _ONCE) for i, g in enumerate(items)):
+        # tests that hold at most once each, in the order the planner would run them
+        tests = [_atom_plan(g, bound, ()) if isinstance(g, Atom) else _plan(g, bound) for g in items]
+        return lambda ctx, env: (env,) if all(_any(t(ctx, env)) for t in tests) else ()
     fixed = [(c, i) for i, c in costs.items() if c is not None]
     counted = [i for i, c in costs.items() if c is None]
     pick = None
@@ -445,20 +441,27 @@ def _and_plan(items: tuple, bound: frozenset):
         pick = min(fixed)[1]  # a statement atom costs 3 or more
     elif len(counted) == 1 and not fixed:
         pick = counted[0]
+    paths = {} if pick is not None and pick not in counted else \
+        {i: _rel_path(items[i], bound, items[:i] + items[i + 1:]) for i in counted}
     steps: dict = {}
     rests: dict = {}
 
     def run(ctx: _Ctx, env: dict) -> Iterator[dict]:
         i = pick
         if i is None:
-            i = min([(3 + _rel_cost(ctx, items[j], env), j) for j in counted] + fixed)[1]
-        step = steps.get(i)
-        if step is None:
-            g = items[i]
-            step = steps[i] = (_atom_plan(g, bound, items[:i] + items[i + 1:])
-                               if isinstance(g, Atom) else _plan(g, bound))
+            found = {j: paths[j][0](ctx, env) for j in counted}
+            i = min([(3 + len(c), j) for j, c in found.items()] + fixed)[1]
+        if i in paths:
+            solutions = paths[i][1](ctx, env, found[i] if pick is None else None)
+        else:
+            step = steps.get(i)
+            if step is None:
+                g = items[i]
+                step = steps[i] = (_atom_plan(g, bound, items[:i] + items[i + 1:])
+                                   if isinstance(g, Atom) else _plan(g, bound))
+            solutions = step(ctx, env)
         rest = rests.get(i)
-        for env2 in step(ctx, env):
+        for env2 in solutions:
             if rest is None:
                 rest = rests[i] = _and_plan(items[:i] + items[i + 1:],
                                             bound | free_variables(items[i]))
@@ -468,15 +471,7 @@ def _and_plan(items: tuple, bound: frozenset):
 
 
 _COST_CLASS = {Eq: 1, SetMember: 2}
-
-
-def _rel_cost(ctx: _Ctx, rel: Rel, env: dict) -> int:
-    if isinstance(rel.pred, str):
-        return len(ctx.kb.no_value_facts) if rel.pred == "no_value" else len(ctx.kb.commons_ns)
-    pred_val = _try_resolve(rel.pred, env)
-    if pred_val is not None and not is_property(pred_val):
-        return 0
-    return len(_candidates(ctx, pred_val, rel, env))
+_ONCE = (SetMember, Eq, DtRel, Not, Implies, Exists, Forall)  # as tests, match env at most once
 
 
 def _exists_plan(f, bound: frozenset):
@@ -489,10 +484,13 @@ def _exists_plan(f, bound: frozenset):
     kept = tuple(sorted(bound | free_variables(f)))
     need = f.count or 1
 
+    if need == 1 and free_variables(f) <= bound:  # a test, decided at the first witness
+        return lambda ctx, env: (env,) if _any(body(ctx, env)) else ()
+
     def run(ctx: _Ctx, env: dict) -> Iterator[dict]:
         witnesses: dict = {}
         for env2 in body(ctx, env):
-            key = tuple(env2[k] for k in kept)
+            key = tuple(map(env2.__getitem__, kept))
             seen = witnesses.setdefault(key, set())
             if len(seen) < need:
                 seen.add(env2.get(var))

@@ -296,22 +296,27 @@ _TIME_RE = re.compile(r"([+-])(\d{4,16})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z?")
 _UNIT_RE = re.compile(r"Q\d+$")
 
 
-def _decode_time(dv: dict) -> TimeVal:
-    m = _TIME_RE.match(dv["time"])
+def _decode_time(dv) -> TimeVal:
+    raw = dv.get("time") if isinstance(dv, dict) else None
+    if not isinstance(raw, str):
+        raise IngestError(f"bad time value {dv!r}")
+    m = _TIME_RE.match(raw)
     if not m:
-        raise IngestError(f"unparseable time {dv['time']!r}")
+        raise IngestError(f"unparseable time {raw!r}")
     sign, year, month, day, hh, mm, ss = m.groups()
     if sign == "-" or int(year) == 0:
         raise IngestError("dates before year 1 are not supported")
     if int(year) > 9999:
         raise IngestError("dates beyond year 9999 are not supported")
-    precision = int(dv.get("precision", 11))
+    precision = dv.get("precision", 11)
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise IngestError(f"bad time precision {precision!r}")
     month_i = max(int(month), 1)
     day_i = max(int(day), 1)
     try:
         ts = datetime(int(year), month_i, day_i, int(hh), int(mm), int(ss))
     except ValueError as exc:
-        raise IngestError(f"invalid date {dv['time']!r}: {exc}") from exc
+        raise IngestError(f"invalid date {raw!r}: {exc}") from exc
     return TimeVal(ts, precision)
 
 
@@ -329,7 +334,9 @@ def _decode_number(dv: dict, key: str) -> Decimal:
     raise IngestError(f"bad quantity {key} {raw!r}")
 
 
-def _decode_quantity(dv: dict) -> QuantityVal:
+def _decode_quantity(dv) -> QuantityVal:
+    if not isinstance(dv, dict):
+        raise IngestError(f"bad quantity value {dv!r}")
     amount = _decode_number(dv, "amount")
     unit: Union[EntityId, None] = None
     raw_unit = dv.get("unit", "1")

@@ -334,6 +334,7 @@ class KnowledgeBase:
         self._anon_counter: int = 0
         self._domain_cache: Optional[frozenset] = None
         self._qualifier_index: Optional[dict] = None
+        self._subject_index: Optional[dict] = None
 
     # -- construction -------------------------------------------------------
 
@@ -357,6 +358,7 @@ class KnowledgeBase:
         self._content_keys.add(st.content_key())
         self._domain_cache = None
         self._qualifier_index = None
+        self._subject_index = None
 
     def has_fact(self, subject: EntityId, property: EntityId, value: Value, qualifiers: AttrSet) -> bool:
         # without_pseudo() of a pseudo-free set, or of a statement's set, builds nothing
@@ -393,6 +395,16 @@ class KnowledgeBase:
                     index.setdefault(a, []).append(st)
             self._qualifier_index = index
         return self._qualifier_index
+
+    @property
+    def by_subject(self) -> dict[EntityId, list[Statement]]:
+        """Subject -> its statements, for atoms with an open predicate; built like by_qualifier_attr."""
+        if self._subject_index is None:
+            index: dict = {}
+            for st in self.statements.values():
+                index.setdefault(st.subject, []).append(st)
+            self._subject_index = index
+        return self._subject_index
 
     def attr_sets(self) -> set:
         """Attribute sets realized anywhere in the KB (set-variable domain)."""

@@ -4,9 +4,10 @@
 variables over the variable pools and keeps those under which ``holds``: an
 object variable ranges over the active domain (the KB's constants plus the
 formula's own), a set variable over the KB's qualifier sets plus the
-formula's ground set literals.  Quantifiers range over the same pools.  The
-oracle shares atom matching (``match_rel``) with the evaluator, so it checks
-the evaluator's plans, not statement matching.
+formula's ground set literals.  Quantifiers range over the same pools.
+Under a total binding an atom only needs a yes or no, so the oracle
+decides atoms with its own ground matcher and shares no matching code with
+the evaluator: it checks the evaluator's access paths as well as its plans.
 """
 
 from __future__ import annotations
@@ -15,47 +16,54 @@ import itertools
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
-from .evaluator import (
-    Binding,
-    EvalConfig,
-    EvalError,
-    _Ctx,
-    _any,
-    _eval_dtrel,
-    _match_member,
-    _try_resolve,
-    match_rel,
-)
+from .evaluator import Binding, EvalConfig, EvalError
 from .formula import (
     And,
+    Const,
     DtRel,
     Eq,
     Exists,
     Forall,
     Formula,
+    FuncApp,
     Implies,
     Not,
+    ObjVar,
     Or,
     Rel,
+    SetLiteral,
     SetMember,
+    SetVar,
     all_constants,
     free_variables,
     ground_set_literals,
     is_set_name,
 )
-from .model import KnowledgeBase, _value_sort_key
+from .model import (
+    EMPTY_ATTRS,
+    AttrSet,
+    DatatypeError,
+    KnowledgeBase,
+    Pseudo,
+    StringVal,
+    _value_sort_key,
+    datatype_function,
+    datatype_relation,
+)
 
 
 class DomainTooLarge(EvalError):
     """Brute-force evaluation refused: the active domain exceeds the bound."""
 
 
-class _PoolCtx(_Ctx):
-    """An evaluation context with the variable pools, built on first use."""
+class _PoolCtx:
+    """One oracle run: the KB, the config, the diagnostics and the variable pools."""
 
     def __init__(self, kb: KnowledgeBase, cfg: EvalConfig, formula: Formula,
                  diagnostics: Optional[list] = None) -> None:
-        super().__init__(kb, cfg, diagnostics)
+        self.kb = kb
+        self.cfg = cfg
+        self.diagnostics = diagnostics if diagnostics is not None else []
         self.formula = formula
 
     @cached_property
@@ -71,6 +79,65 @@ class _PoolCtx(_Ctx):
 
     def pool(self, var: str) -> list:
         return self.set_domain if is_set_name(var) else self.domain
+
+    @cached_property
+    def facts(self) -> dict:
+        """(property, subject, value) -> the qualifier sets of the statements the atoms see."""
+        out: dict = {}
+        for st in self.kb.statements.values():
+            if st.rank != "deprecated" or self.cfg.include_deprecated:
+                out.setdefault((st.property, st.subject, st.value), []).append(st.qualifiers)
+        for f in self.kb.no_value_facts:
+            out.setdefault(("no_value", f.property, f.subject), []).append(f.qualifiers)
+        for page, ns in self.kb.commons_ns.items():
+            out[("Commons_namespace", StringVal(page), StringVal(ns))] = [EMPTY_ATTRS]
+        return out
+
+
+def _value(t, env: dict):
+    """A term's value under a total binding; DatatypeError where a function is undefined."""
+    if isinstance(t, Const):
+        return t.value
+    if isinstance(t, (ObjVar, SetVar)):
+        return env[t.name]
+    if isinstance(t, FuncApp):
+        return datatype_function(t.name, *[_value(a, env) for a in t.args])
+    return AttrSet.of((_value(a, env), _value(v, env)) for a, v in t.pairs)
+
+
+def _defined(t, env: dict):
+    """A term's value, or None where a function is undefined: nothing equals it."""
+    if isinstance(t, Const):
+        return t.value
+    if isinstance(t, (ObjVar, SetVar)):
+        return env[t.name]
+    try:
+        return _value(t, env)
+    except DatatypeError:
+        return None
+
+
+def _literal_matches(attrs: SetLiteral, quals: AttrSet, env: dict) -> bool:
+    """Does a set literal match a statement's qualifier set under a total binding?
+
+    It does when its pairs are distinct and are exactly the set's pairs; the
+    set's pseudo pairs count only if the literal names a pseudo attribute.
+    """
+    pairs = [(_defined(a, env), _defined(v, env)) for a, v in attrs.pairs]
+    if not any(isinstance(a, Const) and isinstance(a.value, Pseudo) for a, _v in attrs.pairs):
+        quals = quals.without_pseudo()
+    distinct = set(pairs)
+    return len(distinct) == len(pairs) and distinct == quals.pairs
+
+
+def _rel_holds(ctx: _PoolCtx, rel: Rel, env: dict) -> bool:
+    pred = rel.pred if isinstance(rel.pred, str) else _defined(rel.pred, env)
+    found = ctx.facts.get((pred, _defined(rel.args[0], env), _defined(rel.args[1], env)), ())
+    if rel.attrs is None or not found:
+        return bool(found)
+    if isinstance(rel.attrs, SetVar):
+        return env[rel.attrs.name] in found
+    return any(_literal_matches(rel.attrs, quals, env) for quals in found)
 
 
 def holds(
@@ -90,20 +157,27 @@ def holds(
 
 
 def _holds(ctx: _PoolCtx, f: Formula, env: dict) -> bool:
+    if isinstance(f, And):
+        for g in f.items:
+            if not _holds(ctx, g, env):
+                return False
+        return True
     if isinstance(f, Rel):
-        return _any(match_rel(ctx, f, env))
+        return _rel_holds(ctx, f, env)
     if isinstance(f, SetMember):
-        return _any(_match_member(f, env))
+        target = _defined(f.set, env)
+        return target is not None and (_defined(f.attr, env), _defined(f.value, env)) in target
     if isinstance(f, Eq):
-        lv = _try_resolve(f.left, env)
-        rv = _try_resolve(f.right, env)
-        return lv is not None and lv == rv
+        lv = _defined(f.left, env)
+        return lv is not None and lv == _defined(f.right, env)
     if isinstance(f, DtRel):
-        return _eval_dtrel(ctx, f, env)
+        try:
+            return datatype_relation(f.name, *[_value(t, env) for t in f.args])
+        except DatatypeError as exc:
+            ctx.diagnostics.append(str(exc))
+            return False
     if isinstance(f, Not):
         return not _holds(ctx, f.body, env)
-    if isinstance(f, And):
-        return all(_holds(ctx, g, env) for g in f.items)
     if isinstance(f, Or):
         return any(_holds(ctx, g, env) for g in f.items)
     if isinstance(f, Implies):

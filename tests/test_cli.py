@@ -155,6 +155,22 @@ class TestCheck:
                          "--include-deprecated")
         assert code == 1
 
+    @pytest.mark.parametrize("datavalue", [
+        {"type": "quantity", "value": "5"},
+        {"type": "time", "value": "+2020-01-01T00:00:00Z"},
+        {"type": "time", "value": {"time": 20200101, "precision": 11}},
+        {"type": "time", "value": {"time": "+2020-01-01T00:00:00Z", "precision": "x"}},
+    ], ids=["quantity-value-not-an-object", "time-value-not-an-object",
+            "time-not-a-string", "precision-not-an-integer"])
+    def test_malformed_datavalue_skipped(self, capsys, tmp_path, datavalue):
+        snak = {"snaktype": "value", "property": "P585", "datavalue": datavalue}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"id": "Q1", "claims": {"P585": [
+            {"mainsnak": snak, "rank": "normal", "type": "statement"}]}}]))
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (0, "0 violation(s), 0 suppressed\n")
+        assert err == f"note: {path}: skipped 1 claim(s) (mainsnak: 1)\n"
+
 
 class TestQuery:
     def test_bindings_printed(self, capsys, family_file):

@@ -1,5 +1,6 @@
 """Formula evaluation: index-driven search against the brute-force oracle."""
 
+import pathlib
 import re
 from datetime import datetime
 from decimal import Decimal
@@ -19,9 +20,11 @@ from wdcheck.evaluator import (
     evaluate,
     solve,
 )
-from wdcheck.formula import parse
+from wdcheck.formula import all_constants, free_variables, parse
+from wdcheck.ingest import load_wikidata_json
 from wdcheck.model import KnowledgeBase, P, Q, StringVal
 from wdcheck.oracle import DomainTooLarge, brute_force_evaluate, holds
+from wdcheck.rules import closure
 
 
 def rows(kb, text, cfg=None):
@@ -323,6 +326,135 @@ def test_random_kb_oracle_agreement(stmts, with_no_value, query):
     f = parse(query)
     cfg = EvalConfig()
     assert set(evaluate(kb, f, cfg)) == set(brute_force_evaluate(kb, f, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Property: each access path agrees with the oracle's own ground matcher
+# ---------------------------------------------------------------------------
+
+# Object variables come from a pool of three, so a position holds a fresh
+# variable, a repeat of one in the same atom, or one that the other atom or a
+# parameter binds; ?S is the one set variable.  Each atom starts from a KB
+# statement, so that many atoms match something.
+_VARS = ["?a", "?b", "?c"]
+_QUALIFIER_TERMS = ["", "@?S", "@{}", "@{P3: Q1}", '@{rank: "normal"}']
+_STATEMENTS = st.tuples(
+    st.sampled_from(["P1", "P2"]),
+    st.sampled_from(["Q1", "Q2", "P1"]),
+    st.sampled_from(["Q1", "Q2", "1", "2"]),
+    st.sampled_from(["", "P3: Q1", "P3: Q2", "P3: Q1, P3: Q2"]),
+    st.sampled_from(["normal", "preferred", "deprecated"]),
+)
+
+
+@st.composite
+def _rel_atom(draw, stmts):
+    """An atom shaped after one of the statements, and the variables that
+    occur in it only inside a function term."""
+    p, s, o, q, rank = draw(st.sampled_from(stmts))
+    pred = draw(st.sampled_from([p, p, "P2", "Q1"] + _VARS))
+    subj = draw(st.sampled_from([s, s, "Q2"] + _VARS))
+    value = draw(st.sampled_from([o, o, "1"] + _VARS))
+    quals = draw(st.sampled_from(_QUALIFIER_TERMS))
+    if draw(st.booleans()):  # a literal made from the statement's qualifiers
+        pairs = [pair.split(": ") for pair in q.split(", ") if pair]
+        if draw(st.booleans()):  # naming the rank pseudo attribute
+            pairs.append(["rank", f'"{rank}"'])
+        quals = "@{" + ", ".join(": ".join(draw(st.sampled_from([t, t] + _VARS)) for t in pair)
+                                 for pair in pairs) + "}"
+    arg = None
+    if draw(st.integers(0, 3)) == 0:  # a function term in the value or the subject position
+        arg = draw(st.sampled_from(_VARS))
+        value, subj = (f"difference({arg}, 1)", subj) if draw(st.booleans()) \
+            else (value, f"difference(2, {arg})")
+    bare = {t for t in (pred, subj, value) if t in _VARS} | {x for x in _VARS if x in quals}
+    return f"{pred}({subj}, {value}){quals}", {arg[1:]} - {x[1:] for x in bare} if arg else set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_STATEMENTS, min_size=1, max_size=4), st.booleans(), st.data())
+def test_access_paths_agree_with_the_oracle(stmts, include_deprecated, data):
+    kb = kb_from("\n".join(f"{p}({s}, {o}) @ {{{q}}} rank={r}" for p, s, o, q, r in stmts))
+    atoms = data.draw(st.lists(_rel_atom(stmts), min_size=1, max_size=2))
+    f = parse(" & ".join(text for text, _needs in atoms))
+    cfg = EvalConfig(include_deprecated=include_deprecated, oracle_domain_limit=14)
+    domain = sorted(kb.active_domain() | all_constants(f), key=str)
+    names = sorted(free_variables(f))
+    # a variable that occurs in an atom only inside a function term is a parameter
+    bound = data.draw(st.sets(st.sampled_from(names), max_size=2)) if names else set()
+    params = {name: data.draw(st.sampled_from(sorted(kb.attr_sets(), key=str)
+                                              if name == "S" else domain))
+              for name in sorted(bound.union(*(needs for _text, needs in atoms)))}
+    got = set(evaluate(kb, f, cfg, params=params))
+    want = {Binding.of({k: v for k, v in b.as_dict().items() if k not in params})
+            for b in brute_force_evaluate(kb, f, cfg)
+            if all(b[k] == v for k, v in params.items())}
+    assert got == want
+
+
+class _Counted(list):
+    """A candidate list that counts the statements read from it."""
+
+    def __init__(self, items, reads: list) -> None:
+        super().__init__(items)
+        self.reads = reads
+
+    def __iter__(self):
+        for st in super().__iter__():
+            self.reads.append(st)
+            yield st
+
+
+class _CountedStatements(dict):
+    def __init__(self, items, reads: list) -> None:
+        super().__init__(items)
+        self.reads = reads
+
+    def values(self):
+        return _Counted(super().values(), self.reads)
+
+
+def test_open_predicate_reads_few_candidates():
+    # the open atom reads the 24 statements with a P585 qualifier once, not
+    # once per bound subject, and each bound atom one statement per row
+    text = (pathlib.Path(__file__).parent / "fixtures" / "wikidata_slice.json").read_text()
+    kb = closure(load_wikidata_json(text)[0]).kb
+    open_reads: list = []  # the indexes an atom with an open predicate reads
+    kb._qualifier_index = {a: _Counted(sts, open_reads) for a, sts in kb.by_qualifier_attr.items()}
+    kb._subject_index = {s: _Counted(sts, open_reads) for s, sts in kb.by_subject.items()}
+    kb.statements = _CountedStatements(kb.statements, open_reads)
+    bound_reads: list = []
+    for name in ("by_property", "by_prop_subject", "by_prop_value"):
+        setattr(kb, name, {k: _Counted(sts, bound_reads) for k, sts in getattr(kb, name).items()})
+    f = parse("?p(?s, ?o)@?SQ & (P585 : ?t) in ?SQ & P31(?s, ?c) & P1082(?s, ?n)")
+    assert len(list(evaluate(kb, f))) == 24
+    assert len(open_reads) <= 2 * 24
+    assert len(open_reads) + len(bound_reads) <= 3 * 24
+
+
+@pytest.mark.parametrize("literal", [
+    "{P3: ?a, P3: ?b}", "{?c: ?a, ?c: ?b}", "{P3: ?a, P3: ?a}", '{P3: ?a, rank: "normal"}',
+])
+def test_literal_pairs_match_one_to_one(literal):
+    # no qualifier pair answers two pairs of the literal
+    kb = kb_from("P1(Q1, Q2) @ {P3: Q1, P3: Q2}\nP1(Q1, Q3) @ {P3: Q1}\n")
+    assert _agrees(kb, f"P1(Q1, ?o)@{literal}", 14)
+
+
+@pytest.mark.parametrize("text", [
+    'Commons_namespace("Page", ?ns)',
+    "P1(?x, ?page) & Commons_namespace(?page, ?ns)",
+    'P1(?x, ?page) & !Commons_namespace(?page, "Category")',
+    "no_value(?p, ?s)@?Q & P1(?s, ?page)",
+    "P1(?s, ?page) & no_value(?p, ?s)",  # the fact table is read with ?s bound
+])
+def test_builtin_tables_agree_with_the_oracle(text):
+    # a known page is read by one lookup
+    kb = kb_from('P1(Q1, "Page")\nP1(Q2, "Gallery")\ncommons_ns("Page", "Category")\n'
+                 'commons_ns("Gallery", "Gallery")\nno_value(P1, Q1)\nno_value(P2, Q3)\n'
+                 'no_value(P3, Q4)\n')
+    assert rows(kb, text)
+    assert _agrees(kb, text, 14)
 
 
 def test_binding_api():
