@@ -43,6 +43,7 @@ from .formula import (
     SetLiteral,
     SetMember,
     SetVar,
+    _children,
     free_variables,
     negate,
     print_formula,
@@ -238,6 +239,16 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
     lit = rel.attrs if isinstance(rel.attrs, SetLiteral) else None
     whole = lit is not None and free_variables(lit) <= bound
     pseudo = lit is not None and _names_pseudo(lit)
+    held: dict = {}  # placeholder variable -> a function term of a literal that is not whole
+    if lit is not None and not whole:
+        # matched as a placeholder, resolved once every pair is: it may read any pair's variable
+        def hold(t):
+            if not isinstance(t, FuncApp):
+                return t
+            held[f"#{len(held)}"] = t
+            return ObjVar(f"#{len(held) - 1}")
+
+        lit = SetLiteral(tuple((hold(a), hold(v)) for a, v in lit.pairs))
 
     def read(ctx: _Ctx, env: dict):
         if ctx.delta is not None and ctx.delta[0] is rel:
@@ -272,6 +283,10 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
                 for name, f in fresh.items():
                     out[name] = getattr(st, f)
             for out2 in (out,) if lit is None or whole else _bijections(lit, st.qualifiers, out):
+                if held:
+                    if any(_try_resolve(t, out2) != out2[name] for name, t in held.items()):
+                        continue
+                    out2 = {k: v for k, v in out2.items() if k not in held}
                 if not late or all(_try_resolve(t, out2) == getattr(st, f) for f, t in late):
                     yield out2
 
@@ -514,9 +529,9 @@ def _binds(f: Formula, pre) -> frozenset:
     gate, the conjunct planner and the rule gate all read it.
     """
     if isinstance(f, Rel):
-        return free_variables(f)
+        return _bare(f)
     if isinstance(f, SetMember):
-        return free_variables(f) if free_variables(f.set) <= pre else _NOTHING
+        return _bare(f) if free_variables(f.set) <= pre else _NOTHING
     if isinstance(f, Eq):
         # a bound side binds the other only when that side is a bare variable
         left, right = free_variables(f.left) <= pre, free_variables(f.right) <= pre
@@ -545,6 +560,19 @@ def _binds(f: Formula, pre) -> frozenset:
     if isinstance(f, Exists):
         return _binds(f.body, pre) - {f.var}
     return _NOTHING  # DtRel, Not, Implies and Forall only test
+
+
+def _bare(atom: Atom) -> frozenset:
+    """The variables of a statement or set atom that a match binds: those standing
+    bare, as a position, predicate or attrs, or as a member of a set literal's pair.
+    A variable only inside a function term is resolved, never bound."""
+    out = atom.__dict__.get("_bare")  # kept on the node, as its free variables are
+    if out is None:
+        terms = [t for c in _children(atom)
+                 for t in (_children(c) if isinstance(c, SetLiteral) else (c,))]
+        out = atom.__dict__["_bare"] = frozenset(t.name for t in terms
+                                                 if isinstance(t, (ObjVar, SetVar)))
+    return out
 
 
 def check_safe_range(f: Formula, params=_NOTHING) -> Optional[str]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
 from functools import cached_property
@@ -58,7 +58,45 @@ class ParseError(FormulaError):
 
 
 class _Node:
-    """Base of every term, set term, atom and formula node."""
+    """Base of every term, set term, atom and formula node.
+
+    Each node type names its fields once, in ``_fields`` (as ``ast`` nodes
+    do); construction (positional, trailing fields left out are None),
+    equality, hashing, ``repr`` and the traversal read it.  Nodes are
+    immutable: only construction and the caches write the instance
+    dictionary, directly.
+    """
+
+    _fields: tuple = ()
+
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        missing = len(fields) - len(values)
+        if missing < 0:
+            raise TypeError(f"{type(self).__name__} has {len(fields)} field(s)")
+        values += (None,) * missing
+        d = self.__dict__
+        for name, value in zip(fields, values):
+            d[name] = value
+        d["_values"] = values  # the field values in order: what equality and hashing compare
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def _memo(self) -> dict:
@@ -66,33 +104,27 @@ class _Node:
         return {}
 
 
-@dataclass(frozen=True)
 class Const(_Node):
-    value: Value
+    _fields = ("value",)  # a Value
 
 
-@dataclass(frozen=True)
 class ObjVar(_Node):
-    name: str  # without the leading '?'
+    _fields = ("name",)  # without the leading '?'
 
 
-@dataclass(frozen=True)
 class FuncApp(_Node):
-    name: str
-    args: tuple
+    _fields = ("name", "args")
 
 
 Term = Union[Const, ObjVar, FuncApp]
 
 
-@dataclass(frozen=True)
 class SetVar(_Node):
-    name: str
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class SetLiteral(_Node):
-    pairs: tuple  # of (Term, Term)
+    _fields = ("pairs",)  # a tuple of (Term, Term)
 
     @cached_property
     def ground(self) -> Optional[AttrSet]:
@@ -109,68 +141,48 @@ class Atom(_Node):
     """Base of the four atom types; an atom is a formula by itself."""
 
 
-@dataclass(frozen=True)
 class Rel(Atom):
     """Relational atom; predicate is a term or a builtin predicate name."""
 
-    pred: Union[Term, str]
-    args: tuple  # (Term, Term)
-    attrs: Optional[SetTerm] = None
+    _fields = ("pred", "args", "attrs")  # args: (Term, Term); attrs: a set term or None
 
 
-@dataclass(frozen=True)
 class SetMember(Atom):
-    attr: Term
-    value: Term
-    set: SetTerm
+    _fields = ("attr", "value", "set")
 
 
-@dataclass(frozen=True)
 class Eq(Atom):
-    left: Union[Term, SetTerm]
-    right: Union[Term, SetTerm]
+    _fields = ("left", "right")  # terms or set terms
 
 
-@dataclass(frozen=True)
 class DtRel(Atom):
-    name: str
-    args: tuple
+    _fields = ("name", "args")
 
 
-@dataclass(frozen=True)
 class Not(_Node):
-    body: "Formula"
+    _fields = ("body",)
 
 
-@dataclass(frozen=True)
 class And(_Node):
-    items: tuple
+    _fields = ("items",)
 
 
-@dataclass(frozen=True)
 class Or(_Node):
-    items: tuple
+    _fields = ("items",)
 
 
-@dataclass(frozen=True)
 class Implies(_Node):
-    body: "Formula"
-    head: "Formula"
+    _fields = ("body", "head")
 
 
-@dataclass(frozen=True)
 class Exists(_Node):
     """``exists ?var . body``; with a count k, ``exists[k]``: k distinct witnesses."""
 
-    var: str
-    body: "Formula"
-    count: Optional[int] = None
+    _fields = ("var", "body", "count")
 
 
-@dataclass(frozen=True)
 class Forall(_Node):
-    var: str
-    body: "Formula"
+    _fields = ("var", "body")
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Exists, Forall]
@@ -186,61 +198,48 @@ def is_set_name(name: str) -> bool:
 # Traversal
 # ---------------------------------------------------------------------------
 
-# _children and _map are the only traversal code that knows the shape of each
-# node type (the parser, the printer and the evaluator give each type its own
-# meaning).  Every walker below (free variables, constants, ground set
-# literals, substitution, renaming, binder uniqueness, alpha normalization)
-# is written on top of them and tests only for variables, constants, set
-# literals and binders.
+# A node's shape is its _fields tuple, and nothing else spells it out: the
+# generic _children, _map and replace read it, walking into tuple fields (a
+# set literal's pairs flatten to a1, v1, a2, v2).  The parser, the printer
+# and the evaluator give each node type its own meaning; every walker below
+# (free variables, constants, ground set literals, substitution, renaming,
+# binder uniqueness, alpha normalization) is written on top of the generic
+# three and tests only for variables, constants, set literals and binders.
+
+
+def _sub_nodes(values: tuple, out: list) -> list:
+    for value in values:
+        if isinstance(value, _Node):
+            out.append(value)
+        elif type(value) is tuple:
+            _sub_nodes(value, out)
+    return out
 
 
 def _children(node: _Node) -> tuple:
-    """Direct sub-nodes, in source order (a builtin predicate name is not a node)."""
-    if isinstance(node, (Const, ObjVar, SetVar)):
-        return ()
-    if isinstance(node, (FuncApp, DtRel)):
-        return node.args
-    if isinstance(node, SetLiteral):
-        return tuple(t for pair in node.pairs for t in pair)
-    if isinstance(node, Rel):
-        pred = () if isinstance(node.pred, str) else (node.pred,)
-        return pred + node.args + (() if node.attrs is None else (node.attrs,))
-    if isinstance(node, SetMember):
-        return (node.attr, node.value, node.set)
-    if isinstance(node, Eq):
-        return (node.left, node.right)
-    if isinstance(node, (And, Or)):
-        return node.items
-    if isinstance(node, Implies):
-        return (node.body, node.head)
-    if isinstance(node, (Not,) + QUANTIFIERS):
-        return (node.body,)
-    raise TypeError(node)
+    """Direct sub-nodes, in field order (a builtin predicate name is not a node)."""
+    return tuple(_sub_nodes(node._values, []))
+
+
+def _map_value(value, fn):
+    if isinstance(value, _Node):
+        return fn(value)
+    if type(value) is tuple:
+        return tuple(_map_value(item, fn) for item in value)
+    return value
 
 
 def _map(node: _Node, fn) -> _Node:
-    """The node rebuilt with fn applied to each direct sub-node."""
-    if isinstance(node, (Const, ObjVar, SetVar)):
+    """The node rebuilt with fn applied to each direct sub-node; a leaf is itself."""
+    if not _children(node):
         return node
-    if isinstance(node, (FuncApp, DtRel)):
-        return type(node)(node.name, tuple(fn(a) for a in node.args))
-    if isinstance(node, SetLiteral):
-        return SetLiteral(tuple((fn(a), fn(v)) for a, v in node.pairs))
-    if isinstance(node, Rel):
-        return Rel(node.pred if isinstance(node.pred, str) else fn(node.pred),
-                   tuple(fn(a) for a in node.args),
-                   None if node.attrs is None else fn(node.attrs))
-    if isinstance(node, SetMember):
-        return SetMember(fn(node.attr), fn(node.value), fn(node.set))
-    if isinstance(node, Eq):
-        return Eq(fn(node.left), fn(node.right))
-    if isinstance(node, (And, Or)):
-        return type(node)(tuple(fn(g) for g in node.items))
-    if isinstance(node, Implies):
-        return Implies(fn(node.body), fn(node.head))
-    if isinstance(node, (Not,) + QUANTIFIERS):
-        return replace(node, body=fn(node.body))
-    raise TypeError(node)
+    return type(node)(*(_map_value(value, fn) for value in node._values))
+
+
+def replace(node: _Node, **changes) -> _Node:
+    """A copy of node with the named fields changed (TypeError for any other name)."""
+    values = [changes.pop(name, value) for name, value in zip(node._fields, node._values)]
+    return type(node)(*values, **changes)
 
 
 def _nodes(node: _Node) -> Iterator[_Node]:

@@ -354,21 +354,30 @@ def _decode_entity_id(data) -> EntityId:
     """Entity id of a wikibase-entityid value; legacy values carry only a numeric id."""
     ident = data.get("id") if isinstance(data, dict) else data
     if ident is None and isinstance(data, dict):
-        prefix = {"item": "Q", "property": "P"}.get(data.get("entity-type"), "")
+        kind = data.get("entity-type")
+        prefix = "Q" if kind == "item" else "P" if kind == "property" else ""
         ident = f"{prefix}{data.get('numeric-id')}"
     if not isinstance(ident, str):
         raise IngestError(f"bad entity value {data!r}")
     return EntityId.parse(ident)
 
 
-def _decode_snak(snak: dict, kb: KnowledgeBase) -> Value:
-    """Value of a value-snak; raises IngestError for unsupported datatypes."""
+def _kind(value) -> str:
+    return type(value).__name__
+
+
+def _decode_snak(snak, kb: KnowledgeBase) -> Value:
+    """Value of a value-snak; raises IngestError for a bad shape or an unsupported datatype."""
+    if not isinstance(snak, dict):
+        raise IngestError(f"snak is a {_kind(snak)}")
     kind = snak.get("snaktype", "value")
     if kind == "somevalue":
         return kb.fresh_anon()
     if kind == "novalue":
         return NOVALUE
     dv = snak.get("datavalue", {})
+    if not isinstance(dv, dict):
+        raise IngestError(f"datavalue is a {_kind(dv)}")
     dtype = dv.get("type")
     data = dv.get("value")
     if dtype == "wikibase-entityid":
@@ -392,12 +401,21 @@ def load_wikidata_json(
     source: Union[str, dict, list],
     kb: Optional[KnowledgeBase] = None,
 ) -> tuple:
-    """Ingest Wikibase entity JSON; returns (kb, stats)."""
+    """Ingest Wikibase entity JSON; returns (kb, stats).
+
+    The shape is checked at each level.  A document, label, claims map, claim
+    group, claim or snak of the wrong shape is skipped, the smallest of them
+    that holds the fault, with its reason in ``stats.skipped``; only a top
+    level that is not an entity container is an IngestError.
+    """
     kb = kb or KnowledgeBase()
     stats = IngestStats()
     if isinstance(source, str):
         source = json.loads(source)
     if isinstance(source, dict) and "entities" in source:
+        if not isinstance(source["entities"], dict):
+            raise IngestError(f"expected 'entities' to map ids to documents, not a "
+                              f"{_kind(source['entities'])}")
         docs = list(source["entities"].values())
     elif isinstance(source, list):
         docs = source
@@ -407,24 +425,61 @@ def load_wikidata_json(
         raise IngestError("expected an entities map or a list of entity documents")
 
     for doc in docs:
-        try:
-            subject = EntityId.parse(doc["id"])
-        except (KeyError, ModelError):
-            stats.skip("bad-entity-id", str(doc.get("id")))
-            continue
-        label = doc.get("labels", {}).get("en", {}).get("value")
+        if isinstance(doc, dict):
+            _ingest_document(kb, stats, doc)
+        else:
+            stats.skip("bad-document", f"document is a {_kind(doc)}")
+    return kb, stats
+
+
+def _ingest_document(kb: KnowledgeBase, stats: IngestStats, doc: dict) -> None:
+    ident = doc.get("id")
+    try:
+        subject = EntityId.parse(ident) if isinstance(ident, str) else None
+    except ModelError:
+        subject = None
+    if subject is None:
+        stats.skip("bad-entity-id", str(ident))
+        return
+    try:
+        label = _english_label(doc)
+    except IngestError as exc:
+        stats.skip("bad-label", f"{subject}: {exc}")
+    else:
         if label:
             kb.labels[subject] = label
             stats.labels += 1
-        for pid, group in doc.get("claims", {}).items():
-            try:
-                prop = EntityId.parse(pid)
-            except ModelError:
-                stats.skip("bad-property-id", pid)
-                continue
-            for claim in group:
+    claims = doc.get("claims", {})
+    if not isinstance(claims, dict):
+        stats.skip("bad-claims", f"{subject}: claims is a {_kind(claims)}")
+        return
+    for pid, group in claims.items():
+        try:
+            prop = EntityId.parse(pid)
+        except ModelError:
+            stats.skip("bad-property-id", pid)
+            continue
+        if not isinstance(group, list):
+            stats.skip("bad-claims", f"{subject} {pid}: claim group is a {_kind(group)}")
+            continue
+        for claim in group:
+            if isinstance(claim, dict):
                 _ingest_claim(kb, stats, subject, prop, claim)
-    return kb, stats
+            else:
+                stats.skip("bad-claim", f"{subject} {pid}: claim is a {_kind(claim)}")
+
+
+def _english_label(doc: dict) -> Optional[str]:
+    """The document's English label, or None; IngestError if a level has the wrong shape."""
+    value, path = doc, []
+    for key, kind in (("labels", dict), ("en", dict), ("value", str)):
+        path.append(key)
+        value = value.get(key)
+        if value is None:
+            return None
+        if not isinstance(value, kind):
+            raise IngestError(f"{'.'.join(path)} is a {_kind(value)}")
+    return value
 
 
 def _ingest_claim(kb, stats, subject: EntityId, prop: EntityId, claim: dict) -> None:
@@ -432,20 +487,30 @@ def _ingest_claim(kb, stats, subject: EntityId, prop: EntityId, claim: dict) -> 
     rank = claim.get("rank", "normal")
     if rank not in RANKS:
         rank = "normal"
-    sid = claim.get("id") or kb.fresh_statement_id()
+    sid, references = claim.get("id"), claim.get("references", [])
+    for key, value, kind in (("id", sid, (str, type(None))), ("references", references, list)):
+        if not isinstance(value, kind):
+            stats.skip("bad-claim", f"{subject} {prop}: {key} is a {_kind(value)}")
+            return
+    sid = sid or kb.fresh_statement_id()
     if sid in kb.statements:
         sid = kb.fresh_statement_id()
     pairs = []
     try:
-        for qpid, snaks in claim.get("qualifiers", {}).items():
+        qualifiers = claim.get("qualifiers", {})
+        if not isinstance(qualifiers, dict):
+            raise IngestError(f"qualifiers is a {_kind(qualifiers)}")
+        for qpid, snaks in qualifiers.items():
             qprop = EntityId.parse(qpid)
+            if not isinstance(snaks, list):
+                raise IngestError(f"{qpid} snaks is a {_kind(snaks)}")
             for snak in snaks:
                 pairs.append((qprop, _decode_snak(snak, kb)))
     except (IngestError, ModelError) as exc:
         stats.skip("qualifier", f"{sid}: {exc}")
         return
-    refs = [f"{sid}:r{i + 1}" for i in range(len(claim.get("references", [])))]
-    if mainsnak.get("snaktype") == "novalue":
+    refs = [f"{sid}:r{i + 1}" for i in range(len(references))]
+    if isinstance(mainsnak, dict) and mainsnak.get("snaktype") == "novalue":
         pairs.append((RANK_ATTR, StringVal(rank)))
         kb.add_no_value(NoValueFact(prop, subject, AttrSet.of(pairs)))
         stats.no_value_facts += 1

@@ -189,6 +189,28 @@ class TestQuery:
                              "P26(?x, ?y)@{P580: difference(2020-01-01, 2019-01-01)}")
         assert (code, out, err) == (0, "no bindings\n", "")
 
+    @pytest.mark.parametrize("query", [
+        "P1(?x, difference(?y, 1))",
+        "(P1 : difference(?y, 1)) in {P1: 1} & P2(Q1, ?z)",
+    ])
+    def test_function_term_binds_nothing(self, capsys, tmp_path, query):
+        # ?y occurs only inside difference(...), so no atom binds it
+        path = tmp_path / "kb.native"
+        path.write_text("P1(Q1, 1)\nP2(Q1, 2)\n")
+        code, out, err = run(capsys, "query", "--input", str(path), "--no-close", query)
+        assert (code, out, err) == (2, "", "error: free variable(s) not range-restricted: y\n")
+
+    @pytest.mark.parametrize("query,rows", [
+        ("P1(?y, difference(?y, 1))", "no bindings\n"),  # the subject binds ?y
+        ("P1(?x, ?v) & P2(?x, ?y) & P1(?x, difference(?y, 1))", "?v=1, ?x=Q1, ?y=2\n"),
+        ("P3(?x, ?o)@{P1: difference(?y, 1), P2: ?y}", "?o=Q2, ?x=Q1, ?y=2\n"),
+    ])
+    def test_function_term_reads_bare_variables(self, capsys, tmp_path, query, rows):
+        path = tmp_path / "kb.native"
+        path.write_text("P1(Q1, 1)\nP2(Q1, 2)\nP3(Q1, Q2) @ {P1: 1, P2: 2}\n")
+        code, out, err = run(capsys, "query", "--input", str(path), "--no-close", query)
+        assert (code, out, err) == (0, rows, "")
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_max_bindings_must_be_positive(self, capsys, family_file, value):
         with pytest.raises(SystemExit) as exc:

@@ -392,6 +392,18 @@ def test_access_paths_agree_with_the_oracle(stmts, include_deprecated, data):
     assert got == want
 
 
+@pytest.mark.parametrize("text", [
+    "P1(?y, difference(?y, 1))",
+    "P1(?x, ?v) & P2(?x, ?y) & P1(?x, difference(?y, 1))",
+    # the function term's pair comes first in the literal; the other pair binds ?y
+    "P3(?x, ?o)@{P1: difference(?y, 1), P2: ?y}",
+])
+def test_function_terms_read_what_bare_variables_bind(text):
+    kb = kb_from("P1(Q1, 1)\nP2(Q1, 2)\nP3(Q1, Q2) @ {P1: 1, P2: 2}")
+    assert check_safe_range(parse(text)) is None
+    assert _agrees(kb, text, domain_limit=12)
+
+
 class _Counted(list):
     """A candidate list that counts the statements read from it."""
 

@@ -28,6 +28,9 @@ from wdcheck.formula import (
     SetLiteral,
     SetMember,
     SetVar,
+    _children,
+    _map,
+    _nodes,
     _print_term,
     all_constants,
     alpha_normalize,
@@ -403,3 +406,57 @@ def test_rename_to_fresh_name_and_back_is_identity(f, name):
     there = rename_variable(f, name, "fresh")
     assert rename_variable(there, "fresh", name) == f
 
+
+# ---------------------------------------------------------------------------
+# Node behaviour: one _fields declaration drives equality, hashing and traversal
+# ---------------------------------------------------------------------------
+
+_x, _y, _S = ObjVar("x"), ObjVar("y"), SetVar("S")
+_p26, _p580, _q1 = Const(P(26)), Const(P(580)), Const(Q(1))
+_rel = Rel(_p26, (_x, _y), _S)
+_eq = Eq(_x, _q1)
+
+
+class TestNodes:
+    @settings(max_examples=200, deadline=None)
+    @given(_formulas(3))
+    def test_nodes_are_values_over_their_fields(self, f):
+        for node in _nodes(f):
+            same = _map(node, lambda c: c)
+            assert same == node and hash(same) == hash(node)
+            if not _children(node):
+                assert same is node
+            with pytest.raises(AttributeError):
+                setattr(node, node._fields[0], None)
+        assert Exists("x", f) != Forall("x", f)
+        assert And((f,)) != Or((f,))
+
+    @pytest.mark.parametrize("node, children", [
+        (_q1, ()),
+        (_x, ()),
+        (_S, ()),
+        (FuncApp("difference", (_x, _q1)), (_x, _q1)),
+        (SetLiteral(((_p26, _x), (_p580, _y))), (_p26, _x, _p580, _y)),
+        (_rel, (_p26, _x, _y, _S)),
+        (Rel(_p26, (_x, _y)), (_p26, _x, _y)),
+        (Rel("no_value", (_p26, _x)), (_p26, _x)),
+        (SetMember(_p580, _y, _S), (_p580, _y, _S)),
+        (_eq, (_x, _q1)),
+        (DtRel("leq", (_x, _y)), (_x, _y)),
+        (Not(_eq), (_eq,)),
+        (And((_eq, _rel)), (_eq, _rel)),
+        (Or((_rel, _eq)), (_rel, _eq)),
+        (Implies(_rel, _eq), (_rel, _eq)),
+        (Exists("y", _rel, 2), (_rel,)),
+        (Forall("x", _eq), (_eq,)),
+    ], ids=lambda v: str(len(v)) if isinstance(v, tuple) else type(v).__name__)
+    def test_children_in_field_order(self, node, children):
+        assert _children(node) == children
+        assert _map(node, lambda c: c) == node
+
+    def test_trailing_fields_default_to_none(self):
+        assert Rel(_p26, (_x, _y)).attrs is None
+        assert Exists("x", _eq).count is None
+        assert repr(Exists("x", _eq)) == ("Exists(var='x', body=Eq(left=ObjVar(name='x'), "
+                                          "right=Const(value=EntityId(kind='item', num=1))), "
+                                          "count=None)")

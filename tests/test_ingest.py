@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kb_from
+from wdcheck.cli import main
 from wdcheck.ingest import (
     IngestError,
     export_native,
@@ -467,3 +468,60 @@ class TestWikidataJson:
     def test_bad_document_shape(self):
         with pytest.raises(IngestError):
             load_wikidata_json("42")
+
+
+def _two_documents() -> dict:
+    """Q1 with a P31 claim (id Q1$1, one qualifier) and a P17 claim; Q2 with one claim."""
+    def item():
+        return value_snak("wikibase-entityid", {"id": "Q5"})
+
+    when = {"P580": [value_snak("time", {"time": "+2000-01-01T00:00:00Z", "precision": 11})]}
+    return {"entities": {
+        "Q1": entity_doc("Q1", {"P31": [claim("P31", item(), qualifiers=when, cid="Q1$1")],
+                                "P17": [claim("P17", item())]}, label="one"),
+        "Q2": entity_doc("Q2", {"P31": [claim("P31", item())]}),
+    }}
+
+
+@pytest.mark.parametrize("path, value, skipped, loaded", [
+    (("Q1", "claims"), [], ("bad-claims", "Q1: claims is a list"), 1),
+    (("Q1", "claims", "P31"), {"id": "Q1$1"}, ("bad-claims", "Q1 P31: claim group is a dict"), 2),
+    (("Q1", "claims", "P31", 0), "Q1$1", ("bad-claim", "Q1 P31: claim is a str"), 2),
+    (("Q1", "claims", "P31", 0, "mainsnak"), "Q5", ("mainsnak", "Q1$1: snak is a str"), 2),
+    (("Q1", "claims", "P31", 0, "qualifiers"), [], ("qualifier", "Q1$1: qualifiers is a list"), 2),
+    (("Q1", "claims", "P31", 0, "qualifiers", "P580"), 3,
+     ("qualifier", "Q1$1: P580 snaks is a int"), 2),
+    (("Q1", "claims", "P31", 0, "mainsnak", "datavalue"), "Q5",
+     ("mainsnak", "Q1$1: datavalue is a str"), 2),
+    (("Q1", "claims", "P31", 0, "mainsnak", "datavalue", "value"),
+     {"entity-type": [], "numeric-id": 5}, ("mainsnak", "Q1$1: not an entity id: '5'"), 2),
+    (("Q1", "claims", "P31", 0, "references"), 2, ("bad-claim", "Q1 P31: references is a int"), 2),
+    (("Q1", "claims", "P31", 0, "id"), 7, ("bad-claim", "Q1 P31: id is a int"), 2),
+    (("Q1", "labels", "en"), "one", ("bad-label", "Q1: labels.en is a str"), 3),
+    (("Q1",), "Q1", ("bad-document", "document is a str"), 1),
+    (("Q1", "id"), 1, ("bad-entity-id", "1"), 1),
+    ((), [], None, 0),  # an entities list is no entity container
+])
+def test_json_shape_fault_skips_the_smallest_unit(capsys, tmp_path, path, value, skipped, loaded):
+    dump = _two_documents()
+    target = dump["entities"]
+    for key in path[:-1]:
+        target = target[key]
+    if path:
+        target[path[-1]] = value
+    else:
+        dump["entities"] = value
+    file = tmp_path / "dump.json"
+    file.write_text(json.dumps(dump))
+    code = main(["check", "--input", str(file)])
+    out, err = capsys.readouterr()
+    if skipped is None:
+        with pytest.raises(IngestError):
+            load_wikidata_json(dump)
+        assert (code, out, err) == (2, "", "error: expected 'entities' to map ids to "
+                                           "documents, not a list\n")
+        return
+    kb, stats = load_wikidata_json(dump)
+    assert (stats.skipped, len(kb.statements)) == ([skipped], loaded)
+    assert (code, err) == (0, f"note: {file}: skipped 1 claim(s) ({skipped[0]}: 1)\n")
+    assert "0 violation(s)" in out
