@@ -17,6 +17,7 @@ from .model import (
     StringVal,
     TimeVal,
     Value,
+    make_no_value,
     make_statement,
 )
 from .formula import (

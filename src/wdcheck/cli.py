@@ -21,7 +21,7 @@ from .catalog import (
 )
 from .evaluator import EvalConfig, EvalError, evaluate
 from .formula import FormulaError, parse
-from .ingest import IngestError, export_native, load_native, load_wikidata_json, merge
+from .ingest import IngestError, export_native, load_native, load_wikidata_json
 from .labels import LabelTable
 from .model import KnowledgeBase, ModelError
 from .oracle import DomainTooLarge, brute_force_evaluate
@@ -33,7 +33,10 @@ class CliError(Exception):
 
 
 def _load_inputs(specs: list, labels: LabelTable) -> KnowledgeBase:
-    kbs = []
+    """Load every input into one KB, as if the inputs were one file."""
+    if not specs:
+        raise CliError("no --input given")
+    kb = KnowledgeBase()
     for spec in specs:
         path, _, fmt = spec.rpartition(":")
         if fmt not in ("json", "native"):
@@ -47,18 +50,15 @@ def _load_inputs(specs: list, labels: LabelTable) -> KnowledgeBase:
             # native text never starts with a JSON object or array
             fmt = "json" if text.lstrip()[:1] in ("{", "[") else "native"
         if fmt == "json":
-            kb, stats = load_wikidata_json(text)
+            _, stats = load_wikidata_json(text, kb)
         else:
-            kb, stats = load_native(text, labels)
+            _, stats = load_native(text, labels, kb)
         if stats.skipped:
             counts = Counter(reason for reason, _detail in stats.skipped)
             shown = ", ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
             print(f"note: {path}: skipped {len(stats.skipped)} claim(s) ({shown})",
                   file=sys.stderr)
-        kbs.append(kb)
-    if not kbs:
-        raise CliError("no --input given")
-    return kbs[0] if len(kbs) == 1 else merge(*kbs)
+    return kb
 
 
 def _load_rules(path, labels: LabelTable) -> list:

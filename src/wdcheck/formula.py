@@ -581,12 +581,9 @@ class Parser:
         tok = self.peek()
         # predicate application?
         if self.peek(1).text == "(" and tok.kind in ("ident", "entity", "var", "label"):
-            name = tok.text
-            if tok.kind == "ident" and name in DATATYPE_RELATIONS:
+            if tok.kind == "ident" and tok.text in DATATYPE_RELATIONS:
                 return self.call(DATATYPE_RELATIONS, DtRel)
-            if tok.kind == "ident" and name in DATATYPE_FUNCTIONS:
-                pass  # function application inside a comparison; fall through
-            else:
+            if not self.at_call():  # a function application starts a comparison
                 return self.relational_atom()
         left = self.term_or_set()
         op = self.peek()
@@ -666,21 +663,25 @@ class Parser:
         raise AssertionError  # unreachable
 
     def set_literal(self) -> SetLiteral:
+        pairs = self.pairs(self.term)
+        # canonical pair order, so printing and reparsing is the identity
+        pairs.sort(key=lambda p: (_print_term(p[0]), _print_term(p[1])))
+        return SetLiteral(tuple(pairs))
+
+    def pairs(self, item) -> list:
+        """'{a: b, ...}', each a and b read by item(); the pairs in reading order."""
         self.expect("{")
         pairs = []
         if self.peek().text != "}":
             while True:
-                attr = self.term()
+                attr = item()
                 self.expect(":")
-                value = self.term()
-                pairs.append((attr, value))
+                pairs.append((attr, item()))
                 if self.peek().text != ",":
                     break
                 self.advance()
         self.expect("}")
-        # canonical pair order, so printing and reparsing is the identity
-        pairs.sort(key=lambda p: (_print_term(p[0]), _print_term(p[1])))
-        return SetLiteral(tuple(pairs))
+        return pairs
 
     def term(self) -> Term:
         tok = self.peek()
@@ -690,30 +691,40 @@ class Parser:
                 self.fail("set variable not allowed in term position", tok)
             self.advance()
             return ObjVar(name)
+        if self.at_call():
+            return self.call(DATATYPE_FUNCTIONS, FuncApp)
+        return Const(self.constant())
+
+    def at_call(self) -> bool:
+        """Whether a datatype function application starts here."""
+        tok = self.peek()
+        return tok.kind == "ident" and tok.text in DATATYPE_FUNCTIONS and self.peek(1).text == "("
+
+    def constant(self) -> Value:
+        """An entity, string, time, quantity or label, as its value."""
+        tok = self.peek()
         if tok.kind == "entity":
             self.advance()
-            return Const(self.entity_value(tok.text))
+            return self.entity_value(tok.text)
         if tok.kind == "string":
             self.advance()
-            return Const(StringVal(_unquote(tok.text)))
+            return StringVal(_unquote(tok.text))
         if tok.kind == "time":
             self.advance()
-            return Const(_parse_time(tok))
+            return _parse_time(tok)
         if tok.kind == "number":
             return self.quantity()
         if tok.kind in ("ident", "label"):
             name = tok.text[1:-1] if tok.kind == "label" else tok.text
-            if tok.kind == "ident" and name in DATATYPE_FUNCTIONS and self.peek(1).text == "(":
-                return self.call(DATATYPE_FUNCTIONS, FuncApp)
             resolved = self.labels.resolve(name)
             if resolved is None:
                 self.fail(f"unknown label {name!r}", tok)
             self.advance()
-            return Const(resolved)
+            return resolved
         self.fail("expected a term")
         raise AssertionError  # unreachable
 
-    def quantity(self) -> Term:
+    def quantity(self) -> QuantityVal:
         tok = self.advance()
         amount = Decimal(tok.text)
         lower = upper = None
@@ -737,7 +748,7 @@ class Parser:
             if ut.kind != "entity":
                 self.fail("expected a unit entity id")
             unit = self.entity_value(self.advance().text)
-        return Const(QuantityVal(amount, unit, lower, upper))
+        return QuantityVal(amount, unit, lower, upper)
 
 
 _ESCAPE_RE = re.compile(r'\\(["\\]|u[0-9a-fA-F]{4})')

@@ -28,7 +28,7 @@ from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from typing import Optional, Union
 
-from .formula import Const, ParseError, Parser, tokenize
+from .formula import ParseError, Parser, tokenize
 from .labels import DEFAULT_LABELS, LabelTable
 from .model import (
     AnonConst,
@@ -37,15 +37,13 @@ from .model import (
     KnowledgeBase,
     ModelError,
     NOVALUE,
-    NoValueFact,
-    Pseudo,
     QuantityVal,
     RANKS,
     RANK_ATTR,
-    Statement,
     StringVal,
     TimeVal,
     Value,
+    make_no_value,
     make_statement,
 )
 
@@ -72,27 +70,23 @@ class IngestStats:
 
 
 class _LineParser(Parser):
-    """Reuses the formula term grammar for ground fact lines; one per load,
+    """Reuses the formula constant grammar for ground fact lines; one per load,
     so its entity table interns the ids and entity values of one load."""
 
-    def __init__(self, labels: LabelTable, kb: KnowledgeBase) -> None:
+    def __init__(self, labels: LabelTable, kb: KnowledgeBase, stats: IngestStats) -> None:
         super().__init__("", labels)
         self.kb = kb
-
-    def fact(self, tokens: list) -> Union[Statement, NoValueFact, tuple]:
-        """The fact of one line, given the line's tokens and its eof token."""
-        self.tokens, self.pos = tokens, 0
-        return self.fact_line()
+        self.stats = stats
 
     def value(self) -> Value:
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "somevalue":
             self.advance()
             return self.kb.fresh_anon()
-        t = self.term()
-        if not isinstance(t, Const):
+        if tok.kind == "var" or self.at_call():
+            self.term()  # read past the variable or function application, then refuse it
             self.fail("fact values must be constants")
-        return t.value
+        return self.constant()
 
     def entity(self) -> EntityId:
         tok = self.peek()
@@ -107,23 +101,12 @@ class _LineParser(Parser):
         self.fail("expected an entity id")
         raise AssertionError  # unreachable
 
-    def qualifier_pairs(self) -> list:
-        pairs = []
-        self.expect("{")
-        if self.peek().text != "}":
-            while True:
-                attr = self.value()
-                self.expect(":")
-                pairs.append((attr, self.value()))
-                if self.peek().text != ",":
-                    break
-                self.advance()
-        self.expect("}")
-        return pairs
-
-    def trailer(self) -> tuple:
-        rank = "normal"
-        refs = 0
+    def tail(self) -> tuple:
+        """(qualifier pairs, rank, reference count): an optional '@ {...}', then the trailers."""
+        pairs, rank, refs = [], "normal", 0
+        if self.peek().text == "@":
+            self.advance()
+            pairs = self.pairs(self.value)
         while self.peek().kind == "ident":
             word = self.advance().text
             self.expect("=")
@@ -141,9 +124,11 @@ class _LineParser(Parser):
                 self.fail(f"unknown trailer {word!r}")
         if self.peek().kind != "eof":
             self.fail("unexpected trailing input")
-        return rank, refs
+        return pairs, rank, refs
 
-    def fact_line(self) -> Union[Statement, NoValueFact, tuple]:
+    def fact(self, tokens: list) -> None:
+        """Add the fact of one line, given the line's tokens and its eof token."""
+        self.tokens, self.pos = tokens, 0
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "commons_ns":
             self.advance()
@@ -154,37 +139,32 @@ class _LineParser(Parser):
             self.expect(")")
             if not isinstance(page, StringVal) or not isinstance(ns, StringVal):
                 self.fail("commons_ns takes two strings")
-            return ("commons", page.text, ns.text)
-        if tok.kind == "ident" and tok.text == "no_value":
+            self.kb.add_commons_page(page.text, ns.text)
+            self.stats.commons_pages += 1
+        elif tok.kind == "ident" and tok.text == "no_value":
             self.advance()
             self.expect("(")
             prop = self.entity()
             self.expect(",")
             subj = self.entity()
             self.expect(")")
-            pairs = self.qualifier_pairs() if self._eat_at() else []
-            rank, _refs = self.trailer()
-            pairs.append((RANK_ATTR, StringVal(rank)))
-            return NoValueFact(prop, subj, AttrSet.of(pairs))
-        prop = self.entity()
-        if prop.kind != "property":
-            self.fail("facts must start with a property id")
-        self.expect("(")
-        subj = self.entity()
-        self.expect(",")
-        value = self.value()
-        self.expect(")")
-        pairs = self.qualifier_pairs() if self._eat_at() else []
-        rank, refs = self.trailer()
-        sid = self.kb.fresh_statement_id()
-        return make_statement(sid, subj, prop, value, pairs, rank,
-                              [f"{sid}:r{i + 1}" for i in range(refs)])
-
-    def _eat_at(self) -> bool:
-        if self.peek().text == "@":
-            self.advance()
-            return True
-        return False
+            pairs, rank, _refs = self.tail()
+            self.kb.add_no_value(make_no_value(prop, subj, pairs, rank))
+            self.stats.no_value_facts += 1
+        else:
+            prop = self.entity()
+            if prop.kind != "property":
+                self.fail("facts must start with a property id")
+            self.expect("(")
+            subj = self.entity()
+            self.expect(",")
+            value = self.value()
+            self.expect(")")
+            pairs, rank, refs = self.tail()
+            sid = self.kb.fresh_statement_id()
+            self.kb.add_statement(make_statement(sid, subj, prop, value, pairs, rank,
+                                                 [f"{sid}:r{i + 1}" for i in range(refs)]))
+            self.stats.statements += 1
 
 
 def load_native(
@@ -201,90 +181,49 @@ def load_native(
     labels = labels or DEFAULT_LABELS
     kb = kb or KnowledgeBase()
     stats = IngestStats()
-    parser = _LineParser(labels, kb)
+    parser = _LineParser(labels, kb, stats)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             tokens = tokenize(raw.strip())
-            if len(tokens) == 1:  # only the eof token
-                continue
-            fact = parser.fact(tokens)
+            if len(tokens) > 1:  # not only the eof token
+                parser.fact(tokens)
         except (ParseError, ModelError) as exc:
             raise IngestError(f"line {lineno}: {exc}") from exc
-        if isinstance(fact, Statement):
-            kb.add_statement(fact)
-            stats.statements += 1
-        elif isinstance(fact, NoValueFact):
-            kb.add_no_value(fact)
-            stats.no_value_facts += 1
-        else:
-            kb.add_commons_page(fact[1], fact[2])
-            stats.commons_pages += 1
     return kb, stats
 
 
 def export_native(kb: KnowledgeBase) -> str:
     """Render a KB as native fact lines; load_native inverts this."""
-    lines = []
-    for st in kb.statements.values():
-        pairs = st.qualifiers.without_pseudo().sorted_pairs()
-        parts = [f"{st.property}({st.subject}, {_render_value(st.value)})"]
-        if pairs:
-            inner = ", ".join(f"{_render_value(a)}: {_render_value(v)}" for a, v in pairs)
-            parts.append("@ {" + inner + "}")
-        if st.rank != "normal":
-            parts.append(f"rank={st.rank}")
-        if st.references:
-            parts.append(f"refs={len(st.references)}")
-        lines.append(" ".join(parts))
+    lines = [_fact_line(f"{st.property}({st.subject}, {_render_value(st.value)})",
+                        st.qualifiers, st.rank, len(st.references))
+             for st in kb.statements.values()]
     for fact in kb.no_value_facts:
-        pairs = fact.qualifiers.without_pseudo().sorted_pairs()
-        rank = next((v.text for a, v in fact.qualifiers
-                     if a == RANK_ATTR and isinstance(v, StringVal)), "normal")
-        parts = [f"no_value({fact.property}, {fact.subject})"]
-        if pairs:
-            inner = ", ".join(f"{_render_value(a)}: {_render_value(v)}" for a, v in pairs)
-            parts.append("@ {" + inner + "}")
-        if rank != "normal":
-            parts.append(f"rank={rank}")
-        lines.append(" ".join(parts))
+        rank = next((v.text for v in fact.qualifiers.values_for(RANK_ATTR)), "normal")
+        lines.append(_fact_line(f"no_value({fact.property}, {fact.subject})",
+                                fact.qualifiers, rank))
     for page, ns in sorted(kb.commons_ns.items()):
         lines.append(f"commons_ns({StringVal(page)}, {StringVal(ns)})")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _fact_line(head: str, qualifiers: AttrSet, rank: str, refs: int = 0) -> str:
+    """One native line: head, the plain qualifiers, then the trailers that differ from the default."""
+    parts = [head]
+    pairs = qualifiers.without_pseudo().sorted_pairs()
+    if pairs:
+        inner = ", ".join(f"{_render_value(a)}: {_render_value(v)}" for a, v in pairs)
+        parts.append("@ {" + inner + "}")
+    if rank != "normal":
+        parts.append(f"rank={rank}")
+    if refs:
+        parts.append(f"refs={refs}")
+    return " ".join(parts)
 
 
 def _render_value(v: Value) -> str:
     if isinstance(v, AnonConst):
         return "somevalue"
     return str(v)
-
-
-def merge(*kbs: KnowledgeBase) -> KnowledgeBase:
-    """Combine KBs, re-freshening statement ids and anonymous constants."""
-    out = KnowledgeBase()
-    for kb in kbs:
-        anon_map: dict = {}
-
-        def fresh(v: Value) -> Value:
-            if isinstance(v, AnonConst):
-                if v not in anon_map:
-                    anon_map[v] = out.fresh_anon()
-                return anon_map[v]
-            return v
-
-        for st in kb.statements.values():
-            quals = [(fresh(a), fresh(v)) for a, v in st.qualifiers
-                     if not isinstance(a, Pseudo)]
-            out.add_statement(make_statement(
-                out.fresh_statement_id(), st.subject, st.property, fresh(st.value),
-                quals, st.rank, st.references))
-        for fact in kb.no_value_facts:
-            out.add_no_value(NoValueFact(
-                fact.property, fact.subject,
-                AttrSet.of((fresh(a), fresh(v)) for a, v in fact.qualifiers)))
-        for page, ns in kb.commons_ns.items():
-            out.add_commons_page(page, ns)
-        out.labels.update(kb.labels)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +450,7 @@ def _ingest_claim(kb, stats, subject: EntityId, prop: EntityId, claim: dict) -> 
         return
     refs = [f"{sid}:r{i + 1}" for i in range(len(references))]
     if isinstance(mainsnak, dict) and mainsnak.get("snaktype") == "novalue":
-        pairs.append((RANK_ATTR, StringVal(rank)))
-        kb.add_no_value(NoValueFact(prop, subject, AttrSet.of(pairs)))
+        kb.add_no_value(make_no_value(prop, subject, pairs, rank))
         stats.no_value_facts += 1
         return
     try:

@@ -268,28 +268,42 @@ def make_statement(
     """Build a statement, mirroring rank and references into the qualifier set.
 
     The statement keeps its content key, and its qualifier set the pseudo-free
-    set, so neither is built again.  A statement without qualifiers and
-    references shares its rank's qualifier set.
+    set, so neither is built again.
+    """
+    refs = tuple(references)
+    quals, plain = _mirrored(qualifiers, rank, refs)
+    st = Statement(id, subject, property, value, quals, rank, refs)
+    object.__setattr__(st, "_key", (subject, property, value, plain))
+    return st
+
+
+def make_no_value(property: EntityId, subject: EntityId,
+                  qualifiers: Iterable[tuple[Value, Value]] = (), rank: str = "normal") -> NoValueFact:
+    """Build a no-value fact, its rank mirrored into its qualifiers as make_statement does."""
+    return NoValueFact(property, subject, _mirrored(qualifiers, rank)[0])
+
+
+def _mirrored(qualifiers: Iterable[tuple[Value, Value]], rank: str, refs: tuple = ()) -> tuple:
+    """(qualifiers with the rank and reference pseudo-pairs, the plain qualifiers).
+
+    Refuses a bad rank and a pseudo-attribute among the qualifiers.  Without
+    qualifiers and references the set is its rank's shared one.
     """
     if rank not in RANKS:
         raise ModelError(f"bad rank: {rank!r}")
-    refs = tuple(references)
     plain = frozenset(qualifiers)
     for a, _v in plain:
         if isinstance(a, Pseudo):
             raise ModelError(f"pseudo-attribute {a} may not be supplied directly")
-    if plain or refs:
-        pairs = plain | _RANK_ONLY[rank].pairs  # a union hashes no pair again
-        if refs:
-            pairs |= {(REFERENCE_ATTR, StringVal(tok)) for tok in refs}
-        quals = AttrSet(pairs)
-        plain = AttrSet(plain) if plain else EMPTY_ATTRS
-        object.__setattr__(quals, "_plain", plain)
-    else:
-        quals, plain = _RANK_ONLY[rank], EMPTY_ATTRS
-    st = Statement(id, subject, property, value, quals, rank, refs)
-    object.__setattr__(st, "_key", (subject, property, value, plain))
-    return st
+    if not (plain or refs):
+        return _RANK_ONLY[rank], EMPTY_ATTRS
+    pairs = plain | _RANK_ONLY[rank].pairs  # a union hashes no pair again
+    if refs:
+        pairs |= {(REFERENCE_ATTR, StringVal(tok)) for tok in refs}
+    quals = AttrSet(pairs)
+    plain = AttrSet(plain) if plain else EMPTY_ATTRS
+    object.__setattr__(quals, "_plain", plain)
+    return quals, plain
 
 
 def _rank_only(rank: str) -> AttrSet:

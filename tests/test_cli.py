@@ -172,6 +172,50 @@ class TestCheck:
         assert err == f"note: {path}: skipped 1 claim(s) (mainsnak: 1)\n"
 
 
+class TestMultipleInputs:
+    """Several --input files load into one KB, as if they were one file."""
+
+    A = ("P2302(P26, Q21510862)\n"
+         "P1(Q1, somevalue) @ {P2: somevalue, P3: Q7}\n"
+         "P26(Q1, somevalue) @ {P580: somevalue}\n")
+    B = "P26(Q3, Q4)\nP1(Q2, somevalue)\nno_value(P40, Q3)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--format", "json"],
+        ["check", "--no-close"],
+        ["query", "--no-close", "P1(?s, ?o)@?Q"],
+        ["query", "?p(?s, ?o)@?Q"],
+        ["infer", "--explain"],
+    ], ids=["check-json", "check-text", "query-open", "query-closed", "infer"])
+    def test_inputs_read_as_one_file(self, capsys, tmp_path, argv):
+        a, b, ab = tmp_path / "a.native", tmp_path / "b.native", tmp_path / "ab.native"
+        a.write_text(self.A)
+        b.write_text(self.B)
+        ab.write_text(self.A + self.B)
+        joined = run(capsys, *argv, "--input", str(ab))
+        assert joined[2] == ""
+        assert run(capsys, *argv, "--input", str(a), "--input", str(b)) == joined
+
+    @pytest.mark.parametrize("extra", [[], ["P26(Q3, Q4)\n"]], ids=["alone", "with-native"])
+    def test_declaration_keeps_its_claim_id(self, capsys, tmp_path, extra):
+        regex = {"snaktype": "value", "property": "P1793",
+                 "datavalue": {"type": "string", "value": "\\p{L}+"}}
+        decl = {"id": "P212$abc", "rank": "normal", "type": "statement",
+                "mainsnak": {"snaktype": "value", "property": "P2302", "datavalue": {
+                    "type": "wikibase-entityid", "value": {"id": "Q21502404"}}},
+                "qualifiers": {"P1793": [regex]}}
+        path = tmp_path / "fmt.json"
+        path.write_text(json.dumps([{"id": "P212", "claims": {"P2302": [decl]}}]))
+        argv = ["check", "--input", str(path)]
+        for i, text in enumerate(extra):
+            other = tmp_path / f"other{i}.native"
+            other.write_text(text)
+            argv += ["--input", str(other)]
+        code, out, _ = run(capsys, *argv)
+        assert out.splitlines()[0] == ("note: skipped format declaration P212$abc on P212: "
+                                       "unsupported regex construct in '\\\\p{L}+'")
+
+
 class TestQuery:
     def test_bindings_printed(self, capsys, family_file):
         code, out, _ = run(capsys, "query", "--input", family_file, "--no-close",

@@ -1,5 +1,6 @@
 """Native text format and Wikibase JSON ingestion."""
 
+import copy
 import json
 import pathlib
 import re
@@ -13,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kb_from
+from wdcheck.catalog import check
 from wdcheck.cli import main
 from wdcheck.ingest import (
     IngestError,
     export_native,
     load_native,
     load_wikidata_json,
-    merge,
 )
 from wdcheck.formula import Implies, negate_to_violation_query, parse
 from wdcheck.model import (
@@ -29,14 +30,15 @@ from wdcheck.model import (
     AttrSet,
     KnowledgeBase,
     NOVALUE,
-    NoValueFact,
     P,
     Q,
     QuantityVal,
     StringVal,
     TimeVal,
+    make_no_value,
     make_statement,
 )
+from wdcheck.templates import builtin_templates
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -229,20 +231,24 @@ def _native_kbs(draw):
             [(a, fresh(v)) for a, v in quals], rank, [f"r{i}" for i in range(refs)]))
     for prop, subj, quals, rank in draw(st.lists(st.tuples(
             _props, _items, _qualifiers, st.sampled_from(RANKS)), max_size=2)):
-        pairs = [(a, fresh(v)) for a, v in quals] + [(RANK_ATTR, StringVal(rank))]
-        kb.add_no_value(NoValueFact(prop, subj, AttrSet.of(pairs)))
+        kb.add_no_value(make_no_value(prop, subj, [(a, fresh(v)) for a, v in quals], rank))
     for page, ns in draw(st.lists(st.tuples(st.text(), st.text()), max_size=2)):
         kb.add_commons_page(page, ns)
     return kb
 
 
-def _content_keys(kb: KnowledgeBase) -> Counter:
-    """The statements' content keys, every anonymous constant made the same."""
+def _content_keys(kb: KnowledgeBase) -> tuple:
+    """The statements' content keys and the no-value facts, every anonymous
+    constant made the same."""
     def plain(v):
         return None if isinstance(v, AnonConst) else v
 
-    return Counter((s, p, plain(v), frozenset((a, plain(x)) for a, x in quals))
-                   for s, p, v, quals in (st.content_key() for st in kb.statements.values()))
+    def pairs(quals):
+        return frozenset((a, plain(x)) for a, x in quals)
+
+    return (Counter((s, p, plain(v), pairs(quals))
+                    for s, p, v, quals in (st.content_key() for st in kb.statements.values())),
+            Counter((f.property, f.subject, pairs(f.qualifiers)) for f in kb.no_value_facts))
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,9 +273,8 @@ def test_readme_examples_run():
 
 class TestMerge:
     def test_merge_refreshes_ids_and_anons(self):
-        a, _ = load_native("P26(Q1, somevalue)")
-        b, _ = load_native("P26(Q2, somevalue)\nno_value(P40, Q3)")
-        merged = merge(a, b)
+        merged, _ = load_native("P26(Q1, somevalue)")
+        load_native("P26(Q2, somevalue)\nno_value(P40, Q3)", kb=merged)
         assert len(merged.statements) == 2
         anons = {st.value for st in merged.statements.values()}
         assert len(anons) == 2  # distinct anonymous constants survive the merge
@@ -525,3 +530,159 @@ def test_json_shape_fault_skips_the_smallest_unit(capsys, tmp_path, path, value,
     assert (stats.skipped, len(kb.statements)) == ([skipped], loaded)
     assert (code, err) == (0, f"note: {file}: skipped 1 claim(s) ({skipped[0]}: 1)\n")
     assert "0 violation(s)" in out
+
+
+# Wikibase JSON fuzzing: documents drawn from the Wikibase JSON model, then
+# random nodes mutated.  Small id pools make claims meet in joins, and the
+# constraint type items make some P2302 claims declarations that check runs.
+_TYPE_ITEMS = sorted({str(t.type_item) for t in builtin_templates() if t.type_item})
+_ITEM_IDS = [f"Q{n}" for n in range(1, 7)]
+_PROP_IDS = ["P26", "P31", "P279", "P569", "P580", "P585", "P1082", "P212", "P2302",
+             "P2305", "P2306", "P2308", "P2312", "P2313", "P1793", "P2303"]
+_URI = "http://www.wikidata.org/entity/"
+
+
+def _entity_dv(ident: str) -> dict:
+    kind = "item" if ident[0] == "Q" else "property"
+    return {"type": "wikibase-entityid",
+            "value": {"entity-type": kind, "numeric-id": int(ident[1:]), "id": ident}}
+
+
+_amounts = st.decimals(-10**6, 10**6, places=2).map(lambda d: f"{d:+f}")
+_datavalues = {
+    "entity": st.sampled_from(_ITEM_IDS + _PROP_IDS).map(_entity_dv),
+    "type": st.sampled_from(_TYPE_ITEMS).map(_entity_dv),
+    "string": (st.text(max_size=6) | st.sampled_from(["97[89]-.*", "\\p{L}+", "\\d+"]))
+    .map(lambda s: {"type": "string", "value": s}),
+    "quantity": st.builds(
+        lambda amount, bounds, unit: {"type": "quantity", "value": dict(
+            {"amount": amount, "unit": unit},
+            **({"lowerBound": f"{Decimal(amount) - bounds:+f}",
+                "upperBound": f"{Decimal(amount) + bounds:+f}"} if bounds is not None else {}))},
+        _amounts, st.none() | st.integers(0, 5),
+        st.sampled_from(["1", _URI + "Q11573", _URI + "Q577"])),
+    "time": st.builds(
+        lambda d, precision: {"type": "time", "value": {
+            "time": f"+{d.year:04d}-{d:%m-%dT%H:%M:%S}Z",
+            "timezone": 0, "before": 0, "after": 0, "precision": precision,
+            "calendarmodel": _URI + "Q1985727"}},
+        st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31)), st.integers(9, 14)),
+    "globe": st.just({"type": "globecoordinate", "value": {"latitude": 1.5, "longitude": 2}}),
+}
+# the datavalue kinds each property mostly carries
+_PROP_KINDS = {"P2302": "type", "P1793": "string", "P212": "string", "P1082": "quantity",
+               "P2312": "quantity", "P2313": "quantity", "P569": "time", "P580": "time",
+               "P585": "time"}
+
+
+@st.composite
+def _snaks(draw, pid: str) -> dict:
+    kind = draw(st.sampled_from(["value"] * 6 + ["somevalue", "novalue"]))
+    snak = {"snaktype": kind, "property": pid, "hash": "0"}
+    if kind == "value":
+        dv_kind = _PROP_KINDS.get(pid, "entity")
+        if draw(st.integers(0, 4)) == 0:
+            dv_kind = draw(st.sampled_from(sorted(_datavalues)))
+        snak["datavalue"] = draw(_datavalues[dv_kind])
+    return snak
+
+
+@st.composite
+def _claims(draw, subject: str, pid: str, n: int) -> dict:
+    claim = {"mainsnak": draw(_snaks(pid)), "type": "statement",
+             "id": draw(st.sampled_from([f"{subject}${pid}-{n}", "X$dup"])),
+             "rank": draw(st.sampled_from(RANKS))}
+    qualifiers = draw(st.lists(st.sampled_from(_PROP_IDS), max_size=2, unique=True))
+    if qualifiers:
+        claim["qualifiers"] = {q: draw(st.lists(_snaks(q), min_size=1, max_size=2))
+                               for q in qualifiers}
+        claim["qualifiers-order"] = qualifiers
+    claim["references"] = [{"hash": "0", "snaks": {}, "snaks-order": []}
+                           for _ in range(draw(st.integers(0, 2)))]
+    return claim
+
+
+@st.composite
+def _wikibase_dumps(draw):
+    docs = []
+    for ident in draw(st.lists(st.sampled_from(_ITEM_IDS + _PROP_IDS[:7]), min_size=1,
+                               max_size=3, unique=True)):
+        pids = draw(st.lists(st.sampled_from(_PROP_IDS), max_size=2, unique=True))
+        if ident[0] == "P" and "P2302" not in pids:
+            pids.append("P2302")  # a property document declares constraints
+        claims = {pid: [draw(_claims(ident, pid, n)) for n in range(draw(st.integers(1, 2)))]
+                  for pid in pids}
+        docs.append({"type": "item" if ident[0] == "Q" else "property", "id": ident,
+                     "labels": {"en": {"language": "en", "value": draw(st.text(max_size=4))}},
+                     "claims": claims})
+    if draw(st.booleans()):
+        return docs
+    return {"entities": {doc["id"]: doc for doc in docs}}
+
+
+def _nodes(node, path=()):
+    """Every node path of a JSON tree, the root's () included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(child, path + (key,))
+
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(max_size=4),
+    st.sampled_from(["1e400", "-1e-400", "+99999-01-01T00:00:00Z", "+2020-13-45T25:61:61Z",
+                     "Q0", "P-1", "Q99999999999999999999", "-0", 15, -1, 99, 2**63]),
+    st.lists(st.integers(), max_size=1),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=1))
+
+
+@st.composite
+def _mutated(draw, dump):
+    """dump with one to three nodes swapped for junk, dropped, or given an extra key or item."""
+    for _ in range(draw(st.integers(1, 3))):
+        # leaves first, as hypothesis draws early elements most
+        path = draw(st.sampled_from(list(_nodes(dump))[::-1]))
+        op = draw(st.sampled_from(["swap", "drop", "extra"]))
+        if not path:
+            dump = draw(_junk) if op == "swap" else dump
+            continue
+        parent = dump
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if op == "swap":
+            parent[path[-1]] = draw(_junk)
+        elif op == "drop":
+            del parent[path[-1]]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(["id", "amount", "time", "precision", "unit", "value",
+                                       "snaktype", "datavalue", "rank", "x"]))] = draw(_junk)
+        elif isinstance(node, list):
+            node.append(draw(_junk))
+    return dump
+
+
+def _claim_count(dump) -> int:
+    docs = dump["entities"].values() if isinstance(dump, dict) else dump
+    return sum(len(group) for doc in docs for group in doc["claims"].values())
+
+
+def _entity_container(dump) -> bool:
+    return isinstance(dump, list) or (
+        isinstance(dump, dict) and isinstance(dump.get("entities", {}), dict))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_wikibase_dumps(), st.data())
+def test_wikibase_json_fuzz(dump, data):
+    kb, stats = load_wikidata_json(dump)
+    assert stats.statements + stats.no_value_facts + len(stats.skipped) == _claim_count(dump)
+    dump = data.draw(_mutated(copy.deepcopy(dump)))
+    try:
+        kb, stats = load_wikidata_json(json.dumps(dump))  # text, as the CLI reads it
+    except IngestError:
+        assert not _entity_container(dump)
+        return
+    kb2, _ = load_native(export_native(kb))
+    assert _content_keys(kb2) == _content_keys(kb)
+    check(kb)
