@@ -22,7 +22,7 @@ The brute-force oracle, with its own atom matcher, is in ``oracle``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from typing import Iterator, Optional
 
 from .formula import (
@@ -200,8 +200,9 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
     index, the ``_qualifier_key`` bucket or every statement for an open one; a
     builtin table's rows.  ``run(ctx, env, candidates=None)`` builds one
     environment per match.  Each position is a known value (tested unless the
-    index keyed on it), a fresh variable, a repeat of one, or a term resolved
-    under the match; a literal is one known set or is matched pair by pair.
+    index keyed on it; all tested positions in one comparison, ``_tests``), a
+    fresh variable, a repeat of one, or a term resolved under the match; a
+    literal is one known set or is matched pair by pair.
     """
     args = {"no_value": ("property", "subject"), "Commons_namespace": ("subject", "value")}
     terms = dict(zip(args.get(rel.pred, ("subject", "value")), rel.args))
@@ -234,8 +235,9 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
         index, lookup, covered = ("by_property", pred, ("property",)) if pred \
             else ("by_subject", subj, ("subject",)) if subj \
             else ("by_qualifier_attr", _value_of(key), ()) if key else (None, None, ())
-    tests = [(f, get) for f, get in known.items() if f not in covered]
-    delta_tests = [(f, get) for f, get in known.items() if f != "property"]
+    tests = _tests(known, [f for f in known if f not in covered])
+    delta_tests = _tests(known, [f for f in known if f != "property"])
+    same_f, same_g = (attrgetter(*fs) for fs in zip(*same)) if same else (None, None)
     lit = rel.attrs if isinstance(rel.attrs, SetLiteral) else None
     whole = lit is not None and free_variables(lit) <= bound
     pseudo = lit is not None and _names_pseudo(lit)
@@ -266,15 +268,15 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
         want = _try_resolve(lit, env) if whole else None  # collapsed pairs match no set
         if not candidates or whole and (want is None or len(want) < len(lit.pairs)):
             return ()
-        checks = delta_tests if ctx.delta is not None and ctx.delta[0] is rel else tests
-        return scan(env, candidates, checks and [(f, get(env)) for f, get in checks], want,
+        tested, expect = delta_tests if ctx.delta is not None and ctx.delta[0] is rel else tests
+        return scan(env, candidates, tested, tested and expect(env), want,
                     ctx.cfg.include_deprecated)
 
-    def scan(env: dict, candidates, checks: list, want, keep_deprecated: bool):
+    def scan(env: dict, candidates, tested, expected, want, keep_deprecated: bool):
         for st in candidates:
             if st.rank == "deprecated" and not keep_deprecated \
-                    or checks and any(getattr(st, f) != v for f, v in checks) \
-                    or same and any(getattr(st, f) != getattr(st, g) for f, g in same) \
+                    or tested and tested(st) != expected \
+                    or same and same_f(st) != same_g(st) \
                     or whole and want != (st.qualifiers if pseudo else st.qualifiers.without_pseudo()):
                 continue
             out = env
@@ -291,6 +293,16 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
                     yield out2
 
     return read, run
+
+
+def _tests(known: dict, fields: list) -> tuple:
+    """(tested, expect) for the fields a candidate is tested on: ``tested(st) !=
+    expect(env)`` rejects it in one comparison, of bare values for one field and
+    of tuples for several; (None, None) for no field."""
+    if len(fields) < 2:
+        return (attrgetter(fields[0]), known[fields[0]]) if fields else (None, None)
+    expects = [known[f] for f in fields]
+    return attrgetter(*fields), lambda env: tuple([get(env) for get in expects])
 
 
 def _table(kb: KnowledgeBase, name: str, page, env: dict) -> list:

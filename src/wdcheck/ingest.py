@@ -25,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Optional, Union
 
 from .formula import ParseError, Parser, tokenize
@@ -101,8 +101,10 @@ class _LineParser(Parser):
         self.fail("expected an entity id")
         raise AssertionError  # unreachable
 
-    def tail(self) -> tuple:
-        """(qualifier pairs, rank, reference count): an optional '@ {...}', then the trailers."""
+    def tail(self, no_value: bool = False) -> tuple:
+        """(qualifier pairs, rank, reference count): an optional '@ {...}', then the trailers.
+
+        A no-value fact carries no references, so a nonzero count on one is refused."""
         pairs, rank, refs = [], "normal", 0
         if self.peek().text == "@":
             self.advance()
@@ -120,6 +122,8 @@ class _LineParser(Parser):
                 if tok.kind != "number" or "." in tok.text:
                     self.fail("expected a reference count")
                 refs = int(self.advance().text)
+                if refs and no_value:
+                    self.fail("no-value facts carry no references", tok)
             else:
                 self.fail(f"unknown trailer {word!r}")
         if self.peek().kind != "eof":
@@ -148,7 +152,7 @@ class _LineParser(Parser):
             self.expect(",")
             subj = self.entity()
             self.expect(")")
-            pairs, rank, _refs = self.tail()
+            pairs, rank, _refs = self.tail(no_value=True)
             self.kb.add_no_value(make_no_value(prop, subj, pairs, rank))
             self.stats.no_value_facts += 1
         else:
@@ -233,6 +237,7 @@ def _render_value(v: Value) -> str:
 
 _TIME_RE = re.compile(r"([+-])(\d{4,16})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z?")
 _UNIT_RE = re.compile(r"Q\d+$")
+_NUMBER_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")  # a Wikibase amount or bound: no exponent
 
 
 def _decode_time(dv) -> TimeVal:
@@ -260,16 +265,12 @@ def _decode_time(dv) -> TimeVal:
 
 
 def _decode_number(dv: dict, key: str) -> Decimal:
-    """The finite number under key: a string, or an int that is not a bool."""
+    """The number under key: a string in Wikibase's decimal form, or an int that is
+    not a bool.  An exponent, which would print as every one of its digits, is refused."""
     raw = dv.get(key)
-    if isinstance(raw, str) or (isinstance(raw, int) and not isinstance(raw, bool)):
-        try:
-            number = Decimal(raw)
-        except InvalidOperation:
-            pass
-        else:
-            if number.is_finite():
-                return number
+    if isinstance(raw, str) and _NUMBER_RE.fullmatch(raw) \
+            or isinstance(raw, int) and not isinstance(raw, bool):
+        return Decimal(raw)
     raise IngestError(f"bad quantity {key} {raw!r}")
 
 

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from decimal import Decimal
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -38,16 +39,33 @@ PROPERTY = "property"
 _ENTITY_RE = re.compile(r"([QP])([1-9][0-9]*)$")
 
 
-@dataclass(frozen=True, order=True)
-class EntityId:
-    kind: str
-    num: int
+class EntityId(tuple):
+    """An item or property id, the tuple (kind, num).
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ITEM, PROPERTY):
-            raise ModelError(f"bad entity kind: {self.kind!r}")
-        if self.num <= 0:
-            raise ModelError(f"entity numeric id must be positive: {self.num}")
+    As a tuple it hashes, compares and orders in C: the hash is
+    ``hash((kind, num))`` and the order is (kind, num), as they were when this
+    was a dataclass.  The other value classes stay dataclasses, because as
+    tuples ``StringVal``, ``Pseudo`` and ``AnonConst`` would all be 1-tuples of
+    one shape, and ``StringVal("rank")`` would equal ``Pseudo("rank")``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, num: int) -> "EntityId":
+        if kind not in (ITEM, PROPERTY):
+            raise ModelError(f"bad entity kind: {kind!r}")
+        if num <= 0:
+            raise ModelError(f"entity numeric id must be positive: {num}")
+        return tuple.__new__(cls, (kind, num))
+
+    kind = property(itemgetter(0))
+    num = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"EntityId(kind={self[0]!r}, num={self[1]!r})"
 
     def __str__(self) -> str:
         return ("Q" if self.kind == ITEM else "P") + str(self.num)

@@ -392,6 +392,60 @@ def test_access_paths_agree_with_the_oracle(stmts, include_deprecated, data):
     assert got == want
 
 
+# Atoms whose known positions are tested with one tuple comparison.  Outside
+# a closure round an index covers the predicate and the subject or value, and
+# the other known positions (the qualifier set among them) are tested; in a
+# round the atom reads the delta, and every known position but the predicate
+# is tested.  ?a twice is a repeated position when ?a is not bound.  The
+# statements are drawn from fewer values than _STATEMENTS, so that two often
+# differ in one tested position only.
+_TESTED_ATOMS = ["P1(?a, ?b)@?S", "P1(?a, ?b)", "?c(?a, ?b)@?S", "P2(Q1, ?b)@?S",
+                 "P1(?a, ?a)@?S"]
+_CLOSE_STATEMENTS = st.tuples(
+    st.sampled_from(["P1", "P2"]),
+    st.sampled_from(["Q1", "Q2"]),
+    st.sampled_from(["Q1", "1"]),
+    st.sampled_from(["", "P3: Q1", "P3: Q1, P3: Q2"]),
+    st.sampled_from(["normal", "deprecated"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CLOSE_STATEMENTS, min_size=1, max_size=5), st.booleans(),
+       st.sampled_from(_TESTED_ATOMS), st.data())
+def test_tested_positions_agree_with_the_oracle_in_and_out_of_a_delta(
+        stmts, include_deprecated, text, data):
+    lines = [f"{p}({s}, {o}) @ {{{q}}} rank={r}" for p, s, o, q, r in stmts]
+    kb = kb_from("\n".join(lines))
+    f = parse(text)
+    cfg = EvalConfig(include_deprecated=include_deprecated, oracle_domain_limit=14)
+    domain = sorted(kb.active_domain() | all_constants(f), key=str)
+    bound = data.draw(st.sets(st.sampled_from(sorted(free_variables(f)))))
+    # a bound variable holds a value of one statement, so that tested positions match, or
+    # any value of the domain
+    statements = list(kb.statements.values())
+    seed = data.draw(st.sampled_from(statements))
+    at = {"a": seed.subject, "b": seed.value, "c": seed.property, "S": seed.qualifiers}
+    params = {name: data.draw(st.just(at[name]) | st.sampled_from(
+                  sorted(kb.attr_sets(), key=str) if name == "S" else domain))
+              for name in sorted(bound)}
+
+    def oracle(base):
+        return {Binding.of({k: v for k, v in b.as_dict().items() if k not in params})
+                for b in brute_force_evaluate(base, f, cfg)
+                if all(b[k] == v for k, v in params.items())}
+
+    assert set(evaluate(kb, f, cfg, params=params)) == oracle(kb)
+    # the round's delta: some of the statements, which the atom alone reads
+    picked = data.draw(st.sets(st.sampled_from(range(len(lines)))))
+    delta: dict = {}
+    for i in sorted(picked):
+        delta.setdefault(statements[i].property, []).append(statements[i])
+    got = {Binding.of({k: v for k, v in env.items() if k not in params})
+           for env in solve(_Ctx(kb, cfg, delta=(f, delta)), f, dict(params))}
+    assert got == oracle(kb_from("\n".join(lines[i] for i in sorted(picked))))
+
+
 @pytest.mark.parametrize("text", [
     "P1(?y, difference(?y, 1))",
     "P1(?x, ?v) & P2(?x, ?y) & P1(?x, difference(?y, 1))",

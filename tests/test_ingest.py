@@ -342,7 +342,8 @@ class TestWikidataJson:
         assert values[P(212)] == StringVal("978-3")
 
     @pytest.mark.parametrize("amount, loaded", [
-        (5, True), ("+5", True), (True, False), (5.0, False), ("Infinity", False)])
+        (5, True), ("+5", True), (True, False), (5.0, False), ("Infinity", False),
+        ("+1.5", True), ("1e1000000", False)])
     def test_quantity_number_types(self, amount, loaded):
         doc = entity_doc("Q1", {"P1082": [claim("P1082", value_snak("quantity", {
             "amount": amount, "unit": "1"}))]})

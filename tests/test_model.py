@@ -1,5 +1,7 @@
 """Statements, attribute sets, indexes and datatype relations."""
 
+import copy
+import pickle
 from datetime import datetime
 from decimal import Decimal
 
@@ -45,6 +47,55 @@ class TestEntityId:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ModelError):
             EntityId.parse(bad)
+
+
+class TestEntityIdContract:
+    """An EntityId is the tuple (kind, num): it hashes, compares and orders as
+    that tuple, which is what the dataclass it replaced did, so set and dict
+    iteration orders do not change."""
+
+    IDS = [Q(10), P(5), Q(2), P(31), Q(1)]
+
+    def test_hash_is_the_tuple_hash(self):
+        for e in self.IDS:
+            assert hash(e) == hash((e.kind, e.num))
+
+    def test_order_is_kind_then_num(self):
+        assert sorted(self.IDS) == [Q(1), Q(2), Q(10), P(5), P(31)]
+        assert sorted(self.IDS) == sorted(self.IDS, key=lambda e: (e.kind, e.num))
+
+    def test_repr(self):
+        assert repr(Q(5)) == "EntityId(kind='item', num=5)"
+        assert repr(P(31)) == "EntityId(kind='property', num=31)"
+
+    def test_fields_are_read_only(self):
+        e = Q(5)
+        with pytest.raises(AttributeError):
+            e.kind = "property"
+        with pytest.raises(AttributeError):
+            e.num = 6
+        assert e == Q(5)
+
+    @pytest.mark.parametrize("kind, num", [("lexeme", 1), ("Q", 1), ("item", 0), ("property", -3)])
+    def test_bad_kind_or_num(self, kind, num):
+        with pytest.raises(ModelError):
+            EntityId(kind, num)
+
+    def test_pickle_and_deepcopy(self):
+        for e in self.IDS:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(e, protocol))
+                assert type(back) is EntityId and back == e and back.num == e.num
+            assert type(copy.deepcopy(e)) is EntityId and copy.deepcopy(e) == e
+        assert copy.deepcopy({Q(1): [P(2)]}) == {Q(1): [P(2)]}
+
+    @pytest.mark.parametrize("other", [
+        StringVal("item"), StringVal("Q5"), QuantityVal(Decimal(5)),
+        TimeVal(datetime(2020, 1, 1)), AnonConst(5), Pseudo("item"), Pseudo("Q5")])
+    def test_never_equals_another_value(self, other):
+        assert Q(5) != other and other != Q(5)
+        assert not Q(5) == other
+        assert len({Q(5), other}) == 2
 
 
 class TestAttrSet:
