@@ -378,8 +378,8 @@ def alpha_normalize(f: Formula) -> Formula:
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
-  | (?P<time>\d{4}-\d{2}-\d{2}(T\d{2}:\d{2}:\d{2})?(/\d+)?)
-  | (?P<number>-?\d+(\.\d+)?)
+  | (?P<time>[0-9]{4}-[0-9]{2}-[0-9]{2}(T[0-9]{2}:[0-9]{2}:[0-9]{2})?(/[0-9]+)?)
+  | (?P<number>-?[0-9]+(\.[0-9]+)?)
   | (?P<string>"(\\.|[^"\\])*")
   | (?P<entity>[QP][1-9][0-9]*\b)
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)

@@ -28,7 +28,7 @@ from datetime import datetime
 from decimal import Decimal
 from typing import Optional, Union
 
-from .formula import ParseError, Parser, tokenize
+from .formula import ParseError, Parser, Token, _parse_time, _unquote, tokenize
 from .labels import DEFAULT_LABELS, LabelTable
 from .model import (
     AnonConst,
@@ -67,6 +67,15 @@ class IngestStats:
 # ---------------------------------------------------------------------------
 # Native text format
 # ---------------------------------------------------------------------------
+
+
+# A fact line spaced as export_native and the bench generator write it, whose values
+# are entity ids, string tokens or plain dates: load_native reads it with one match.
+_ID = r"[QP][1-9][0-9]*"
+_PLAIN = rf'{_ID}|"(?:\\.|[^"\\])*"|[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}}'
+_PAIR_RE = re.compile(rf"({_ID}): ({_PLAIN})")
+_CANONICAL_RE = re.compile(rf"(P[1-9][0-9]*)\(({_ID}), ({_PLAIN})\)"
+                           rf"(?: @ \{{({_ID}: (?:{_PLAIN})(?:, {_ID}: (?:{_PLAIN}))*)\}})?")
 
 
 class _LineParser(Parser):
@@ -130,6 +139,32 @@ class _LineParser(Parser):
             self.fail("unexpected trailing input")
         return pairs, rank, refs
 
+    def canonical_fact(self, line: str) -> bool:
+        """Add the fact of a line of _CANONICAL_RE's shape; False, with nothing added,
+        for a line of another shape or with a date not in the calendar."""
+        m = _CANONICAL_RE.fullmatch(line)
+        if m is None:
+            return False
+        prop, subj, value, quals = m.group(1, 2, 3, 4)
+        try:
+            value = self.plain_value(value)
+            pairs = [(self.entity_value(a), self.plain_value(v))
+                     for a, v in _PAIR_RE.findall(quals)] if quals else []
+        except ParseError:
+            return False
+        self.kb.add_statement(make_statement(self.kb.fresh_statement_id(), self.entity_value(subj),
+                                             self.entity_value(prop), value, pairs))
+        self.stats.statements += 1
+        return True
+
+    def plain_value(self, text: str) -> Value:
+        """The value of a _PLAIN match; ParseError for a date not in the calendar."""
+        if text[0] == '"':
+            return StringVal(_unquote(text))
+        if text[0] in "QP":
+            return self.entity_value(text)
+        return _parse_time(Token("time", text, 1, 1))
+
     def fact(self, tokens: list) -> None:
         """Add the fact of one line, given the line's tokens and its eof token."""
         self.tokens, self.pos = tokens, 0
@@ -178,19 +213,20 @@ def load_native(
 ) -> tuple:
     """Parse native fact lines into a KB; returns (kb, stats).
 
-    Each stripped line is tokenized alone, so an error's column counts from
-    the start of its stripped line; a line with no tokens (blank, or a
-    comment) is skipped.
+    Each stripped line is read alone, by _CANONICAL_RE or else by tokenizing
+    it, so an error's column counts from the start of its stripped line; a
+    line with no tokens (blank, or a comment) is skipped.
     """
     labels = labels or DEFAULT_LABELS
     kb = kb or KnowledgeBase()
     stats = IngestStats()
     parser = _LineParser(labels, kb, stats)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
         try:
-            tokens = tokenize(raw.strip())
-            if len(tokens) > 1:  # not only the eof token
-                parser.fact(tokens)
+            if not parser.canonical_fact(line):
+                tokens = tokenize(line)
+                if len(tokens) > 1:  # not only the eof token
+                    parser.fact(tokens)
         except (ParseError, ModelError) as exc:
             raise IngestError(f"line {lineno}: {exc}") from exc
     return kb, stats
@@ -235,8 +271,8 @@ def _render_value(v: Value) -> str:
 # ---------------------------------------------------------------------------
 
 
-_TIME_RE = re.compile(r"([+-])(\d{4,16})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z?")
-_UNIT_RE = re.compile(r"Q\d+$")
+_TIME_RE = re.compile(r"([+-])([0-9]{4,16})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z?")
+_UNIT_RE = re.compile(r"Q[0-9]+$")
 _NUMBER_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")  # a Wikibase amount or bound: no exponent
 
 

@@ -470,15 +470,18 @@ class KnowledgeBase:
         return self._domain_cache
 
     def copy(self) -> "KnowledgeBase":
+        """Shares the statements, not a list or set; add_statement is the only writer of the indexes."""
         kb = KnowledgeBase()
-        for st in self.statements.values():
-            kb.add_statement(st)
+        kb.statements = dict(self.statements)
+        kb.by_property = {k: list(v) for k, v in self.by_property.items()}
+        kb.by_prop_subject = {k: list(v) for k, v in self.by_prop_subject.items()}
+        kb.by_prop_value = {k: list(v) for k, v in self.by_prop_value.items()}
+        kb._content_keys = set(self._content_keys)
         kb.no_value_facts = list(self.no_value_facts)
         kb._no_value_set = set(self._no_value_set)
         kb.commons_ns = dict(self.commons_ns)
         kb.labels = dict(self.labels)
         kb._anon_counter = self._anon_counter
-        kb._domain_cache = None
         return kb
 
 

@@ -16,19 +16,24 @@ from hypothesis import strategies as st
 from conftest import kb_from
 from wdcheck.catalog import check
 from wdcheck.cli import main
+from wdcheck import ingest
 from wdcheck.ingest import (
     IngestError,
+    IngestStats,
+    _LineParser,
     export_native,
     load_native,
     load_wikidata_json,
 )
-from wdcheck.formula import Implies, negate_to_violation_query, parse
+from wdcheck.formula import Implies, ParseError, negate_to_violation_query, parse, tokenize
+from wdcheck.labels import DEFAULT_LABELS
 from wdcheck.model import (
     RANK_ATTR,
     RANKS,
     AnonConst,
     AttrSet,
     KnowledgeBase,
+    ModelError,
     NOVALUE,
     P,
     Q,
@@ -195,6 +200,75 @@ class TestBadLineCorpus:
         with pytest.raises(IngestError) as exc:
             load_native(text)
         assert str(exc.value) == re.sub(r"^line \d+", f"line {first}", self.EXPECTED[0])
+
+
+# Fact lines in and near the canonical shape that load_native reads with one
+# match: entity ids, strings with escapes and dates (valid or not) as values,
+# then a perturbation that may take the line out of that shape.
+_line_ids = st.builds("{}{}".format, st.sampled_from("QP"), st.integers(1, 10**6))
+_line_values = st.one_of(
+    _line_ids,
+    st.text().map(lambda t: str(StringVal(t))),
+    st.text(alphabet='ab\\"u0e9,: {}').map(lambda t: f'"{t}"'),
+    st.builds("{:04d}-{:02d}-{:02d}".format,
+              st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32)),
+    st.sampled_from(["somevalue", "spouse", "`spouse`", "1990-01-01T10:00:00",
+                     "1990-01-01/9", "\u0661\u0669\u0669\u0660-01-01", "42", "?x"]))
+
+
+@st.composite
+def _near_canonical_lines(draw):
+    prop = draw(st.builds("{}{}".format, st.sampled_from("PPPPQ"), st.integers(0, 10**6)))
+    line = f"{prop}({draw(_line_ids)}, {draw(_line_values)})"
+    pairs = draw(st.lists(st.tuples(_line_ids, _line_values), max_size=3))
+    if pairs:
+        line += " @ {" + ", ".join(f"{a}: {v}" for a, v in pairs) + "}"
+    edit = draw(st.sampled_from(["none"] * 4 + ["insert", "delete", "comment", "trailer"]))
+    at = draw(st.integers(0, len(line) - 1))
+    if edit == "insert":  # other spacing
+        line = line[:at] + draw(st.sampled_from([" ", "  ", "\t"])) + line[at:]
+    elif edit == "delete":  # a missing bracket, comma or space
+        line = line[:at] + line[at + 1:]
+    elif edit == "comment":
+        line += "  # note"
+    elif edit == "trailer":
+        line += draw(st.sampled_from([" rank=preferred", " refs=2", " rank=normal"]))
+    return line.strip()
+
+
+def _outcome(load) -> tuple:
+    """What load() built from one line, or the message it raised."""
+    try:
+        kb, stats = load()
+    except IngestError as exc:
+        return ("error", str(exc))
+    return ([(st.id, st.subject, st.property, st.value, st.qualifiers, st.rank, st.references)
+             for st in kb.statements.values()],
+            kb.no_value_facts, kb.commons_ns, kb._anon_counter, vars(stats))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_near_canonical_lines())
+def test_canonical_lines_read_as_the_parser_reads_them(line):
+    def parsed():
+        kb, stats = KnowledgeBase(), IngestStats()
+        try:
+            _LineParser(DEFAULT_LABELS, kb, stats).fact(tokenize(line))
+        except (ParseError, ModelError) as exc:
+            raise IngestError(f"line 1: {exc}") from exc
+        return kb, stats
+
+    assert _outcome(lambda: load_native(line)) == _outcome(parsed)
+
+
+def test_family_fixture_tokenizes_only_comments_and_blanks(monkeypatch):
+    text = (FIXTURES / "family_s1.native").read_text(encoding="utf-8")
+    tokenized = []
+    monkeypatch.setattr(ingest, "tokenize", lambda line: tokenized.append(line) or tokenize(line))
+    _, stats = load_native(text)
+    assert tokenized == [ln.strip() for ln in text.splitlines()
+                         if not ln.strip() or ln.lstrip().startswith("#")]
+    assert stats.statements == len(text.splitlines()) - len(tokenized) > 700
 
 
 # Every value the native format represents, for the export/load round trip.
@@ -403,6 +477,13 @@ class TestWikidataJson:
     def test_invalid_calendar_date_skipped(self):
         doc = entity_doc("Q1", {"P569": [claim("P569", value_snak(
             "time", {"time": "+2020-02-30T00:00:00Z", "precision": 11}))]})
+        kb, stats = load_wikidata_json([doc])
+        assert stats.statements == 0
+        assert [reason for reason, _ in stats.skipped] == ["mainsnak"]
+
+    def test_non_ascii_digits_skipped(self):
+        doc = entity_doc("Q1", {"P569": [claim("P569", value_snak(
+            "time", {"time": "+\u0661\u0669\u0669\u0660-01-01T00:00:00Z", "precision": 11}))]})
         kb, stats = load_wikidata_json([doc])
         assert stats.statements == 0
         assert [reason for reason, _ in stats.skipped] == ["mainsnak"]

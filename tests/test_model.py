@@ -230,6 +230,54 @@ class TestKnowledgeBase:
         assert len(kb.no_value_facts) == 3
 
 
+class TestCopyContract:
+    """KnowledgeBase.copy copies the indexes add_statement built, in their key
+    and list order, and shares no list or set with the base."""
+
+    @staticmethod
+    def base() -> KnowledgeBase:
+        kb = KnowledgeBase()
+        facts = [(Q(3), P(26), Q(1)), (Q(1), P(26), Q(2)), (Q(1), P(31), Q(5)),
+                 (Q(2), P(26), Q(1)), (Q(3), P(31), Q(5)), (Q(1), P(26), Q(3))]
+        for i, (s, p, v) in enumerate(facts, start=1):
+            kb.add_statement(make_statement(f"s{i}", s, p, v, [(P(580), StringVal(str(i)))] * (i % 2)))
+        return kb
+
+    @staticmethod
+    def indexes(kb: KnowledgeBase) -> list:
+        return [list(kb.statements.items())] + [
+            [(k, list(v)) for k, v in index.items()]
+            for index in (kb.by_property, kb.by_prop_subject, kb.by_prop_value)]
+
+    def test_copy_is_what_add_statement_builds(self):
+        base = self.base()
+        rebuilt = KnowledgeBase()
+        for st in base.statements.values():
+            rebuilt.add_statement(st)
+        clone = base.copy()
+        assert self.indexes(clone) == self.indexes(rebuilt)
+        assert clone._content_keys == rebuilt._content_keys
+
+    def test_adding_to_the_copy_leaves_the_base(self):
+        base = self.base()
+        before = self.indexes(base), set(base._content_keys)
+        clone = base.copy()
+        # the same property, subject and value as s2: it lands in s2's list of every index
+        clone.add_statement(make_statement("s7", Q(1), P(26), Q(2), [(P(582), Q(9))]))
+        assert (self.indexes(base), base._content_keys) == before
+        assert len(clone.statements) == len(clone._content_keys) == 7
+
+    def test_lazy_indexes_are_built_fresh(self):
+        base = self.base()
+        assert base.by_subject and base.by_qualifier_attr
+        clone = base.copy()
+        assert clone._subject_index is None and clone._qualifier_index is None
+        clone.add_statement(make_statement("s7", Q(9), P(31), Q(5), [(P(582), Q(9))]))
+        assert [st.id for st in clone.by_subject[Q(9)]] == ["s7"]
+        assert [st.id for st in clone.by_qualifier_attr[P(582)]] == ["s7"]
+        assert Q(9) not in base.by_subject and P(582) not in base.by_qualifier_attr
+
+
 class TestTimeInterval:
     def test_day_precision(self):
         lo, hi = time_interval(TimeVal(datetime(2020, 2, 29), PRECISION_DAY))
