@@ -111,10 +111,6 @@ def extract_declarations(kb: KnowledgeBase) -> list:
     return out
 
 
-def _has_param(params: AttrSet, attr: EntityId) -> bool:
-    return bool(params.values_for(attr))
-
-
 def _count_value(params: AttrSet, attr: EntityId) -> Optional[int]:
     for v in params.values_for(attr):
         if isinstance(v, QuantityVal) and v.amount == int(v.amount) and v.amount >= 1:
@@ -138,30 +134,18 @@ def _violation_query(text: str, labels: LabelTable) -> Formula:
     return cache[text]
 
 
-def applicable_variants(tpl: ConstraintTemplate, decl: Declaration) -> list:
-    out = []
+def _variant_queries(tpl: ConstraintTemplate, decl: Optional[Declaration],
+                     labels: LabelTable) -> Iterator[tuple]:
+    """(variant, violation query) for each enabled variant of the template.
+
+    Where a variant applies is up to its formula; only a counting variant
+    needs its declaration's count written into the text.
+    """
+    if decl is None and tpl.type_item is not None:
+        raise CatalogError(f"template {tpl.name} needs a declaration")
     for var in tpl.variants:
         if not var.enabled:
             continue
-        if any(not _has_param(decl.params, a) for a in var.requires):
-            continue
-        if any(_has_param(decl.params, a) for a in var.forbids):
-            continue
-        out.append(var)
-    return out
-
-
-def _variant_queries(tpl: ConstraintTemplate, decl: Optional[Declaration],
-                     labels: LabelTable) -> Iterator[tuple]:
-    """(variant, violation query) for each variant that applies to the declaration."""
-    if tpl.type_item is None:
-        for var in tpl.variants:
-            if var.enabled:
-                yield var, _violation_query(var.text, labels)
-        return
-    if decl is None:
-        raise CatalogError(f"template {tpl.name} needs a declaration")
-    for var in applicable_variants(tpl, decl):
         text = var.text
         if var.count_param is not None:
             k = _count_value(decl.params, var.count_param)

@@ -19,32 +19,12 @@ PROPERTY_CONSTRAINT = P(2302)
 INSTANCE_OF = P(31)
 SUBCLASS_OF = P(279)
 SUBPROPERTY_OF = P(1647)
-SPOUSE = P(26)
 
 # constraint parameter qualifiers
-PARAM_PROPERTY = P(2306)
-PARAM_ITEM = P(2305)  # item of property constraint
-PARAM_CLASS = P(2308)
-PARAM_RELATION = P(2309)
-PARAM_MIN_VALUE = P(2312)
-PARAM_MAX_VALUE = P(2313)
-PARAM_MIN_DATE = P(2310)
-PARAM_MAX_DATE = P(2311)
-PARAM_NAMESPACE = P(2307)
 PARAM_STATUS = P(2316)
 PARAM_EXCEPTION = P(2303)
-PARAM_SEPARATOR = P(4155)
 PARAM_REGEX = P(1793)
-PARAM_SCOPE = P(5314)
 PARAM_MIN_COUNT = P(90011)  # project-assigned
-PARAM_LOCAL_CLASS = P(90001)  # project-assigned
-
-# non-property constraint carriers
-UNION_OF = P(2737)
-DISJOINT_UNION_OF = P(2738)
-METASUBCLASS_OF = P(2445)
-OF = P(642)
-DISJOINT_WITH = P(90002)  # project-assigned (proposal was never adopted)
 
 # -- constraint type items --------------------------------------------------
 
@@ -81,46 +61,37 @@ ESSENTIAL_PROPERTY_CONSTRAINT = Q(90021)  # project-assigned
 
 MANDATORY_STATUS = Q(21502408)
 SUGGESTION_STATUS = Q(62026391)
-LIST_VALUES_AS_QUALIFIERS = Q(23766486)
 SYMMETRIC_PROPERTY = Q(18647518)
 TRANSITIVE_PROPERTY = Q(18647515)
 REFLEXIVE_PROPERTY = Q(18647517)
-ASYMMETRIC_PROPERTY = Q(18647519)
-WIKIDATA_REFERENCE = Q(90004)  # project-assigned reification class
-REL_INSTANCE_OF = Q(21503252)
-REL_SUBCLASS_OF = Q(21514624)
-REL_INSTANCE_OR_SUBCLASS_OF = Q(30208840)
-SCOPE_AS_MAIN_VALUE = Q(54828448)
-SCOPE_AS_QUALIFIERS = Q(54828449)
-SCOPE_AS_REFERENCES = Q(54828450)
 
 _ENTITY_LABELS: dict[str, EntityId] = {
     "property_constraint": PROPERTY_CONSTRAINT,
     "instance_of": INSTANCE_OF,
     "subclass_of": SUBCLASS_OF,
     "subproperty_of": SUBPROPERTY_OF,
-    "spouse": SPOUSE,
-    "property": PARAM_PROPERTY,
-    "item_of_property_constraint": PARAM_ITEM,
-    "class": PARAM_CLASS,
-    "relation": PARAM_RELATION,
-    "minimum_value": PARAM_MIN_VALUE,
-    "maximum_value": PARAM_MAX_VALUE,
-    "minimum_date": PARAM_MIN_DATE,
-    "maximum_date": PARAM_MAX_DATE,
-    "namespace": PARAM_NAMESPACE,
-    "property_scope": PARAM_SCOPE,
+    "spouse": P(26),
+    "property": P(2306),
+    "item_of_property_constraint": P(2305),
+    "class": P(2308),
+    "relation": P(2309),
+    "minimum_value": P(2312),
+    "maximum_value": P(2313),
+    "minimum_date": P(2310),
+    "maximum_date": P(2311),
+    "namespace": P(2307),
+    "property_scope": P(5314),
     "constraint_status": PARAM_STATUS,
     "exception_to_constraint": PARAM_EXCEPTION,
-    "separator": PARAM_SEPARATOR,
+    "separator": P(4155),
     "format_as_a_regular_expression": PARAM_REGEX,
     "minimum_count": PARAM_MIN_COUNT,
-    "local_class": PARAM_LOCAL_CLASS,
-    "union_of": UNION_OF,
-    "disjoint_union_of": DISJOINT_UNION_OF,
-    "metasubclass_of": METASUBCLASS_OF,
-    "of": OF,
-    "disjoint_with": DISJOINT_WITH,
+    "local_class": P(90001),  # project-assigned
+    "union_of": P(2737),
+    "disjoint_union_of": P(2738),
+    "metasubclass_of": P(2445),
+    "of": P(642),
+    "disjoint_with": P(90002),  # project-assigned (proposal was never adopted)
     "single_value_constraint": SINGLE_VALUE_CONSTRAINT,
     "multi_value_constraint": MULTI_VALUE_CONSTRAINT,
     "distinct_values_constraint": DISTINCT_VALUES_CONSTRAINT,
@@ -151,18 +122,18 @@ _ENTITY_LABELS: dict[str, EntityId] = {
     "essential_property_constraint": ESSENTIAL_PROPERTY_CONSTRAINT,
     "mandatory_constraint": MANDATORY_STATUS,
     "suggestion_constraint": SUGGESTION_STATUS,
-    "list_values_as_qualifiers": LIST_VALUES_AS_QUALIFIERS,
+    "list_values_as_qualifiers": Q(23766486),
     "symmetric_property": SYMMETRIC_PROPERTY,
     "transitive_property": TRANSITIVE_PROPERTY,
     "reflexive_property": REFLEXIVE_PROPERTY,
-    "asymmetric_property": ASYMMETRIC_PROPERTY,
-    "wikidata_reference": WIKIDATA_REFERENCE,
-    "rel_instance_of": REL_INSTANCE_OF,
-    "rel_subclass_of": REL_SUBCLASS_OF,
-    "rel_instance_or_subclass_of": REL_INSTANCE_OR_SUBCLASS_OF,
-    "as_main_value": SCOPE_AS_MAIN_VALUE,
-    "as_qualifiers": SCOPE_AS_QUALIFIERS,
-    "as_references": SCOPE_AS_REFERENCES,
+    "asymmetric_property": Q(18647519),
+    "wikidata_reference": Q(90004),  # project-assigned reification class
+    "rel_instance_of": Q(21503252),
+    "rel_subclass_of": Q(21514624),
+    "rel_instance_or_subclass_of": Q(30208840),
+    "as_main_value": Q(54828448),
+    "as_qualifiers": Q(54828449),
+    "as_references": Q(54828450),
     # qualifier properties the contemporary constraint consults
     "date_of_birth": P(569),
     "date_of_death": P(570),

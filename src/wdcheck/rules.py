@@ -21,9 +21,10 @@ per distinct statement atom, with that atom reading only the statements the
 previous round derived (``_Ctx.delta``).  The planner costs that atom by its
 delta, so a cheap guard such as ``P31(?p, symmetric_property)`` still runs
 first.  Derived facts are deduplicated against (subject, property, value,
-qualifiers), so closure terminates on any finite base.  The derived facts
-do not depend on the evaluation order; their order, their ``d`` ids and the
-?y that a chain derivation names do.
+qualifiers), and a head holds no function term that could compute a new
+value every round, so closure terminates on any finite base.  The derived
+facts do not depend on the evaluation order; their order, their ``d`` ids
+and the ?y that a chain derivation names do.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ from .formula import (
     And,
     Atom,
     Formula,
+    FuncApp,
     Implies,
     ObjVar,
     Rel,
+    _nodes,
     free_variables,
     parse,
     parse_blocks,
@@ -116,6 +119,8 @@ def rule_from_formula(name: str, f: Formula) -> Rule:
         raise RuleError(f"rule {name!r} head must be a relational atom")
     if isinstance(head.pred, str):
         raise RuleError(f"rule {name!r} may not derive builtin facts")
+    if any(isinstance(node, FuncApp) for node in _nodes(head)):
+        raise RuleError(f"rule {name!r} head may not hold a function term")
     problem = check_safe_range(body)
     if problem:
         raise RuleError(f"rule {name!r} body is not safe-range: {problem}")
@@ -126,16 +131,15 @@ def rule_from_formula(name: str, f: Formula) -> Rule:
     return Rule(name, body.items, head)
 
 
-def rules_from_blocks(blocks: list) -> list:
-    out = []
-    for b in blocks:
-        if b.kind == "rule":
-            out.append(rule_from_formula(b.name, b.formula))
-    return out
-
-
 def parse_rules(text: str, labels=None) -> list:
-    return rules_from_blocks(parse_blocks(text, labels))
+    """The rules of a rule file, whose every block must be a rule."""
+    out = []
+    for b in parse_blocks(text, labels):
+        if b.kind != "rule":
+            raise RuleError(f"block {b.name!r} is not a rule: "
+                            "give it a 'kind: rule' or 'rule: NAME' header")
+        out.append(rule_from_formula(b.name, b.formula))
+    return out
 
 
 # ---------------------------------------------------------------------------

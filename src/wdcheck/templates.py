@@ -23,12 +23,10 @@ from .model import EntityId
 
 @dataclass(frozen=True)
 class Variant:
-    """One formula of a template, with applicability conditions."""
+    """One formula of a template; the formula alone decides where it applies."""
 
     name: str
     text: str
-    requires: tuple = ()  # parameter attributes that must be present in CQ
-    forbids: tuple = ()
     count_param: Optional[EntityId] = None  # fills the <K> placeholder
     symmetric_pairs: tuple = ()  # ((var_a, var_b), ...) for order-normalized dedup
     enabled: bool = True
@@ -87,14 +85,13 @@ def builtin_templates() -> list:
 
     t.append(_t("multi_value", L.MULTI_VALUE_CONSTRAINT, "existing", [
         Variant("plain",
-                f"{_PC}(?p, multi_value_constraint) & ?p(?s, ?o1) -> "
-                "exists ?o2 . (?p(?s, ?o2) & !(?o1 = ?o2))",
-                forbids=(L.PARAM_MIN_COUNT,)),
+                f"{_PC}(?p, multi_value_constraint)@?CQ & "
+                "!(exists ?mc . (minimum_count : ?mc) in ?CQ) & ?p(?s, ?o1) -> "
+                "exists ?o2 . (?p(?s, ?o2) & !(?o1 = ?o2))"),
         Variant("minimum_count",
                 f"{_PC}(?p, multi_value_constraint)@?CQ & "
                 "(minimum_count : ?mc) in ?CQ & ?p(?s, ?o1) -> "
                 "exists[<K>] ?o2 . ?p(?s, ?o2)",
-                requires=(L.PARAM_MIN_COUNT,),
                 count_param=L.PARAM_MIN_COUNT),
     ], description="Items should have more than one value (or a declared minimum)."))
 
@@ -237,20 +234,16 @@ def builtin_templates() -> list:
     t.append(_t("range", L.RANGE_CONSTRAINT, "existing", [
         Variant("minimum_value",
                 f"{_PC}(?p, range_constraint)@?CQ & "
-                "(minimum_value : ?min) in ?CQ & ?p(?s, ?o) -> geq(?o, ?min)",
-                requires=(L.PARAM_MIN_VALUE,)),
+                "(minimum_value : ?min) in ?CQ & ?p(?s, ?o) -> geq(?o, ?min)"),
         Variant("maximum_value",
                 f"{_PC}(?p, range_constraint)@?CQ & "
-                "(maximum_value : ?max) in ?CQ & ?p(?s, ?o) -> leq(?o, ?max)",
-                requires=(L.PARAM_MAX_VALUE,)),
+                "(maximum_value : ?max) in ?CQ & ?p(?s, ?o) -> leq(?o, ?max)"),
         Variant("minimum_date",
                 f"{_PC}(?p, range_constraint)@?CQ & "
-                "(minimum_date : ?min) in ?CQ & ?p(?s, ?o) -> geq(?o, ?min)",
-                requires=(L.PARAM_MIN_DATE,)),
+                "(minimum_date : ?min) in ?CQ & ?p(?s, ?o) -> geq(?o, ?min)"),
         Variant("maximum_date",
                 f"{_PC}(?p, range_constraint)@?CQ & "
-                "(maximum_date : ?max) in ?CQ & ?p(?s, ?o) -> leq(?o, ?max)",
-                requires=(L.PARAM_MAX_DATE,)),
+                "(maximum_date : ?max) in ?CQ & ?p(?s, ?o) -> leq(?o, ?max)"),
     ], description="Values must lie within the declared range."))
 
     t.append(_t("difference_within_range", L.DIFFERENCE_WITHIN_RANGE_CONSTRAINT,
@@ -259,14 +252,12 @@ def builtin_templates() -> list:
                 f"{_PC}(?p, difference_within_range_constraint)@?CQ & "
                 "(property : ?p2) in ?CQ & (minimum_value : ?min) in ?CQ & "
                 "?p(?s, ?o1) & ?p2(?s, ?o2) -> "
-                "geq(difference(?o1, ?o2), ?min)",
-                requires=(L.PARAM_PROPERTY, L.PARAM_MIN_VALUE)),
+                "geq(difference(?o1, ?o2), ?min)"),
         Variant("maximum",
                 f"{_PC}(?p, difference_within_range_constraint)@?CQ & "
                 "(property : ?p2) in ?CQ & (maximum_value : ?max) in ?CQ & "
                 "?p(?s, ?o1) & ?p2(?s, ?o2) -> "
-                "leq(difference(?o1, ?o2), ?max)",
-                requires=(L.PARAM_PROPERTY, L.PARAM_MAX_VALUE)),
+                "leq(difference(?o1, ?o2), ?max)"),
     ], description="The difference to another property's value must stay in range."))
 
     t.append(_t("integer", L.INTEGER_CONSTRAINT, "existing", [
@@ -329,8 +320,7 @@ def builtin_templates() -> list:
         Variant("namespace",
                 f"{_PC}(?p, commons_link_constraint)@?CQ & "
                 "(namespace : ?n) in ?CQ & ?p(?s, ?o) -> "
-                "Commons_namespace(?o, ?n)",
-                requires=(L.PARAM_NAMESPACE,)),
+                "Commons_namespace(?o, ?n)"),
     ], description="Values must name Commons pages in the right namespace."))
 
     # -- proposed property constraint types ---------------------------------

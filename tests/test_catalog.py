@@ -17,7 +17,7 @@ from wdcheck.catalog import (
     validate_catalog,
 )
 from wdcheck.evaluator import check_safe_range, evaluate
-from wdcheck.formula import all_constants, free_variables, print_formula
+from wdcheck.formula import all_constants, free_variables
 from wdcheck.labels import LabelTable
 from wdcheck.model import P, Q
 from wdcheck.templates import builtin_templates, template_by_name
@@ -63,20 +63,48 @@ class TestQueryDerivation:
         assert "CQ" not in free_variables(query)
         assert check_safe_range(query) is None
 
+    # (template, declaration, facts, reporting variants): each variant that
+    # reads a parameter, with the parameter absent and present
+    _APPLICABILITY = [
+        ("range", "P2302(P1082, Q21510860)", "P1082(Q1, 5)\nP1082(Q2, 50)", []),
+        ("range", "P2302(P1082, Q21510860) @ {P2312: 10}", "P1082(Q1, 5)\nP1082(Q2, 50)",
+         ["minimum_value"]),
+        ("range", "P2302(P1082, Q21510860) @ {P2313: 10}", "P1082(Q1, 5)\nP1082(Q2, 50)",
+         ["maximum_value"]),
+        ("range", "P2302(P569, Q21510860)", "P569(Q1, 1990-01-01)\nP569(Q2, 2010-01-01)", []),
+        ("range", "P2302(P569, Q21510860) @ {P2310: 2000-01-01}",
+         "P569(Q1, 1990-01-01)\nP569(Q2, 2010-01-01)", ["minimum_date"]),
+        ("range", "P2302(P569, Q21510860) @ {P2311: 2000-01-01}",
+         "P569(Q1, 1990-01-01)\nP569(Q2, 2010-01-01)", ["maximum_date"]),
+        ("difference_within_range", "P2302(P2, Q21510854) @ {P2306: P3}",
+         "P2(Q1, 5)\nP3(Q1, 10)", []),
+        ("difference_within_range", "P2302(P2, Q21510854) @ {P2312: 0, P2313: 0}",
+         "P2(Q1, 5)\nP3(Q1, 10)", []),
+        ("difference_within_range", "P2302(P2, Q21510854) @ {P2306: P3, P2312: 0}",
+         "P2(Q1, 5)\nP3(Q1, 10)", ["minimum"]),
+        ("difference_within_range", "P2302(P2, Q21510854) @ {P2306: P3, P2313: -10}",
+         "P2(Q1, 5)\nP3(Q1, 10)", ["maximum"]),
+        ("commons_link", "P2302(P18, Q21510852)",
+         'P18(Q1, "x.jpg")\ncommons_ns("x.jpg", "Category")', []),
+        ("commons_link", 'P2302(P18, Q21510852) @ {P2307: "File"}',
+         'P18(Q1, "x.jpg")\ncommons_ns("x.jpg", "Category")', ["namespace"]),
+        ("multi_value", "P2302(P40, Q21510857)", "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)",
+         ["plain"]),
+        # the declared minimum replaces <K>, and silences plain
+        ("multi_value", "P2302(P40, Q21510857) @ {P90011: 3}",
+         "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", ["minimum_count"] * 3),
+        ("multi_value", "P2302(P40, Q21510857) @ {P90011: 2}",
+         "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", ["minimum_count"]),
+        # a minimum that is not a positive integer silences both
+        ("multi_value", "P2302(P40, Q21510857) @ {P90011: 0}",
+         "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", []),
+    ]
+
     def test_variant_applicability(self):
-        tpl = template_by_name("multi_value")
-        kb = kb_from(
-            "P2302(P26, Q21510857)\n"
-            "P2302(P40, Q21510857) @ {P90011: 3}\n"
-        )
-        decls = {d.property: d for d in extract_declarations(kb)}
-        plain = derive_violation_queries(tpl, decls[P(26)])
-        counted = derive_violation_queries(tpl, decls[P(40)])
-        assert [v.name for v, _ in plain] == ["plain"]
-        assert [v.name for v, _ in counted] == ["minimum_count"]
-        # the <K> placeholder is replaced by the declared minimum
-        assert "exists[3]" in print_formula(counted[0][1]) or \
-            any(getattr(g, "min", None) == 3 for g in _walk(counted[0][1]))
+        for template, declaration, facts, expected in self._APPLICABILITY:
+            result = check(kb_from(f"{declaration}\n{facts}\n"), [template_by_name(template)])
+            assert [v.variant for v in result.violations] == expected, declaration
+            assert result.notes == []
 
     def test_global_template_needs_no_declaration(self):
         tpl = template_by_name("subclass_loop")
@@ -144,16 +172,6 @@ class TestVariantPlans:
             assert not {"p", "CQ"} & set().union(*got)
         result = check(kb, [template_by_name("mandatory_qualifier")])
         assert len(result.violations) == 6
-
-
-def _walk(f):
-    yield f
-    for attr in ("body", "head"):
-        sub = getattr(f, attr, None)
-        if sub is not None and not isinstance(sub, (tuple, str)):
-            yield from _walk(sub)
-    for sub in getattr(f, "items", ()):
-        yield from _walk(sub)
 
 
 class TestCheck:

@@ -327,6 +327,26 @@ class TestInfer:
         assert (code, out) == (2, "")
         assert "not range-restricted" in err
 
+    @pytest.mark.parametrize("command", [["infer"], ["check"], ["query", "P1(?x, ?y)"]])
+    def test_rule_head_with_function_term_refused(self, capsys, tmp_path, command):
+        rules = tmp_path / "inc.rules"
+        rules.write_text("name: inc\nkind: rule\nP1(?x, ?y) -> P1(?x, difference(?y, 1))\n")
+        kb = tmp_path / "kb.native"
+        kb.write_text("P1(Q1, 5)\n")
+        code, out, err = run(capsys, *command, "--input", str(kb), "--rules", str(rules))
+        assert (code, out) == (2, "")
+        assert err == "error: rule 'inc' head may not hold a function term\n"
+
+    def test_rules_block_without_rule_header_refused(self, capsys, tmp_path):
+        rules = tmp_path / "forgot.rules"
+        rules.write_text("name: forgot-kind\nP1(?x, ?y) -> P2(?x, ?y)\n")
+        kb = tmp_path / "kb.native"
+        kb.write_text("P1(Q1, Q2)\n")
+        code, out, err = run(capsys, "infer", "--derived-only", "--input", str(kb),
+                             "--rules", str(rules))
+        assert (code, out) == (2, "")
+        assert "block 'forgot-kind' is not a rule" in err
+
     def test_non_string_string_value_skipped(self, capsys, tmp_path):
         snak = {"snaktype": "value", "property": "P212",
                 "datavalue": {"type": "string", "value": 5}}
@@ -425,6 +445,12 @@ class TestCatalog:
         doc = json.loads(out)
         assert len(doc) >= 36
         assert all({"name", "variants", "category"} <= set(t) for t in doc)
+
+    def test_json_listing_pinned(self, capsys):
+        # a variant's formula is the whole constraint, so the listing shows it all
+        code, out, err = run(capsys, "catalog", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (FIXTURES / "catalog.json").read_text(encoding="utf-8")
 
 
 class TestErrors:

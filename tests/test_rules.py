@@ -1,5 +1,7 @@
 """Rule validation and forward-chaining closure."""
 
+import pathlib
+import re
 import textwrap
 
 import pytest
@@ -52,18 +54,41 @@ class TestRuleValidation:
         with pytest.raises(RuleError):
             rule_from_formula("bad", parse("no_value(?p, ?s) -> P31(?s, Q1)"))
 
+    @pytest.mark.parametrize("head", [
+        "P1(?x, difference(?y, 1))",
+        "P2(?x, ?y)@{P580: difference(?y, 1)}",
+        "P2(?x, ?y)@{difference(?y, 1): Q1}",
+    ])
+    def test_rejects_function_term_in_head(self, head):
+        # each round would compute a new value, so the closure never settles
+        with pytest.raises(RuleError, match="rule 'inc' head may not hold a function term"):
+            rule_from_formula("inc", parse(f"P1(?x, ?y) -> {head}"))
+
     def test_parse_rules_file(self):
-        rules = parse_rules(textwrap.dedent(
+        text = textwrap.dedent(
             """
+            # a comment
             name: sym
             kind: rule
             P26(?x, ?y)@?S -> P26(?y, ?x)@?S
             ---
-            name: a-constraint-not-a-rule
-            P26(?x, ?y) -> P26(?y, ?x)
+            rule: sym-again
+            P3373(?x, ?y) -> P3373(?y, ?x)
             """
-        ))
-        assert [r.name for r in rules] == ["sym"]
+        )
+        assert [r.name for r in parse_rules(text)] == ["sym", "sym-again"]
+
+    def test_readme_rule_file_parses(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (text,) = re.findall(r"## Rule files\n.*?```\n(.*?)```", readme, flags=re.DOTALL)
+        assert [r.name for r in parse_rules(text)] == ["spouse-symmetric", "grandparent"]
+
+    @pytest.mark.parametrize("header", ["", "kind: constraint\n"])
+    def test_parse_rules_refuses_a_block_that_is_not_a_rule(self, header):
+        text = ("name: sym\nkind: rule\nP26(?x, ?y) -> P26(?y, ?x)\n---\n"
+                f"name: forgot-kind\n{header}P1(?x, ?y) -> P2(?x, ?y)\n")
+        with pytest.raises(RuleError, match="block 'forgot-kind' is not a rule"):
+            parse_rules(text)
 
 
 class TestBuiltinOntology:
