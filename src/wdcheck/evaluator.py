@@ -3,7 +3,11 @@
 ``evaluate`` yields the bindings of a formula's free variables that satisfy
 it.  It answers only safe-range formulas (``check_safe_range``), and answers
 them by index lookups, never by enumerating the domain.  ``_binds`` is the
-one binding analysis: the gate, the plans and the rule engine read it.
+one binding analysis: the gate, the plans and the rule engine read it.  A
+quantifier's variable is local to its body: the analysis, the gate and the
+plans read the body with an outer variable of that name unbound, and the
+gate refuses a quantified variable that the quantifier's witness (its body,
+for ``forall`` the body's negation) cannot bind.
 
 A formula node is compiled into a plan once for each set of variables that
 are bound when it runs, and the plan is cached on the node (``_plan``).  The
@@ -504,8 +508,12 @@ _ONCE = (SetMember, Eq, DtRel, Not, Implies, Exists, Forall)  # as tests, match 
 def _exists_plan(f, bound: frozenset):
     """The body's solutions projected onto the other variables; each outer
     binding holds once it has one (``exists[k]``: k) distinct witnesses."""
+    if f.var in bound:  # an outer ?var: hidden from the body, put back into what it yields
+        var, plan = f.var, _plan(f, bound - {f.var})
+        return lambda ctx, env: ({**out, var: env[var]} for out in
+                                 plan(ctx, {k: v for k, v in env.items() if k != var}))
     loose = free_variables(f.body) - bound
-    if f.var in bound or not loose <= _binds(f.body, bound):
+    if not loose <= _binds(f.body, bound):
         raise _unbound(f, loose)
     body, var = _plan(f.body, bound), f.var
     kept = tuple(sorted(bound | free_variables(f)))
@@ -570,7 +578,7 @@ def _binds(f: Formula, pre) -> frozenset:
     if isinstance(f, Or):
         return frozenset.intersection(*[_binds(g, pre) for g in f.items])
     if isinstance(f, Exists):
-        return _binds(f.body, pre) - {f.var}
+        return _binds(f.body, pre - {f.var}) - {f.var}
     return _NOTHING  # DtRel, Not, Implies and Forall only test
 
 
@@ -626,9 +634,15 @@ def _check(f: Formula, pre: frozenset, problems: list) -> None:
         _report(problems, "implication head variable(s)",
                 free_variables(f.head) - body_bound - _binds(f.head, body_bound))
     elif isinstance(f, (Exists, Forall)):
-        _check(f.body, pre, problems)
-        if isinstance(f, Exists) and f.count is not None and f.var not in _binds(f.body, pre):
-            problems.append(f"counting variable not range-restricted: {f.var}")
+        inner = pre - {f.var}
+        _check(f.body, inner, problems)
+        # the witness the plan searches for: the body, or for forall its negation
+        witness = f.body if isinstance(f, Exists) else negate(f.body)
+        if f.var not in _binds(witness, inner):
+            if isinstance(f, Exists) and f.count is not None:
+                problems.append(f"counting variable not range-restricted: {f.var}")
+            elif f.var in free_variables(f.body):
+                problems.append(f"quantified variable not range-restricted: {f.var}")
 
 
 def _require_supported(g: Formula, bound: frozenset, problems: list) -> None:

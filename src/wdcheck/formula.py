@@ -12,15 +12,15 @@ are backtick-quoted labels; datatype relations (``less_than``) and functions
 (``difference``) are invoked by name.
 
 A relational atom written without ``@...`` places no condition on the
-statement's qualifier set.
+statement's qualifier set.  A quantifier's variable is local to its body, so
+an inner binder may reuse an outer name; ``parse`` returns the formula as
+written, and ``parse(print_formula(f)) == f``.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
 from functools import cached_property
@@ -191,7 +191,7 @@ QUANTIFIERS = (Exists, Forall)
 
 
 def is_set_name(name: str) -> bool:
-    return name[:1].isupper() or name.startswith("_A")
+    return name[:1].isupper()
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +199,13 @@ def is_set_name(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 # A node's shape is its _fields tuple, and nothing else spells it out: the
-# generic _children, _map and replace read it, walking into tuple fields (a
-# set literal's pairs flatten to a1, v1, a2, v2).  The parser, the printer
-# and the evaluator give each node type its own meaning; every walker below
-# (free variables, constants, ground set literals, substitution, renaming,
-# binder uniqueness, alpha normalization) is written on top of the generic
-# three and tests only for variables, constants, set literals and binders.
+# generic _children and _map read it, walking into tuple fields (a set
+# literal's pairs flatten to a1, v1, a2, v2).  The parser, the printer and
+# the evaluator give each node type its own meaning; every walker below
+# (free variables, constants, ground set literals, substitution) is written
+# on top of the generic two and tests only for variables, constants, set
+# literals and binders.  Binders keep the names written: a quantifier's
+# variable is local to its body, and whatever reads one scopes it there.
 
 
 def _sub_nodes(values: tuple, out: list) -> list:
@@ -234,12 +235,6 @@ def _map(node: _Node, fn) -> _Node:
     if not _children(node):
         return node
     return type(node)(*(_map_value(value, fn) for value in node._values))
-
-
-def replace(node: _Node, **changes) -> _Node:
-    """A copy of node with the named fields changed (TypeError for any other name)."""
-    values = [changes.pop(name, value) for name, value in zip(node._fields, node._values)]
-    return type(node)(*values, **changes)
 
 
 def _nodes(node: _Node) -> Iterator[_Node]:
@@ -284,7 +279,7 @@ def ground_set_literals(f: Formula) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Substitution and renaming
+# Substitution
 # ---------------------------------------------------------------------------
 
 
@@ -311,64 +306,6 @@ def substitute(f: Formula, objmap: dict, setmap: Optional[dict] = None) -> Formu
         return _map(node, lambda child: walk(child, names))
 
     return walk(f, frozenset(objmap) | frozenset(setmap))
-
-
-def rename_variable(f: Formula, old: str, new: str) -> Formula:
-    """Rename every occurrence (free or binding) of a variable."""
-
-    def walk(node: _Node) -> _Node:
-        if isinstance(node, (ObjVar, SetVar)) and node.name == old:
-            return type(node)(new)
-        node = _map(node, walk)
-        if isinstance(node, QUANTIFIERS) and node.var == old:
-            return replace(node, var=new)
-        return node
-
-    return walk(f)
-
-
-def _rename_binders(f: Formula, name_for) -> Formula:
-    """Rename each quantifier's variable, outermost first, to name_for(quantifier).
-
-    Atoms bind nothing, so the walk stops at them.
-    """
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return g
-        if isinstance(g, QUANTIFIERS):
-            new = name_for(g)
-            if new != g.var:
-                g = rename_variable(g, g.var, new)
-        return _map(g, walk)
-
-    return walk(f)
-
-
-def ensure_unique_bound(f: Formula) -> Formula:
-    """Alpha-rename so no bound variable name repeats along any path."""
-    used = set(free_variables(f))
-
-    def fresh(g: Formula) -> str:
-        name = candidate = g.var
-        if name in used:
-            # the new name must not be captured by a binder below this one
-            below = {v.name for v in _nodes(g.body) if isinstance(v, (ObjVar, SetVar))}
-            n = 2
-            while candidate in used or candidate in below:
-                candidate = f"{name}_{n}"
-                n += 1
-        used.add(candidate)
-        return candidate
-
-    return _rename_binders(f, fresh)
-
-
-def alpha_normalize(f: Formula) -> Formula:
-    """Canonical bound-variable names, for structural comparison."""
-    counter = itertools.count(1)
-    return _rename_binders(
-        f, lambda g: ("B%d" if is_set_name(g.var) else "b%d") % next(counter))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +411,7 @@ class Parser:
         f = self.implies()
         if self.peek().kind != "eof":
             self.fail("unexpected trailing input")
-        return ensure_unique_bound(f)
+        return f
 
     # -- grammar ------------------------------------------------------------
 
@@ -897,49 +834,3 @@ def negate_to_violation_query(f: Formula) -> Formula:
     if not isinstance(f, Implies):
         raise FormulaError("positive constraint formulation must be an implication")
     return _flat_and((f.body, negate(f.head)))
-
-
-# ---------------------------------------------------------------------------
-# Formula/rule text files
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormulaBlock:
-    name: str
-    kind: str  # "constraint" or "rule"
-    formula: Formula
-
-
-def parse_blocks(text: str, labels: Optional[LabelTable] = None) -> list:
-    """Parse a catalog/rule file: '---'-separated blocks with header lines."""
-    blocks = []
-    for chunk in re.split(r"^---\s*$", text, flags=re.MULTILINE):
-        lines = chunk.splitlines()
-        name = None
-        kind = "constraint"
-        body_lines = []
-        in_header = True
-        for ln in lines:
-            stripped = ln.strip()
-            if in_header and (not stripped or stripped.startswith("#")):
-                continue
-            m = re.match(r"(name|kind|rule)\s*:\s*(\S+)\s*$", stripped) if in_header else None
-            if m:
-                if m.group(1) == "name":
-                    name = m.group(2)
-                elif m.group(1) == "kind":
-                    kind = m.group(2)
-                else:
-                    name = m.group(2)
-                    kind = "rule"
-                continue
-            in_header = False
-            body_lines.append(ln)
-        body = "\n".join(body_lines).strip()
-        if not body:
-            continue
-        if name is None:
-            raise FormulaError("formula block missing a 'name:' header")
-        blocks.append(FormulaBlock(name, kind, parse(body, labels)))
-    return blocks

@@ -11,7 +11,7 @@ import json
 import os
 from typing import Optional
 
-from .model import EntityId, P, Pseudo, Q, StringVal, Value
+from .model import EntityId, ModelError, P, Pseudo, Q, StringVal, Value
 
 # -- properties -------------------------------------------------------------
 
@@ -177,13 +177,29 @@ class LabelTable:
 
     @staticmethod
     def from_environment() -> "LabelTable":
-        """Builtin table, extended from the JSON file named by MARSHAL_LABELS."""
+        """Builtin table, extended from the JSON object of label: entity id
+        named by MARSHAL_LABELS; ModelError names the file, and the entry,
+        that is malformed."""
         path = os.environ.get(LABELS_ENV_VAR)
         extra: dict[str, EntityId] = {}
         if path:
+            where = f"{LABELS_ENV_VAR} file {path}"
             with open(path, encoding="utf-8") as fh:
-                for label, ident in json.load(fh).items():
+                try:
+                    table = json.load(fh)
+                except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+                    raise ModelError(f"{where}: {exc}") from exc
+            if not isinstance(table, dict):
+                raise ModelError(f"{where}: expected a JSON object of label: entity id, "
+                                 f"found {type(table).__name__}")
+            for label, ident in table.items():
+                if not isinstance(ident, str):
+                    raise ModelError(f"{where}: label {label!r}: expected an entity id, "
+                                     f"found {ident!r}")
+                try:
                     extra[label] = EntityId.parse(ident)
+                except ModelError as exc:
+                    raise ModelError(f"{where}: label {label!r}: {exc}") from exc
         return LabelTable(extra)
 
 

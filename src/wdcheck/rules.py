@@ -29,6 +29,7 @@ and the ?y that a chain derivation names do.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -45,6 +46,7 @@ from .formula import (
     And,
     Atom,
     Formula,
+    FormulaError,
     FuncApp,
     Implies,
     ObjVar,
@@ -52,7 +54,6 @@ from .formula import (
     _nodes,
     free_variables,
     parse,
-    parse_blocks,
     print_formula,
 )
 from .labels import (
@@ -131,14 +132,41 @@ def rule_from_formula(name: str, f: Formula) -> Rule:
     return Rule(name, body.items, head)
 
 
+_HEADER = re.compile(r"(name|kind|rule)\s*:\s*(\S+)\s*$")
+
+
 def parse_rules(text: str, labels=None) -> list:
-    """The rules of a rule file, whose every block must be a rule."""
+    """The rules of a rule file: '---'-separated blocks, each header lines and a rule.
+
+    Blank and '#' lines among the header lines are skipped.  Every block is
+    parsed before any is validated as a rule.
+    """
+    blocks = []
+    for chunk in re.split(r"^---\s*$", text, flags=re.MULTILINE):
+        name = kind = None
+        lines = chunk.splitlines()
+        while lines:
+            line = lines[0].strip()
+            m = _HEADER.match(line)
+            if m and m[1] == "kind":
+                kind = m[2]
+            elif m:
+                name, kind = m[2], "rule" if m[1] == "rule" else kind
+            elif line and not line.startswith("#"):
+                break
+            lines.pop(0)
+        body = "\n".join(lines).strip()
+        if not body:
+            continue
+        if name is None:
+            raise FormulaError("formula block missing a 'name:' header")
+        blocks.append((name, kind, parse(body, labels)))
     out = []
-    for b in parse_blocks(text, labels):
-        if b.kind != "rule":
-            raise RuleError(f"block {b.name!r} is not a rule: "
+    for name, kind, f in blocks:
+        if kind != "rule":
+            raise RuleError(f"block {name!r} is not a rule: "
                             "give it a 'kind: rule' or 'rule: NAME' header")
-        out.append(rule_from_formula(b.name, b.formula))
+        out.append(rule_from_formula(name, f))
     return out
 
 

@@ -255,6 +255,19 @@ class TestQuery:
         code, out, err = run(capsys, "query", "--input", str(path), "--no-close", query)
         assert (code, out, err) == (0, rows, "")
 
+    @pytest.mark.parametrize("facts", ["P31(Q1, Q5)\n", "P31(Q1, Q5)\nP26(Q1, Q2)\n"])
+    @pytest.mark.parametrize("query,var", [
+        ("P26(?x, ?y) & exists ?z . !P31(?z, ?y)", "z"),
+        ("P26(?x, ?y) & forall ?z . P31(?z, ?y)", "z"),
+        ("P26(?x, ?y) & exists ?x . !P31(?x, ?y)", "x"),  # the name written, not a renamed one
+    ])
+    def test_quantified_variable_its_body_cannot_bind(self, capsys, tmp_path, facts, query, var):
+        # refused by the gate, whether or not a P26 statement reaches the quantifier
+        path = tmp_path / "kb.native"
+        path.write_text(facts)
+        code, out, err = run(capsys, "query", "--input", str(path), "--no-close", query)
+        assert (code, out, err) == (2, "", f"error: quantified variable not range-restricted: {var}\n")
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_max_bindings_must_be_positive(self, capsys, family_file, value):
         with pytest.raises(SystemExit) as exc:
@@ -540,3 +553,19 @@ class TestLabelEnvironment:
                            "married_to(?x, ?y)")
         assert code == 0
         assert "?x=Q1" in out
+
+    @pytest.mark.parametrize("content,message", [
+        ('["P26"]', "expected a JSON object of label: entity id, found list"),
+        ('{"foo": 5}', "label 'foo': expected an entity id, found 5"),
+        ('{"married_to": "Q0"}', "label 'married_to': not an entity id: 'Q0'"),
+        ('{"married_to": P26}', None),  # the JSON decoder's words vary across Python versions
+    ])
+    def test_malformed_labels_file(self, capsys, tmp_path, monkeypatch, content, message):
+        table = tmp_path / "labels.json"
+        table.write_text(content)
+        monkeypatch.setenv("MARSHAL_LABELS", str(table))
+        code, out, err = run(capsys, "catalog")
+        if message is None:
+            message = err.removeprefix(f"error: MARSHAL_LABELS file {table}: ")[:-1]
+            assert "line 1 column 16" in message
+        assert (code, out, err) == (2, "", f"error: MARSHAL_LABELS file {table}: {message}\n")

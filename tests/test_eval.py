@@ -6,7 +6,7 @@ from datetime import datetime
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import kb_from
@@ -20,7 +20,23 @@ from wdcheck.evaluator import (
     evaluate,
     solve,
 )
-from wdcheck.formula import all_constants, free_variables, parse
+from wdcheck.formula import (
+    And,
+    Const,
+    Eq,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    ObjVar,
+    Or,
+    Rel,
+    SetMember,
+    SetVar,
+    all_constants,
+    free_variables,
+    parse,
+)
 from wdcheck.ingest import load_wikidata_json
 from wdcheck.model import KnowledgeBase, P, Q, StringVal
 from wdcheck.oracle import DomainTooLarge, brute_force_evaluate, holds
@@ -231,9 +247,63 @@ class TestSafeRange:
         assert check_safe_range(parse("P26(?x, ?y) & exists[2] ?o . !P26(?x, ?o)")) == \
             "counting variable not range-restricted: o"
 
+    @pytest.mark.parametrize("text,var", [
+        ("exists ?z . !P31(?z, Q1)", "z"),
+        ("forall ?z . P31(?z, Q1)", "z"),  # its witness, exists ?z . !P31(?z, Q1), binds nothing
+        ("P26(?x, ?y) & exists ?z . !P31(?z, ?y)", "z"),
+        # the outer ?x is not the inner one, which nothing in the body binds
+        ("P26(?x, ?y) & exists ?x . (P31(?y, Q1) & !P31(?x, Q1))", "x"),
+        ("P26(?x, ?y) & forall ?x . (P31(?y, Q1) & P31(?x, Q1))", "x"),
+    ])
+    def test_quantified_variable_must_be_bound(self, text, var):
+        assert check_safe_range(parse(text)) == f"quantified variable not range-restricted: {var}"
+
+    @pytest.mark.parametrize("text", [
+        "forall ?z . !P31(?z, Q1)",
+        "forall ?z . (P31(?z, Q1) -> P26(?z, Q2))",
+        "P26(?x, ?y) & exists ?x . P31(?x, ?y)",
+        "P26(?x, ?y) & forall ?x . !P31(?x, ?y)",
+    ])
+    def test_quantified_variable_bound_by_its_witness(self, text):
+        assert check_safe_range(parse(text)) is None
+
     def test_evaluate_rejects_unsafe(self, family_kb):
         with pytest.raises(UnsafeFormulaError):
             list(evaluate(family_kb, parse("!P26(?x, ?y)")))
+
+
+class TestShadowing:
+    """An inner binder that reuses a name binds a variable of its own."""
+
+    def test_shadowed_bound_variable_is_local(self):
+        kb = kb_from("P31(Q3, Q1)\nP31(Q4, Q2)\n")  # no ?x is an instance of both
+        assert rows(kb, "exists ?x . (P31(?x, Q1) & exists ?x . P31(?x, Q2))") == [{}]
+        assert _agrees(kb, "exists ?x . (P31(?x, Q1) & exists ?x . P31(?x, Q2))", 12)
+
+    def test_inner_binder_does_not_capture(self):
+        text = "P26(?x, ?x) & exists ?x . exists ?x_2 . P26(?x, ?x_2)"
+        kb = kb_from("P26(Q1, Q1)\nP26(Q2, Q3)\n")
+        assert rows(kb, text) == [{"x": "Q1"}]
+        assert _agrees(kb, text, 12)
+
+    def test_outer_value_is_hidden_from_the_body(self):
+        # the body's ?x = Q1 binds the inner ?x; it does not test the outer one
+        text = "P26(?x, ?y) & exists ?x . (P31(?x, ?y) & ?x = Q1)"
+        kb = kb_from("P26(Q2, Q3)\nP31(Q1, Q3)\n")
+        assert rows(kb, text) == [{"x": "Q2", "y": "Q3"}]
+        assert _agrees(kb, text, 12)
+
+    def test_outer_value_does_not_make_a_conjunct_ready(self, family_kb):
+        # ?z = ?x binds ?z only under the inner ?x, which nothing binds
+        with pytest.raises(EvalError) as exc:
+            list(solve(_Ctx(family_kb, EvalConfig()), parse("P26(?x, ?y) & exists ?x . ?z = ?x"), {}))
+        assert str(exc.value) == "cannot evaluate (exists ?x . ?z = ?x): nothing binds ?z"
+
+    def test_shadowed_planner_names_the_variable_written(self, family_kb):
+        f = And((Rel(Const(P(26)), (ObjVar("x"), ObjVar("y"))),
+                 Exists("x", Not(Rel(Const(P(31)), (ObjVar("x"), ObjVar("y")))))))
+        with pytest.raises(EvalError, match=re.escape("exists ?x . !P31(?x, ?y): nothing binds ?x")):
+            list(solve(_Ctx(family_kb, EvalConfig()), f, {}))
 
 
 class TestPlans:
@@ -325,6 +395,67 @@ def test_random_kb_oracle_agreement(stmts, with_no_value, query):
     kb = kb_from("\n".join(lines))
     f = parse(query)
     cfg = EvalConfig()
+    assert set(evaluate(kb, f, cfg)) == set(brute_force_evaluate(kb, f, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Property: a quantifier's variable is local to its body
+# ---------------------------------------------------------------------------
+
+# Binders draw from the names the atoms use, so an inner quantifier often
+# reuses the name of an outer one or of a free variable.  A quantifier
+# mostly guards its body with an atom that binds its variable, as a
+# safe-range formula must.
+_PREDS = st.sampled_from([P(26), P(31)])
+_SCOPE_TERMS = st.sampled_from([ObjVar("x"), ObjVar("y"), Const(Q(1)), Const(Q(2))])
+_SCOPE_ATOMS = st.one_of(
+    st.builds(lambda p, a, b, s: Rel(Const(p), (a, b), s), _PREDS,
+              _SCOPE_TERMS, _SCOPE_TERMS, st.sampled_from([None, SetVar("S")])),
+    st.builds(lambda v: SetMember(Const(P(585)), v, SetVar("S")), _SCOPE_TERMS),
+    st.builds(Eq, _SCOPE_TERMS, _SCOPE_TERMS),
+)
+
+
+def _guard(v: str):
+    """A statement atom that binds ?v."""
+    if v == "S":
+        return st.builds(lambda p, a, b: Rel(Const(p), (a, b), SetVar("S")),
+                         _PREDS, _SCOPE_TERMS, _SCOPE_TERMS)
+    return st.builds(lambda p, t, first: Rel(Const(p), (ObjVar(v), t) if first else (t, ObjVar(v))),
+                     _PREDS, _SCOPE_TERMS, st.booleans())
+
+
+def _quantified(v: str, sub):
+    kinds = [
+        st.builds(lambda g, b: Exists(v, And((g, b))), _guard(v), sub),
+        st.builds(lambda g, b: Forall(v, Implies(g, b)), _guard(v), sub),
+        st.builds(lambda b: Exists(v, b), sub),
+    ]
+    if v != "S":
+        kinds.append(st.builds(lambda g, b: Exists(v, And((g, b)), 2), _guard(v), sub))
+    return st.one_of(kinds)
+
+
+_SCOPE_FORMULAS = st.recursive(_SCOPE_ATOMS, lambda sub: st.one_of(
+    st.builds(Not, sub),
+    st.builds(lambda a, b: And((a, b)), sub, sub),
+    st.builds(lambda a, b: Or((a, b)), sub, sub),
+    st.sampled_from(["x", "y", "S"]).flatmap(lambda v: _quantified(v, sub)),
+), max_leaves=4)
+_SPOUSES = Rel(Const(P(26)), (ObjVar("x"), ObjVar("y")), SetVar("S"))
+# a binder of ?v where ?v is free outside it, or inside a binder of ?v
+_SHADOWING = st.sampled_from(["x", "y", "S"]).flatmap(lambda v: st.one_of(
+    _quantified(v, _SCOPE_FORMULAS).map(lambda q: And((_SPOUSES, q))),
+    _quantified(v, _quantified(v, _SCOPE_FORMULAS)),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_statement_lines, _SHADOWING)
+def test_shadowing_binders_agree_with_the_oracle(stmts, f):
+    assume(check_safe_range(f) is None)
+    kb = kb_from("\n".join(f"{p}({s}, {o}){quals}{trailer}" for p, s, o, quals, trailer in stmts))
+    cfg = EvalConfig(oracle_domain_limit=20)
     assert set(evaluate(kb, f, cfg)) == set(brute_force_evaluate(kb, f, cfg))
 
 

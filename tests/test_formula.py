@@ -2,7 +2,6 @@
 
 import pathlib
 import re
-import textwrap
 from datetime import datetime
 from decimal import Decimal
 
@@ -33,17 +32,13 @@ from wdcheck.formula import (
     _nodes,
     _print_term,
     all_constants,
-    alpha_normalize,
-    ensure_unique_bound,
     free_variables,
     ground_set_literals,
     is_set_name,
     negate,
     negate_to_violation_query,
     parse,
-    parse_blocks,
     print_formula,
-    rename_variable,
     substitute,
 )
 from wdcheck.model import (
@@ -148,19 +143,9 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("exists ?_x . P26(?_x, ?y)")
 
-    def test_shadowed_bound_variable_renamed(self):
+    def test_inner_binder_keeps_its_name(self):
         f = parse("exists ?x . (P31(?x, Q1) & exists ?x . P31(?x, Q2))")
-        assert isinstance(f, Exists)
-        inner = f.body.items[1]
-        assert inner.var != f.var
-
-    def test_renamed_binder_does_not_capture(self):
-        # renaming the outer ?x must not pick ?x_2, which the inner binder owns
-        f = parse("P26(?x, ?x) & exists ?x . exists ?x_2 . P26(?x, ?x_2)")
-        outer = f.items[1]
-        inner = outer.body
-        assert outer.var not in ("x", inner.var)
-        assert inner.body.args == (ObjVar(outer.var), ObjVar(inner.var))
+        assert f.body.items[1] == Exists("x", Rel(Const(P(31)), (ObjVar("x"), Const(Q(2)))))
 
 
 def _bad_formulas() -> list:
@@ -266,32 +251,12 @@ class TestPrinting:
     def test_print_parse_identity(self, text):
         f = parse(text)
         printed = print_formula(f)
-        assert alpha_normalize(parse(printed)) == alpha_normalize(f)
+        assert parse(printed) == f
         assert print_formula(parse(printed)) == printed
 
     def test_printer_minimizes_parens(self):
         f = parse("(P31(?x, Q1) & P31(?x, Q2)) | P31(?x, Q3)")
         assert print_formula(f) == "P31(?x, Q1) & P31(?x, Q2) | P31(?x, Q3)"
-
-
-class TestBlocks:
-    def test_parse_blocks(self):
-        blocks = parse_blocks(textwrap.dedent(
-            """
-            # a comment
-            name: sym
-            kind: rule
-            P26(?x, ?y)@?S -> P26(?y, ?x)@?S
-            ---
-            name: check
-            P26(?x, ?y) -> P26(?y, ?x)
-            """
-        ))
-        assert [(b.name, b.kind) for b in blocks] == [("sym", "rule"), ("check", "constraint")]
-
-    def test_block_requires_name(self):
-        with pytest.raises(FormulaError):
-            parse_blocks("P26(?x, ?y) -> P26(?y, ?x)")
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +319,7 @@ def _formulas(depth: int):
 @given(_formulas(3))
 def test_print_parse_round_trip(f):
     printed = print_formula(f)
-    reparsed = parse(printed)
-    assert alpha_normalize(reparsed) == alpha_normalize(f)
-    # after one parse (which renames shadowed binders) printing is stable
-    printed2 = print_formula(reparsed)
-    assert print_formula(parse(printed2)) == printed2
+    assert parse(printed) == f
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +350,6 @@ def test_substitute_removes_exactly_the_mapped_free_variables(case):
 def test_substitute_places_every_mapped_value(case):
     f, objmap = case
     assert all_constants(substitute(f, objmap)) >= set(objmap.values())
-
-
-@settings(max_examples=200, deadline=None)
-@given(_formulas(3))
-def test_unique_binders_are_an_alpha_renaming(f):
-    unique = ensure_unique_bound(f)
-    assert alpha_normalize(unique) == alpha_normalize(f)
-    assert free_variables(unique) == free_variables(f)
-    assert free_variables(alpha_normalize(f)) == free_variables(f)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_formulas(3), st.sampled_from(["x", "y", "v", "q", "p", "SQ", "CQ"]))
-def test_rename_to_fresh_name_and_back_is_identity(f, name):
-    there = rename_variable(f, name, "fresh")
-    assert rename_variable(there, "fresh", name) == f
 
 
 # ---------------------------------------------------------------------------

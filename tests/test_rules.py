@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from conftest import kb_from
-from wdcheck.formula import parse
+from wdcheck.formula import FormulaError, ParseError, parse
 from wdcheck.ingest import export_native
 from wdcheck.labels import SYMMETRIC_PROPERTY, TRANSITIVE_PROPERTY
 from wdcheck.model import AttrSet, P, Q, StringVal
@@ -87,8 +87,44 @@ class TestRuleValidation:
     def test_parse_rules_refuses_a_block_that_is_not_a_rule(self, header):
         text = ("name: sym\nkind: rule\nP26(?x, ?y) -> P26(?y, ?x)\n---\n"
                 f"name: forgot-kind\n{header}P1(?x, ?y) -> P2(?x, ?y)\n")
-        with pytest.raises(RuleError, match="block 'forgot-kind' is not a rule"):
+        with pytest.raises(RuleError) as exc:
             parse_rules(text)
+        assert str(exc.value) == ("block 'forgot-kind' is not a rule: "
+                                  "give it a 'kind: rule' or 'rule: NAME' header")
+
+
+class TestBlocks:
+    """A rule file's blocks: header lines, then a formula."""
+
+    def test_parse_blocks(self):
+        rules = parse_rules(textwrap.dedent(
+            """
+            # a comment
+            kind: rule
+
+            name: sym
+            P26(?x, ?y)@?S -> P26(?y, ?x)@?S
+            ---
+            ---
+            rule: chained
+            # a comment inside the formula
+            P26(?x, ?y) &
+              P26(?y, ?z) -> P1(?x, ?z)
+            """
+        ))
+        assert [(r.name, str(r)) for r in rules] == [
+            ("sym", "P26(?x, ?y)@?S -> P26(?y, ?x)@?S"),
+            ("chained", "P26(?x, ?y) & P26(?y, ?z) -> P1(?x, ?z)"),
+        ]
+
+    def test_block_requires_name(self):
+        with pytest.raises(FormulaError) as exc:
+            parse_rules("kind: rule\nP26(?x, ?y) -> P26(?y, ?x)")
+        assert str(exc.value) == "formula block missing a 'name:' header"
+
+    def test_every_block_parses_before_any_is_validated(self):
+        with pytest.raises(ParseError):
+            parse_rules("name: check\nP26(?x, ?y) -> P26(?y, ?x)\n---\nrule: bad\nP26(?x,\n")
 
 
 class TestBuiltinOntology:
