@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 from . import labels as L
@@ -30,6 +29,7 @@ from .model import (
     EntityId,
     KnowledgeBase,
     QuantityVal,
+    Record,
     StringVal,
     UnsupportedPattern,
     compile_pattern,
@@ -42,39 +42,45 @@ class CatalogError(Exception):
     pass
 
 
-@dataclass
-class Declaration:
+class Declaration(Record):
     """One property_constraint statement, decoded."""
 
-    statement_id: str
-    property: EntityId  # the constrained property
-    type_item: EntityId
-    params: AttrSet  # the declaration's qualifier set, pseudo pairs included
-    severity: str = "regular"  # "mandatory", "suggestion" or "regular"
-    exceptions: tuple = ()  # entity ids exempted via exception_to_constraint
+    __slots__ = ("statement_id", "property", "type_item", "params", "severity", "exceptions")
+
+    def __init__(self, statement_id: str, property: EntityId, type_item: EntityId,
+                 params: AttrSet, severity: str = "regular", exceptions: tuple = ()) -> None:
+        self.statement_id, self.type_item = statement_id, type_item
+        self.property = property  # the constrained property
+        self.params = params  # the declaration's qualifier set, pseudo pairs included
+        self.severity = severity  # "mandatory", "suggestion" or "regular"
+        self.exceptions = exceptions  # entity ids exempted via exception_to_constraint
 
 
-@dataclass
-class Violation:
-    template: str
-    variant: str
-    declaration_property: Optional[str]  # "P26" or None for global templates
-    params: list  # [[attr, value], ...] as strings
-    binding: dict  # variable -> printable value
-    severity: str
-    suppressed: bool
-    message: str
-    diagnostics: list = field(default_factory=list)
+class Violation(Record):
+    __slots__ = ("template", "variant", "declaration_property", "params", "binding",
+                 "severity", "suppressed", "message", "diagnostics")
+
+    def __init__(self, template: str, variant: str, declaration_property: Optional[str],
+                 params: list, binding: dict, severity: str, suppressed: bool, message: str,
+                 diagnostics: Optional[list] = None) -> None:
+        self.template, self.variant, self.severity = template, variant, severity
+        self.declaration_property = declaration_property  # "P26" or None for global templates
+        self.params = params  # [[attr, value], ...] as strings
+        self.binding = binding  # variable -> printable value
+        self.suppressed, self.message = suppressed, message
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def sort_key(self) -> tuple:
         return (self.template, self.declaration_property or "", self.variant,
                 json.dumps(self.binding, sort_keys=True))
 
 
-@dataclass
-class CheckResult:
-    violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)  # skipped declarations etc.
+class CheckResult(Record):
+    __slots__ = ("violations", "notes")  # notes: skipped declarations etc.
+
+    def __init__(self, violations: Optional[list] = None, notes: Optional[list] = None) -> None:
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
 
     @property
     def unsuppressed(self) -> list:

@@ -25,7 +25,6 @@ The brute-force oracle, with its own atom matcher, is in ``oracle``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter, methodcaller
 from typing import Iterator, Optional
 
@@ -56,10 +55,13 @@ from .model import (
     AttrSet,
     DatatypeError,
     EMPTY_ATTRS,
+    Frozen,
     KnowledgeBase,
     Pseudo,
+    Record,
     Statement,
     StringVal,
+    _new_tuple,
     datatype_function,
     datatype_relation,
 )
@@ -73,15 +75,20 @@ class UnsafeFormulaError(EvalError):
     pass
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Frozen):
     """An assignment of free variables to values / qualifier sets."""
 
-    data: tuple  # sorted tuple of (name, Value-or-AttrSet)
+    __slots__ = ()
+    _fields = ("data",)  # sorted tuple of (name, Value-or-AttrSet)
+
+    def __new__(cls, data: tuple) -> "Binding":
+        return _new_tuple(cls, (data,))
+
+    data = property(lambda self: tuple.__getitem__(self, 0))  # [] looks up a variable
 
     @staticmethod
     def of(env: dict) -> "Binding":
-        return Binding(tuple(sorted(env.items(), key=lambda kv: kv[0])))
+        return _new_tuple(Binding, (tuple(sorted(env.items())),))  # names are unique
 
     def as_dict(self) -> dict:
         return dict(self.data)
@@ -93,15 +100,16 @@ class Binding:
         return any(k == name for k, _ in self.data)
 
 
-@dataclass
-class EvalConfig:
-    max_bindings: Optional[int] = None
-    include_deprecated: bool = False
-    oracle_domain_limit: int = 12
+class EvalConfig(Record):
+    __slots__ = ("max_bindings", "include_deprecated", "oracle_domain_limit")
 
-    def __post_init__(self) -> None:
-        if self.max_bindings is not None and self.max_bindings < 1:
+    def __init__(self, max_bindings: Optional[int] = None, include_deprecated: bool = False,
+                 oracle_domain_limit: int = 12) -> None:
+        if max_bindings is not None and max_bindings < 1:
             raise ValueError("max_bindings must be at least 1 when bounded")
+        self.max_bindings = max_bindings
+        self.include_deprecated = include_deprecated
+        self.oracle_domain_limit = oracle_domain_limit
 
 
 class _Ctx:
@@ -386,7 +394,7 @@ def _compile(f: Formula, bound: frozenset):
     if free_variables(f) - bound:  # !, -> and forall test their variables, never bind them
         raise _unbound(f, free_variables(f) - bound)
     if isinstance(f, Not) and isinstance(f.body, Forall):  # !forall v.g == exists v.!g
-        return _plan(Exists(f.body.var, negate(f.body.body)), bound)
+        return _plan(_witness(f.body), bound)
     if isinstance(f, Not):
         body = _plan(f.body, bound)
         return lambda ctx, env: () if _any(body(ctx, env)) else (env,)
@@ -395,9 +403,17 @@ def _compile(f: Formula, bound: frozenset):
         return lambda ctx, env: () if _any(body(ctx, env)) and not _any(head(ctx, env)) else (env,)
     if isinstance(f, Forall):
         # forall v.g  ==  !exists v.!g; the existential search can use indexes
-        witness = _plan(Exists(f.var, negate(f.body)), bound)
+        witness = _plan(_witness(f), bound)
         return lambda ctx, env: () if _any(witness(ctx, env)) else (env,)
     raise TypeError(f)
+
+
+def _witness(f: Forall) -> Exists:
+    """exists v.!g for forall v.g, built once per node: the gate and the plans read the same one."""
+    witness = f._memo.get("witness")
+    if witness is None:
+        witness = f._memo["witness"] = Exists(f.var, negate(f.body))
+    return witness
 
 
 def _unbound(f: Formula, loose) -> EvalError:
@@ -637,7 +653,7 @@ def _check(f: Formula, pre: frozenset, problems: list) -> None:
         inner = pre - {f.var}
         _check(f.body, inner, problems)
         # the witness the plan searches for: the body, or for forall its negation
-        witness = f.body if isinstance(f, Exists) else negate(f.body)
+        witness = f.body if isinstance(f, Exists) else _witness(f).body
         if f.var not in _binds(witness, inner):
             if isinstance(f, Exists) and f.count is not None:
                 problems.append(f"counting variable not range-restricted: {f.var}")

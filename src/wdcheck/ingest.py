@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal
 from typing import Optional, Union
@@ -40,6 +39,7 @@ from .model import (
     QuantityVal,
     RANKS,
     RANK_ATTR,
+    Record,
     StringVal,
     TimeVal,
     Value,
@@ -52,13 +52,14 @@ class IngestError(Exception):
     pass
 
 
-@dataclass
-class IngestStats:
-    statements: int = 0
-    no_value_facts: int = 0
-    commons_pages: int = 0
-    labels: int = 0
-    skipped: list = field(default_factory=list)  # (reason, detail) pairs
+class IngestStats(Record):
+    __slots__ = ("statements", "no_value_facts", "commons_pages", "labels", "skipped")
+
+    def __init__(self, statements: int = 0, no_value_facts: int = 0, commons_pages: int = 0,
+                 labels: int = 0, skipped: Optional[list] = None) -> None:
+        self.statements, self.no_value_facts = statements, no_value_facts
+        self.commons_pages, self.labels = commons_pages, labels
+        self.skipped = [] if skipped is None else skipped  # (reason, detail) pairs
 
     def skip(self, reason: str, detail: str) -> None:
         self.skipped.append((reason, detail))

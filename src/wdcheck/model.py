@@ -12,12 +12,10 @@ so a variable bound in one position can be used in any other.
 
 from __future__ import annotations
 
-import calendar
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from decimal import Decimal
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -27,6 +25,88 @@ class ModelError(Exception):
 
 class DatatypeError(ModelError):
     """A datatype relation or function was applied to values of the wrong kind."""
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_tuple_eq = tuple.__eq__
+_new_tuple = tuple.__new__
+
+
+def _refuse(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+class Frozen(tuple):
+    """An immutable record that caches nothing: the tuple of the fields
+    ``_fields`` names, each read as an attribute.  It hashes as that tuple, in
+    C; as a frozen dataclass, it equals only its own class (``StringVal("rank")
+    != Pseudo("rank")``), does not order and prints as ``Name(field=value)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    __hash__ = tuple.__hash__
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
+    __setattr__ = __delattr__ = _refuse
+
+    def __init_subclass__(cls) -> None:
+        for i, name in enumerate(cls._fields):
+            if name not in cls.__dict__:
+                setattr(cls, name, property(itemgetter(i)))
+        if len(cls._fields) == 1 and cls.__getitem__ is tuple.__getitem__:
+            cls.__eq__ = Frozen._eq_one
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def _eq_one(self, other):
+        """__eq__ of a one-field record: a field comparison is cheaper than tuple's __eq__."""
+        if other.__class__ is self.__class__:
+            return self[0] == other[0]
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Record:
+    """A slotted record whose fields are its slots not named "_...", in
+    constructor order.  It equals a record of its class with equal fields,
+    prints as ``Name(field=value)`` and pickles through its constructor.  A
+    mutable record does not hash; a ``frozen`` one refuses assignment (its
+    ``__init__`` writes through the slots' own setters) and defines a hash.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        get = attrgetter(*cls._fields)
+        cls._astuple = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple == other._astuple
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +124,10 @@ class EntityId(tuple):
 
     As a tuple it hashes, compares and orders in C: the hash is
     ``hash((kind, num))`` and the order is (kind, num), as they were when this
-    was a dataclass.  The other value classes stay dataclasses, because as
-    tuples ``StringVal``, ``Pseudo`` and ``AnonConst`` would all be 1-tuples of
-    one shape, and ``StringVal("rank")`` would equal ``Pseudo("rank")``.
+    was a dataclass.  The other values are ``Frozen`` records, which hash as
+    tuples but equal only their own class: ``StringVal``, ``Pseudo`` and
+    ``AnonConst`` are 1-tuples of one shape, and ``StringVal("rank")`` must
+    not equal ``Pseudo("rank")``.
     """
 
     __slots__ = ()
@@ -96,9 +177,12 @@ _LINE_BREAK_ESCAPES = {ord(c): f"\\u{ord(c):04x}"
                        for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
-@dataclass(frozen=True)
-class StringVal:
-    text: str
+class StringVal(Frozen):
+    __slots__ = ()
+    _fields = ("text",)
+
+    def __new__(cls, text: str) -> "StringVal":
+        return _new_tuple(cls, (text,))
 
     def __str__(self) -> str:
         text = self.text.replace("\\", "\\\\").replace('"', '\\"')
@@ -107,20 +191,26 @@ class StringVal:
         return '"' + text + '"'
 
 
-@dataclass(frozen=True)
-class QuantityVal:
-    amount: Decimal
-    unit: Union[EntityId, str, None] = None  # str only for the reserved "@days" unit
-    lower: Optional[Decimal] = None
-    upper: Optional[Decimal] = None
+class QuantityVal(Frozen):
+    __slots__ = ()
+    _fields = ("amount", "unit", "lower", "upper")  # unit: EntityId, None, or the str "@days"
 
-    def __post_init__(self) -> None:
-        if (self.lower is None) != (self.upper is None):
-            raise ModelError(f"quantity {format(self.amount, 'f')} has only one bound")
-        if self.lower is not None and self.lower > self.amount:
-            raise ModelError(f"quantity lower bound {self.lower} above amount {self.amount}")
-        if self.upper is not None and self.upper < self.amount:
-            raise ModelError(f"quantity upper bound {self.upper} below amount {self.amount}")
+    def __new__(cls, amount: Decimal, unit: Union[EntityId, str, None] = None,
+                lower: Optional[Decimal] = None, upper: Optional[Decimal] = None) -> "QuantityVal":
+        if (lower is None) != (upper is None):
+            raise ModelError(f"quantity {format(amount, 'f')} has only one bound")
+        if lower is not None and lower > amount:
+            raise ModelError(f"quantity lower bound {lower} above amount {amount}")
+        if upper is not None and upper < amount:
+            raise ModelError(f"quantity upper bound {upper} below amount {amount}")
+        return _new_tuple(cls, (amount, unit, lower, upper))
+
+    def __hash__(self) -> int:
+        # before Python 3.12 hash(None) follows None's address: 0 stands in for it,
+        # so a quantity hashes the same in every process started with one hash seed
+        amount, unit, lower, upper = self
+        return hash((amount, 0 if unit is None else unit,
+                     0 if lower is None else lower, 0 if upper is None else upper))
 
     def __str__(self) -> str:
         s = format(self.amount, "f")
@@ -138,14 +228,14 @@ PRECISION_MONTH = 10
 PRECISION_YEAR = 9
 
 
-@dataclass(frozen=True)
-class TimeVal:
-    timestamp: datetime
-    precision: int = PRECISION_DAY
+class TimeVal(Frozen):
+    __slots__ = ()
+    _fields = ("timestamp", "precision")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.precision <= 14):
-            raise ModelError(f"time precision out of range: {self.precision}")
+    def __new__(cls, timestamp: datetime, precision: int = PRECISION_DAY) -> "TimeVal":
+        if not (0 <= precision <= 14):
+            raise ModelError(f"time precision out of range: {precision}")
+        return _new_tuple(cls, (timestamp, precision))
 
     def __str__(self) -> str:
         ts = self.timestamp  # the year zero-padded, as the parser reads it
@@ -153,21 +243,27 @@ class TimeVal:
                 f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}/{self.precision}")
 
 
-@dataclass(frozen=True)
-class AnonConst:
+class AnonConst(Frozen):
     """Fresh constant standing for an unknown ("somevalue") value."""
 
-    uid: int
+    __slots__ = ()
+    _fields = ("uid",)
+
+    def __new__(cls, uid: int) -> "AnonConst":
+        return _new_tuple(cls, (uid,))
 
     def __str__(self) -> str:
         return f"_:{self.uid}"
 
 
-@dataclass(frozen=True)
-class Pseudo:
+class Pseudo(Frozen):
     """Reserved attribute/constant names outside the entity id space."""
 
-    name: str
+    __slots__ = ()
+    _fields = ("name",)
+
+    def __new__(cls, name: str) -> "Pseudo":
+        return _new_tuple(cls, (name,))
 
     def __str__(self) -> str:
         return self.name
@@ -195,15 +291,29 @@ def _value_sort_key(v: Value) -> tuple:
     return (type(v).__name__, str(v))
 
 
-@dataclass(frozen=True)
-class AttrSet:
+class AttrSet(Record, frozen=True):
     """A finite set of (attribute, value) pairs.
 
     Attributes may occur with several distinct values.  Equality is
-    extensional over the pairs, including pseudo-attributes.
+    extensional over the pairs, including pseudo-attributes.  The pseudo-free
+    set and the sorted pairs are kept once built.
     """
 
-    pairs: frozenset = frozenset()
+    __slots__ = ("pairs", "_plain", "_sorted")
+
+    def __init__(self, pairs: frozenset = frozenset()) -> None:
+        _set_pairs(self, pairs)
+        _set_plain(self, None)
+        _set_sorted(self, None)
+
+    # the one field compared and hashed directly: Record's one-field _astuple takes two calls
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     @staticmethod
     def of(items: Iterable[tuple[Value, Value]]) -> "AttrSet":
@@ -223,20 +333,20 @@ class AttrSet:
 
     def without_pseudo(self) -> "AttrSet":
         """The pairs whose attribute is not a pseudo-attribute (self when there are none)."""
-        plain = getattr(self, "_plain", None)
+        plain = self._plain
         if plain is None:
             if not any(isinstance(a, Pseudo) for a, _v in self.pairs):
                 return self
             plain = AttrSet(frozenset((a, v) for a, v in self.pairs if not isinstance(a, Pseudo)))
-            object.__setattr__(self, "_plain", plain)
+            _set_plain(self, plain)
         return plain
 
     def sorted_pairs(self) -> list:
-        cached = getattr(self, "_sorted", None)
+        cached = self._sorted
         if cached is None:
             cached = sorted(self.pairs,
                             key=lambda p: (_value_sort_key(p[0]), _value_sort_key(p[1])))
-            object.__setattr__(self, "_sorted", cached)
+            _set_sorted(self, cached)
         return cached
 
     def __str__(self) -> str:
@@ -244,6 +354,8 @@ class AttrSet:
         return "{" + inner + "}"
 
 
+# the slots' own setters: a frozen record's __init__ and caches write through them
+_set_pairs, _set_plain, _set_sorted = (getattr(AttrSet, name).__set__ for name in AttrSet.__slots__)
 EMPTY_ATTRS = AttrSet()
 
 
@@ -252,15 +364,22 @@ EMPTY_ATTRS = AttrSet()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Statement:
-    id: str
-    subject: EntityId
-    property: EntityId
-    value: Value
-    qualifiers: AttrSet  # includes mirrored rank/reference pseudo-pairs
-    rank: str = "normal"
-    references: tuple = ()
+class Statement(Record, frozen=True):
+    # qualifiers include the mirrored rank/reference pseudo-pairs
+    __slots__ = ("id", "subject", "property", "value", "qualifiers", "rank", "references", "_key")
+
+    def __init__(self, id: str, subject: EntityId, property: EntityId, value: Value,
+                 qualifiers: AttrSet, rank: str = "normal", references: tuple = ()) -> None:
+        _set_id(self, id)
+        _set_subject(self, subject)
+        _set_property(self, property)
+        _set_value(self, value)
+        _set_qualifiers(self, qualifiers)
+        _set_rank(self, rank)
+        _set_references(self, references)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple)
 
     def content_key(self) -> tuple:
         """Identity of the fact irrespective of statement id, rank and references.
@@ -270,8 +389,12 @@ class Statement:
         key = getattr(self, "_key", None)
         if key is None:
             key = (self.subject, self.property, self.value, self.qualifiers.without_pseudo())
-            object.__setattr__(self, "_key", key)
+            _set_key(self, key)
         return key
+
+
+(_set_id, _set_subject, _set_property, _set_value, _set_qualifiers, _set_rank, _set_references,
+ _set_key) = (getattr(Statement, name).__set__ for name in Statement.__slots__)
 
 
 def make_statement(
@@ -291,7 +414,7 @@ def make_statement(
     refs = tuple(references)
     quals, plain = _mirrored(qualifiers, rank, refs)
     st = Statement(id, subject, property, value, quals, rank, refs)
-    object.__setattr__(st, "_key", (subject, property, value, plain))
+    _set_key(st, (subject, property, value, plain))
     return st
 
 
@@ -320,13 +443,13 @@ def _mirrored(qualifiers: Iterable[tuple[Value, Value]], rank: str, refs: tuple 
         pairs |= {(REFERENCE_ATTR, StringVal(tok)) for tok in refs}
     quals = AttrSet(pairs)
     plain = AttrSet(plain) if plain else EMPTY_ATTRS
-    object.__setattr__(quals, "_plain", plain)
+    _set_plain(quals, plain)
     return quals, plain
 
 
 def _rank_only(rank: str) -> AttrSet:
     quals = AttrSet(frozenset({(RANK_ATTR, StringVal(rank))}))
-    object.__setattr__(quals, "_plain", EMPTY_ATTRS)
+    _set_plain(quals, EMPTY_ATTRS)
     return quals
 
 
@@ -334,11 +457,13 @@ def _rank_only(rank: str) -> AttrSet:
 _RANK_ONLY = {rank: _rank_only(rank) for rank in RANKS}
 
 
-@dataclass(frozen=True)
-class NoValueFact:
-    property: EntityId
-    subject: EntityId
-    qualifiers: AttrSet = EMPTY_ATTRS
+class NoValueFact(Frozen):
+    __slots__ = ()
+    _fields = ("property", "subject", "qualifiers")
+
+    def __new__(cls, property: EntityId, subject: EntityId,
+                qualifiers: AttrSet = EMPTY_ATTRS) -> "NoValueFact":
+        return _new_tuple(cls, (property, subject, qualifiers))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +637,7 @@ def time_interval(t: TimeVal) -> tuple[datetime, datetime]:
         return start, start + timedelta(days=1) - timedelta(seconds=1)
     if p == 10:
         start = ts.replace(day=1, hour=0, minute=0, second=0)
-        last = calendar.monthrange(ts.year, ts.month)[1]
+        last = days_in_month(ts.year, ts.month)
         return start, start.replace(day=last, hour=23, minute=59, second=59)
     if p == 9:
         return (ts.replace(month=1, day=1, hour=0, minute=0, second=0),
@@ -522,6 +647,13 @@ def time_interval(t: TimeVal) -> tuple[datetime, datetime]:
     start_year = max(1, (ts.year // span) * span)
     end_year = min(9999, start_year + span - 1)
     return (datetime(start_year, 1, 1), datetime(end_year, 12, 31, 23, 59, 59))
+
+
+def days_in_month(year: int, month: int) -> int:
+    """The number of days in a month of the proleptic Gregorian calendar."""
+    if month == 2:
+        return 29 if year % 4 == 0 and (year % 100 != 0 or year % 400 == 0) else 28
+    return 30 if month in (4, 6, 9, 11) else 31
 
 
 def _require_time(name: str, v: Value) -> TimeVal:

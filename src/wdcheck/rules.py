@@ -30,7 +30,6 @@ and the ?y that a chain derivation names do.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -69,11 +68,14 @@ from .model import (
     AttrSet,
     EMPTY_ATTRS,
     EntityId,
+    Frozen,
     KnowledgeBase,
     RANK_ATTR,
     REFERENCE_ATTR,
+    Record,
     Statement,
     StringVal,
+    _new_tuple,
     is_property,
     make_statement,
 )
@@ -83,13 +85,13 @@ class RuleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """body atoms (all positive) deriving one relational head atom."""
 
-    name: str
-    body: tuple  # of atoms
-    head: Rel
+    _fields = ("name", "body", "head")  # no __slots__: the cached properties keep a __dict__
+
+    def __new__(cls, name: str, body: tuple, head: Rel) -> "Rule":
+        return _new_tuple(cls, (name, body, head))
 
     def __str__(self) -> str:
         return print_formula(Implies(self.conjunction, self.head))
@@ -203,17 +205,21 @@ def builtin_ontology() -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Derivation:
-    rule: str
-    binding: dict  # body variable assignment that fired the rule
+class Derivation(Record):
+    __slots__ = ("rule", "binding")  # binding: the body variable assignment that fired the rule
+
+    def __init__(self, rule: str, binding: dict) -> None:
+        self.rule = rule
+        self.binding = binding
 
 
-@dataclass
-class ClosureResult:
-    kb: KnowledgeBase
-    provenance: dict = field(default_factory=dict)  # statement id -> Derivation
-    rounds: int = 0
+class ClosureResult(Record):
+    __slots__ = ("kb", "provenance", "rounds")  # provenance: statement id -> Derivation
+
+    def __init__(self, kb: KnowledgeBase, provenance: Optional[dict] = None, rounds: int = 0) -> None:
+        self.kb = kb
+        self.provenance = {} if provenance is None else provenance
+        self.rounds = rounds
 
     @property
     def derived_ids(self) -> list:
@@ -232,13 +238,14 @@ class ClosureResult:
         return f"{statement_id}: {head} derived by rule {d.rule} with {env}"
 
 
-@dataclass(frozen=True)
-class _Chain:
+class _Chain(Frozen):
     """A rule read as guards & B(?x, ?y) & A(?y, ?z) -> B(?x, ?z)."""
 
-    guards: And
-    b: Rel
-    a: Rel
+    __slots__ = ()
+    _fields = ("guards", "b", "a")
+
+    def __new__(cls, guards: And, b: Rel, a: Rel) -> "_Chain":
+        return _new_tuple(cls, (guards, b, a))
 
 
 def _chain(rule: Rule) -> Optional[_Chain]:

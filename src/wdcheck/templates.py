@@ -13,33 +13,38 @@ Variant texts mention entities by label; see labels.py for the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
 from . import labels as L
-from .model import EntityId
+from .model import EntityId, Frozen, _new_tuple
 
 
-@dataclass(frozen=True)
-class Variant:
-    """One formula of a template; the formula alone decides where it applies."""
+class Variant(Frozen):
+    """One formula of a template; the formula alone decides where it applies.
 
-    name: str
-    text: str
-    count_param: Optional[EntityId] = None  # fills the <K> placeholder
-    symmetric_pairs: tuple = ()  # ((var_a, var_b), ...) for order-normalized dedup
-    enabled: bool = True
+    ``count_param`` fills the <K> placeholder; ``symmetric_pairs``, ((var_a,
+    var_b), ...), are deduplicated without regard to order.
+    """
+
+    __slots__ = ()
+    _fields = ("name", "text", "count_param", "symmetric_pairs", "enabled")
+
+    def __new__(cls, name: str, text: str, count_param: Optional[EntityId] = None,
+                symmetric_pairs: tuple = (), enabled: bool = True) -> "Variant":
+        return _new_tuple(cls, (name, text, count_param, symmetric_pairs, enabled))
 
 
-@dataclass(frozen=True)
-class ConstraintTemplate:
-    name: str
-    type_item: Optional[EntityId]  # None for global (declaration-free) templates
-    category: str  # "existing", "proposed" or "non_property"
-    variants: tuple
-    subject_var: str = "s"
-    description: str = ""
+class ConstraintTemplate(Frozen):
+    """``type_item`` is None for a global (declaration-free) template; ``category``
+    is "existing", "proposed" or "non_property"."""
+
+    __slots__ = ()
+    _fields = ("name", "type_item", "category", "variants", "subject_var", "description")
+
+    def __new__(cls, name: str, type_item: Optional[EntityId], category: str, variants: tuple,
+                subject_var: str = "s", description: str = "") -> "ConstraintTemplate":
+        return _new_tuple(cls, (name, type_item, category, variants, subject_var, description))
 
 
 _PC = "property_constraint"
@@ -427,7 +432,7 @@ def builtin_templates() -> list:
 
 @cache
 def _templates_by_name() -> dict:
-    # built once: every template and variant is a frozen dataclass of tuples
+    # built once: every template and variant is an immutable tuple record
     return {tpl.name: tpl for tpl in builtin_templates()}
 
 

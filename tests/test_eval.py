@@ -1,6 +1,8 @@
 """Formula evaluation: index-driven search against the brute-force oracle."""
 
+import copy
 import pathlib
+import pickle
 import re
 from datetime import datetime
 from decimal import Decimal
@@ -217,6 +219,22 @@ class TestConnectives:
     def test_max_bindings(self, family_kb):
         got = list(evaluate(family_kb, parse("P31(?x, Q5)"), EvalConfig(max_bindings=2)))
         assert len(got) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "P26(?x, ?y) & forall ?z . (P26(?y, ?z) -> ?z = ?x)",
+    "P26(?x, ?y) & !(forall ?z . (P26(?y, ?z) -> ?z = ?x))",
+])
+def test_forall_witness_is_built_once(family_kb, text):
+    # the gate checks, and the plans search for, the same exists ?z . !(...)
+    f = parse(text)
+    forall = next(g for g in f.items[1:] + (f.items[1].body,) if isinstance(g, Forall))
+    assert check_safe_range(f) is None
+    witness = forall._memo["witness"]
+    assert isinstance(witness, Exists) and witness.var == "z"
+    list(evaluate(family_kb, f))
+    assert forall._memo["witness"] is witness
+    assert any(isinstance(key, frozenset) for key in witness._memo)  # planned
 
 
 class TestSafeRange:
@@ -659,3 +677,15 @@ def test_binding_api():
     assert b.as_dict() == {"a": StringVal("s"), "x": Q(1)}
     assert "x" in b and b["x"] == Q(1)
     assert b == Binding.of({"a": StringVal("s"), "x": Q(1)})
+
+
+def test_binding_is_a_value():
+    # hashed as its one field, as the dataclass it replaced was: bindings go into sets
+    b = Binding.of({"x": Q(1), "a": StringVal("s")})
+    assert b.data == (("a", StringVal("s")), ("x", Q(1)))
+    assert hash(b) == hash((b.data,)) and b != b.data and b != Binding.of({"x": Q(1)})
+    assert repr(b) == ("Binding(data=(('a', StringVal(text='s')), "
+                       "('x', EntityId(kind='item', num=1))))")
+    assert pickle.loads(pickle.dumps(b)) == b and copy.deepcopy(b) == b
+    with pytest.raises(AttributeError):
+        b.data = ()

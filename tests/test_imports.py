@@ -1,7 +1,9 @@
 """The runtime imports only the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "wdcheck"
@@ -21,3 +23,20 @@ def test_runtime_is_stdlib_only():
     foreign = [(path.name, name) for path in sources for name in _absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass builds its methods by executing generated source, on every run's import
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if any(name.split(".")[0] == "dataclasses" for name in _absolute_imports(path))]
+    assert users == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_calendar():
+    # -S: no site hooks, so every module loaded is one wdcheck's import asks for
+    code = ("import sys; import wdcheck.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'calendar'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

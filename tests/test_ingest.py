@@ -244,7 +244,7 @@ def _outcome(load) -> tuple:
         return ("error", str(exc))
     return ([(st.id, st.subject, st.property, st.value, st.qualifiers, st.rank, st.references)
              for st in kb.statements.values()],
-            kb.no_value_facts, kb.commons_ns, kb._anon_counter, vars(stats))
+            kb.no_value_facts, kb.commons_ns, kb._anon_counter, stats)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -1,7 +1,11 @@
 """Statements, attribute sets, indexes and datatype relations."""
 
+import calendar
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from datetime import datetime
 from decimal import Decimal
 
@@ -30,6 +34,7 @@ from wdcheck.model import (
     compile_pattern,
     datatype_function,
     datatype_relation,
+    days_in_month,
     make_statement,
     time_interval,
     _value_sort_key,
@@ -96,6 +101,118 @@ class TestEntityIdContract:
         assert Q(5) != other and other != Q(5)
         assert not Q(5) == other
         assert len({Q(5), other}) == 2
+
+
+# (a value, its field values, its repr): the repr is the one the dataclass each
+# class replaced printed
+_RECORDS = [
+    (StringVal("rank"), ("rank",), "StringVal(text='rank')"),
+    (QuantityVal(Decimal("2.5"), Q(11573), Decimal(2), Decimal(3)),
+     (Decimal("2.5"), Q(11573), Decimal(2), Decimal(3)),
+     "QuantityVal(amount=Decimal('2.5'), unit=EntityId(kind='item', num=11573), "
+     "lower=Decimal('2'), upper=Decimal('3'))"),
+    (QuantityVal(Decimal(1)), (Decimal(1), None, None, None),
+     "QuantityVal(amount=Decimal('1'), unit=None, lower=None, upper=None)"),
+    (TimeVal(datetime(2020, 2, 29)), (datetime(2020, 2, 29), PRECISION_DAY),
+     "TimeVal(timestamp=datetime.datetime(2020, 2, 29, 0, 0), precision=11)"),
+    (AnonConst(3), (3,), "AnonConst(uid=3)"),
+    (Pseudo("rank"), ("rank",), "Pseudo(name='rank')"),
+    (AttrSet.of([(P(580), StringVal("x"))]), (frozenset({(P(580), StringVal("x"))}),),
+     "AttrSet(pairs=frozenset({(EntityId(kind='property', num=580), StringVal(text='x'))}))"),
+    (make_statement("s1", Q(1), P(26), Q(2)),
+     ("s1", Q(1), P(26), Q(2), AttrSet.of([(RANK_ATTR, StringVal("normal"))]), "normal", ()),
+     "Statement(id='s1', subject=EntityId(kind='item', num=1), "
+     "property=EntityId(kind='property', num=26), value=EntityId(kind='item', num=2), "
+     "qualifiers=AttrSet(pairs=frozenset({(Pseudo(name='rank'), StringVal(text='normal'))})), "
+     "rank='normal', references=())"),
+    (NoValueFact(P(26), Q(1)), (P(26), Q(1), AttrSet()),
+     "NoValueFact(property=EntityId(kind='property', num=26), "
+     "subject=EntityId(kind='item', num=1), qualifiers=AttrSet(pairs=frozenset()))"),
+]
+_RECORD_IDS = [repr(value)[:24] for value, _f, _r in _RECORDS]
+
+
+class TestRecordContract:
+    """The model values, AttrSet, Statement and NoValueFact behave as the frozen
+    dataclasses they replaced: equal only within their class, hashing as their
+    field tuple (so set and dict orders do not move), immutable, picklable,
+    and printed the same."""
+
+    @pytest.mark.parametrize("value, fields, text", _RECORDS, ids=_RECORD_IDS)
+    def test_equal_only_within_the_class(self, value, fields, text):
+        again = copy.copy(value)
+        assert value == again and not value != again
+        for other, _f, _t in _RECORDS:
+            if type(other) is not type(value):
+                assert value != other and other != value and not value == other
+        assert value != fields and fields != value and value != text
+
+    def test_values_of_one_shape_differ_by_class(self):
+        # StringVal, Pseudo and AnonConst are all 1-tuples; a set keeps both of a pair
+        assert StringVal("rank") != Pseudo("rank") and len({StringVal("rank"), Pseudo("rank")}) == 2
+        assert AnonConst(1) != Pseudo(1) and not AnonConst(1) == Pseudo(1)
+
+    @pytest.mark.parametrize("value, fields, text", _RECORDS, ids=_RECORD_IDS)
+    def test_hash_is_the_field_tuple_hash(self, value, fields, text):
+        if isinstance(value, QuantityVal):  # a None field hashes as 0: see test_quantity_hash_*
+            fields = tuple(0 if f is None else f for f in fields)
+        assert hash(value) == hash(fields)
+
+    @pytest.mark.parametrize("value, fields, text", _RECORDS, ids=_RECORD_IDS)
+    def test_fields_refuse_assignment(self, value, fields, text):
+        name = repr(value).split("(")[1].split("=")[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[0])
+        with pytest.raises(AttributeError):
+            setattr(value, "extra", 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == fields[0]
+        assert not hasattr(value, "__dict__")  # slotted: no dictionary per instance
+
+    @pytest.mark.parametrize("value, fields, text", _RECORDS, ids=_RECORD_IDS)
+    def test_pickle_and_deepcopy(self, value, fields, text):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and back == value and hash(back) == hash(value)
+        back = copy.deepcopy(value)
+        assert type(back) is type(value) and back == value and repr(back) == text
+
+    @pytest.mark.parametrize("value, fields, text", _RECORDS, ids=_RECORD_IDS)
+    def test_repr(self, value, fields, text):
+        assert repr(value) == text
+
+    def test_values_do_not_order(self):
+        with pytest.raises(TypeError):
+            StringVal("a") < StringVal("b")  # noqa: B015
+        with pytest.raises(TypeError):
+            sorted([TimeVal(datetime(2000, 1, 1)), TimeVal(datetime(1999, 1, 1))])
+
+    def test_cached_content_key_survives_a_round_trip(self):
+        st = make_statement("s1", Q(1), P(26), Q(2), [(P(580), StringVal("x"))], references=["r"])
+        back = pickle.loads(pickle.dumps(st))
+        assert back.content_key() == st.content_key()
+        assert back.qualifiers.without_pseudo() == st.qualifiers.without_pseudo()
+
+
+_QUANTITY_HASH = ("from decimal import Decimal; from wdcheck.model import Q, QuantityVal; "
+                  "print(hash(QuantityVal(Decimal(1))), hash(QuantityVal(Decimal(2), Q(5))), "
+                  "hash(QuantityVal(Decimal(2), None, Decimal(1), Decimal(3))))")
+
+
+def test_quantity_hash_is_the_same_in_every_process():
+    # before Python 3.12 hash(None) follows None's address, which differs per process
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    runs = [subprocess.run([sys.executable, "-c", _QUANTITY_HASH], env=env, check=True,
+                           capture_output=True, text=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0].strip()
+
+
+def test_days_in_month_is_the_gregorian_month_length():
+    for year in range(1, 10000):
+        for month in range(1, 13):
+            assert days_in_month(year, month) == calendar.monthrange(year, month)[1], (year, month)
 
 
 class TestAttrSet:
