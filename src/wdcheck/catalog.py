@@ -236,28 +236,13 @@ def _params_list(params: AttrSet) -> list:
     return [[str(a), str(v)] for a, v in params.without_pseudo().sorted_pairs()]
 
 
-def _message(tpl: ConstraintTemplate, var: Variant, decl: Optional[Declaration],
-             binding: dict) -> str:
-    parts = [f"{tpl.name}" + (f" ({var.name})" if var.name != "main" else "")]
-    if decl is not None:
-        parts.append(f"on {decl.property}")
-    shown = ", ".join(f"?{k}={v}" for k, v in sorted(binding.items())
-                      if not isinstance(v, AttrSet))
-    if shown:
-        parts.append("with " + shown)
-    return " ".join(parts)
-
-
-def _canonical_binding(binding: dict, pairs: tuple) -> frozenset:
-    """Order-normalize symmetric variable pairs for deduplication."""
-    items = dict(binding)
-    swapped = dict(binding)
+def _canonical_binding(shown: dict, pairs: tuple) -> frozenset:
+    """Order-normalize symmetric variable pairs of a printed binding for deduplication."""
+    swapped = dict(shown)
     for a, b in pairs:
         if a in swapped and b in swapped:
             swapped[a], swapped[b] = swapped[b], swapped[a]
-    def key(d):
-        return tuple(sorted((k, str(v)) for k, v in d.items()))
-    return frozenset(min(key(items), key(swapped)))
+    return frozenset(min(tuple(sorted(shown.items())), tuple(sorted(swapped.items()))))
 
 
 def check(
@@ -300,26 +285,32 @@ def _violations(kb, instances, cfg, notes: list) -> Iterator[Violation]:
         if query is None:
             notes.append(note)
             continue
+        params = _params_list(decl.params) if decl else []  # shared by its violations
+        head = tpl.name + (f" ({var.name})" if var.name != "main" else "") \
+            + (f" on {decl.property}" if decl else "")
         diagnostics: list = []
         for binding in evaluate(kb, query, cfg, diagnostics, inst.params):
             env = binding.as_dict()
+            shown = {k: str(v) for k, v in binding.data}  # data is sorted by name
             if var.symmetric_pairs:
                 # symmetric-pair dedup is scoped per template and declaration
                 key = (tpl.name, decl and decl.statement_id, var.name,
-                       _canonical_binding(env, var.symmetric_pairs))
+                       _canonical_binding(shown, var.symmetric_pairs))
                 if key in seen:
                     continue
                 seen.add(key)
             suppressed = decl is not None and env.get(tpl.subject_var) in decl.exceptions
+            values = ", ".join(f"?{k}={text}" for k, text in shown.items()
+                               if not isinstance(env[k], AttrSet))
             yield Violation(
                 template=tpl.name,
                 variant=var.name,
                 declaration_property=str(decl.property) if decl else None,
-                params=_params_list(decl.params) if decl else [],
-                binding={k: str(v) for k, v in sorted(env.items())},
+                params=params,
+                binding=shown,
                 severity=decl.severity if decl else "regular",
                 suppressed=suppressed,
-                message=_message(tpl, var, decl, env),
+                message=f"{head} with {values}" if values else head,
                 diagnostics=list(diagnostics),
             )
 
@@ -329,24 +320,41 @@ def _violations(kb, instances, cfg, notes: list) -> Iterator[Violation]:
 # ---------------------------------------------------------------------------
 
 
+_STR = json.encoder.encode_basestring_ascii  # the C string encoder json.dumps uses
+
+
+def _block(opener: str, closer: str, members, pad: str) -> str:
+    """A JSON container of written members, laid out as ``indent=2`` does at indentation pad."""
+    if not members:
+        return opener + closer
+    inner = "\n" + pad + "  "
+    return opener + inner + ("," + inner).join(members) + "\n" + pad + closer
+
+
+def _violation_json(v: Violation) -> str:
+    pad = "      "  # a violation's members
+    return _block("{", "}", [
+        '"binding": ' + _block("{", "}", [f"{_STR(k)}: {_STR(text)}"
+                                          for k, text in sorted(v.binding.items())], pad),
+        '"declaration_property": ' + json.dumps(v.declaration_property),  # or null
+        '"diagnostics": ' + _block("[", "]", list(map(_STR, v.diagnostics)), pad),
+        '"message": ' + _STR(v.message),
+        '"params": ' + _block("[", "]", [_block("[", "]", list(map(_STR, pair)), pad + "  ")
+                                         for pair in v.params], pad),
+        '"severity": ' + _STR(v.severity),
+        '"suppressed": ' + ("true" if v.suppressed else "false"),
+        '"template": ' + _STR(v.template),
+    ], "    ")
+
+
 def render_json(result: CheckResult) -> str:
-    doc = {
-        "summary": result.summary(),
-        "violations": [
-            {
-                "template": v.template,
-                "declaration_property": v.declaration_property,
-                "params": v.params,
-                "binding": v.binding,
-                "severity": v.severity,
-                "suppressed": v.suppressed,
-                "message": v.message,
-                "diagnostics": v.diagnostics,
-            }
-            for v in result.violations
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The report, byte for byte as ``json.dumps(doc, indent=2, sort_keys=True)``
+    writes it, but with each string written by the C encoder: with an indent,
+    json.dumps encodes in pure Python."""
+    summary = json.dumps(result.summary(), indent=2, sort_keys=True)  # a few lines
+    violations = _block("[", "]", list(map(_violation_json, result.violations)), "  ")
+    return _block("{", "}", ['"summary": ' + summary.replace("\n", "\n  "),
+                             '"violations": ' + violations], "")
 
 
 def render_text(result: CheckResult) -> str:

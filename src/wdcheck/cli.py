@@ -266,6 +266,9 @@ def main(argv=None) -> int:
             ModelError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # the parser's; the evaluator names a plan's depth as an EvalError
+        print("error: input nests deeper than Python's recursion limit allows", file=sys.stderr)
+        return 2
     except Exception as exc:  # a crash must not read as exit 1, "violations found"
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,10 @@ open raises ``EvalError``.  The gate's verdicts are cached on the node as
 well, so a template variant whose ?p and ?CQ are parameters (``evaluate``'s
 ``params``) is gated and planned once, however many declarations run it.
 The brute-force oracle, with its own atom matcher, is in ``oracle``.
+
+Plans push their solutions into a continuation and stop when it returns True
+(``_plan``): a conjunct's continuation runs the rest of the conjunction, and a
+test (``!``, ``->``, ``forall``, a closed ``exists``) stops at its first witness.
 """
 
 from __future__ import annotations
@@ -119,11 +123,10 @@ class _Ctx:
     closure round: that atom reads only the given statements.
     """
 
-    def __init__(self, kb: KnowledgeBase, cfg: EvalConfig,
-                 diagnostics: Optional[list] = None, delta: Optional[tuple] = None) -> None:
+    def __init__(self, kb: KnowledgeBase, cfg: EvalConfig, delta: Optional[tuple] = None) -> None:
         self.kb = kb
         self.cfg = cfg
-        self.diagnostics = diagnostics if diagnostics is not None else []
+        self.diagnostics: list = []
         self.delta = delta
 
 
@@ -210,11 +213,12 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
     their number is rel's cost: the delta of a closure round that names rel;
     the subject, value or property index for a known predicate; the subject
     index, the ``_qualifier_key`` bucket or every statement for an open one; a
-    builtin table's rows.  ``run(ctx, env, candidates=None)`` builds one
-    environment per match.  Each position is a known value (tested unless the
-    index keyed on it; all tested positions in one comparison, ``_tests``), a
-    fresh variable, a repeat of one, or a term resolved under the match; a
-    literal is one known set or is matched pair by pair.
+    builtin table's rows.  ``run(ctx, env, k, candidates=None)`` is the atom's
+    plan: it builds one environment per match and passes it to k.  Each
+    position is a known value (tested unless the index keyed on it; all
+    tested positions in one comparison, ``_tests``), a fresh variable, a
+    repeat of one, or a term resolved under the match; a literal is one known
+    set or is matched pair by pair.
     """
     args = {"no_value": ("property", "subject"), "Commons_namespace": ("subject", "value")}
     terms = dict(zip(args.get(rel.pred, ("subject", "value")), rel.args))
@@ -274,17 +278,15 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
             return _table(ctx.kb, index, lookup, env)
         return getattr(ctx.kb, index).get(lookup(env), ())
 
-    def run(ctx: _Ctx, env: dict, candidates=None):
+    def run(ctx: _Ctx, env: dict, k, candidates=None) -> bool:
         if candidates is None:
             candidates = read(ctx, env)
         want = _try_resolve(lit, env) if whole else None  # collapsed pairs match no set
         if not candidates or whole and (want is None or len(want) < len(lit.pairs)):
-            return ()
+            return False
         tested, expect = delta_tests if ctx.delta is not None and ctx.delta[0] is rel else tests
-        return scan(env, candidates, tested, tested and expect(env), want,
-                    ctx.cfg.include_deprecated)
-
-    def scan(env: dict, candidates, tested, expected, want, keep_deprecated: bool):
+        expected = tested and expect(env)
+        keep_deprecated = ctx.cfg.include_deprecated
         for st in candidates:
             if st.rank == "deprecated" and not keep_deprecated \
                     or tested and tested(st) != expected \
@@ -300,9 +302,11 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
                 if held:
                     if any(_try_resolve(t, out2) != out2[name] for name, t in held.items()):
                         continue
-                    out2 = {k: v for k, v in out2.items() if k not in held}
-                if not late or all(_try_resolve(t, out2) == getattr(st, f) for f, t in late):
-                    yield out2
+                    out2 = {key: v for key, v in out2.items() if key not in held}
+                if (not late or all(_try_resolve(t, out2) == getattr(st, f) for f, t in late)) \
+                        and k(out2):
+                    return True
+        return False
 
     return read, run
 
@@ -365,20 +369,39 @@ def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def solve(ctx: _Ctx, f: Formula, env: dict) -> Iterator[dict]:
-    """All extensions of env over f's free variables under which f holds."""
-    return _plan(f, frozenset(env))(ctx, env)
+def solve(ctx: _Ctx, f: Formula, env: dict, k=None) -> Iterator[dict]:
+    """All extensions of env over f's free variables under which f holds, collected in
+    the order f's plan finds them; or, given k, the plan's run with continuation k."""
+    out: list = []
+    try:
+        _plan(f, frozenset(env))(ctx, env, k or out.append)  # append returns None: no stop
+    except RecursionError:
+        raise EvalError(f"cannot evaluate a formula nested {_depth(f)} levels deep: "
+                        "its plan exceeds Python's recursion limit") from None
+    return iter(out)
+
+
+def _depth(f: Formula) -> int:
+    """How deep f's plan nests: each conjunct runs inside the one before it."""
+    depths = [] if isinstance(f, Atom) else [_depth(g) for g in _children(f)]
+    return sum(depths) if isinstance(f, And) else 1 + max(depths, default=0)
 
 
 def _plan(f: Formula, bound: frozenset):
     """f's plan for environments that bind exactly the variables in bound, compiled once.
 
-    A plan maps (ctx, env) to the extensions of env under which f holds.
+    ``plan(ctx, env, k)`` calls ``k(env2)`` for each extension env2 of env under
+    which f holds, in a fixed order, and returns True as soon as a call of k
+    returns True ("stop"), else False once every candidate is tried.
     """
     run = f._memo.get(bound)
     if run is None:
         run = f._memo[bound] = _compile(f, bound)
     return run
+
+
+def _stop(env: dict) -> bool:  # a test's continuation: its first witness decides it
+    return True
 
 
 def _compile(f: Formula, bound: frozenset):
@@ -388,23 +411,26 @@ def _compile(f: Formula, bound: frozenset):
         return _and_plan(f.items, bound)
     if isinstance(f, Or):
         branches = [_plan(g, bound) for g in f.items]
-        return lambda ctx, env: (e for branch in branches for e in branch(ctx, env))
+
+        def run(ctx: _Ctx, env: dict, k) -> bool:
+            for branch in branches:
+                if branch(ctx, env, k):
+                    return True
+            return False
+        return run
     if isinstance(f, Exists):
         return _exists_plan(f, bound)
     if free_variables(f) - bound:  # !, -> and forall test their variables, never bind them
         raise _unbound(f, free_variables(f) - bound)
     if isinstance(f, Not) and isinstance(f.body, Forall):  # !forall v.g == exists v.!g
         return _plan(_witness(f.body), bound)
-    if isinstance(f, Not):
-        body = _plan(f.body, bound)
-        return lambda ctx, env: () if _any(body(ctx, env)) else (env,)
+    if isinstance(f, (Not, Forall)):  # forall v.g == !exists v.!g: the search can use indexes
+        body = _plan(f.body if isinstance(f, Not) else _witness(f), bound)
+        return lambda ctx, env, k: not body(ctx, env, _stop) and k(env)
     if isinstance(f, Implies):
         body, head = _plan(f.body, bound), _plan(f.head, bound)
-        return lambda ctx, env: () if _any(body(ctx, env)) and not _any(head(ctx, env)) else (env,)
-    if isinstance(f, Forall):
-        # forall v.g  ==  !exists v.!g; the existential search can use indexes
-        witness = _plan(_witness(f), bound)
-        return lambda ctx, env: () if _any(witness(ctx, env)) else (env,)
+        return lambda ctx, env, k: (not body(ctx, env, _stop) or head(ctx, env, _stop)) \
+            and k(env)
     raise TypeError(f)
 
 
@@ -421,24 +447,21 @@ def _unbound(f: Formula, loose) -> EvalError:
                      + ", ".join("?" + v for v in sorted(loose)))
 
 
-def _any(solutions) -> bool:
-    return next(iter(solutions), None) is not None
-
-
 def _atom_plan(atom, bound: frozenset, siblings: tuple):
     if isinstance(atom, Rel):
         return _rel_path(atom, bound, siblings)[1]
     if isinstance(atom, SetMember):
         if free_variables(atom) <= bound:  # a known pair is one membership test
             s, a, v = _value_of(atom.set), _value_of(atom.attr), _value_of(atom.value)
-            return lambda ctx, env: (env,) if (a(env), v(env)) in (s(env) or ()) else ()
-        return lambda ctx, env: _match_member(atom, env)
+            return lambda ctx, env, k: (a(env), v(env)) in (s(env) or ()) and k(env)
+        return lambda ctx, env, k: any(map(k, _match_member(atom, env)))
     if isinstance(atom, Eq):
         if free_variables(atom) <= bound:  # a test
             left, right = _value_of(atom.left), _value_of(atom.right)
-            return lambda ctx, env: (env,) if (v := left(env)) is not None and v == right(env) else ()
-        return lambda ctx, env: _match_eq(atom, env)
-    return lambda ctx, env: (env,) if _eval_dtrel(ctx, atom, env) else ()
+            return lambda ctx, env, k: (v := left(env)) is not None and v == right(env) \
+                and k(env)
+        return lambda ctx, env, k: any(map(k, _match_eq(atom, env)))
+    return lambda ctx, env, k: _eval_dtrel(ctx, atom, env) and k(env)
 
 
 def _qualifier_key(rel: Rel, bound: frozenset, siblings: tuple):
@@ -453,18 +476,19 @@ def _qualifier_key(rel: Rel, bound: frozenset, siblings: tuple):
 
 
 def _and_plan(items: tuple, bound: frozenset):
-    """Run the cheapest ready conjunct, then the plan of the rest.
+    """Run the cheapest ready conjunct, continuing each of its solutions with the
+    plan of the rest.
 
     A conjunct is ready when matching it binds what it leaves open.  Its cost
     class: a test 0, ``=`` 1, ``in`` 2, a statement atom 3 plus the number of
     candidates its access path reads, anything else 10,000; the first of the
     cheapest goes first.  Candidates are read only when a statement atom
     could win, and the winner scans the ones read for its cost.  A
-    conjunct's plan, and the plan of the rest after it, are compiled when it
-    first goes first.
+    conjunct's plan is compiled when it first goes first, and the plan of
+    the rest after it when it first has a solution.
     """
     if not items:
-        return lambda ctx, env: (env,)
+        return lambda ctx, env, k: k(env)
     costs = {}  # ready conjunct -> its cost class; None for a statement atom
     for i, g in enumerate(items):
         unbound = free_variables(g) - bound
@@ -480,7 +504,13 @@ def _and_plan(items: tuple, bound: frozenset):
     if all(costs.get(i) == 0 and isinstance(g, _ONCE) for i, g in enumerate(items)):
         # tests that hold at most once each, in the order the planner would run them
         tests = [_atom_plan(g, bound, ()) if isinstance(g, Atom) else _plan(g, bound) for g in items]
-        return lambda ctx, env: (env,) if all(_any(t(ctx, env)) for t in tests) else ()
+
+        def run_tests(ctx: _Ctx, env: dict, k) -> bool:
+            for test in tests:
+                if not test(ctx, env, _stop):
+                    return False
+            return k(env)
+        return run_tests
     fixed = [(c, i) for i, c in costs.items() if c is not None]
     counted = [i for i, c in costs.items() if c is None]
     pick = None
@@ -493,26 +523,27 @@ def _and_plan(items: tuple, bound: frozenset):
     steps: dict = {}
     rests: dict = {}
 
-    def run(ctx: _Ctx, env: dict) -> Iterator[dict]:
+    def run(ctx: _Ctx, env: dict, k) -> bool:
         i = pick
         if i is None:
             found = {j: paths[j][0](ctx, env) for j in counted}
             i = min([(3 + len(c), j) for j, c in found.items()] + fixed)[1]
-        if i in paths:
-            solutions = paths[i][1](ctx, env, found[i] if pick is None else None)
-        else:
-            step = steps.get(i)
-            if step is None:
-                g = items[i]
-                step = steps[i] = (_atom_plan(g, bound, items[:i] + items[i + 1:])
-                                   if isinstance(g, Atom) else _plan(g, bound))
-            solutions = step(ctx, env)
         rest = rests.get(i)
-        for env2 in solutions:
+
+        def each(env2: dict) -> bool:
+            nonlocal rest
             if rest is None:
                 rest = rests[i] = _and_plan(items[:i] + items[i + 1:],
                                             bound | free_variables(items[i]))
-            yield from rest(ctx, env2)
+            return rest(ctx, env2, k)
+        if i in paths:
+            return paths[i][1](ctx, env, each, found[i] if pick is None else None)
+        step = steps.get(i)
+        if step is None:
+            g = items[i]
+            step = steps[i] = (_atom_plan(g, bound, items[:i] + items[i + 1:])
+                               if isinstance(g, Atom) else _plan(g, bound))
+        return step(ctx, env, each)
 
     return run
 
@@ -524,10 +555,10 @@ _ONCE = (SetMember, Eq, DtRel, Not, Implies, Exists, Forall)  # as tests, match 
 def _exists_plan(f, bound: frozenset):
     """The body's solutions projected onto the other variables; each outer
     binding holds once it has one (``exists[k]``: k) distinct witnesses."""
-    if f.var in bound:  # an outer ?var: hidden from the body, put back into what it yields
+    if f.var in bound:  # an outer ?var: hidden from the body, put back into what it finds
         var, plan = f.var, _plan(f, bound - {f.var})
-        return lambda ctx, env: ({**out, var: env[var]} for out in
-                                 plan(ctx, {k: v for k, v in env.items() if k != var}))
+        return lambda ctx, env, k: plan(ctx, {key: v for key, v in env.items() if key != var},
+                                        lambda out: k({**out, var: env[var]}))
     loose = free_variables(f.body) - bound
     if not loose <= _binds(f.body, bound):
         raise _unbound(f, loose)
@@ -536,17 +567,19 @@ def _exists_plan(f, bound: frozenset):
     need = f.count or 1
 
     if need == 1 and free_variables(f) <= bound:  # a test, decided at the first witness
-        return lambda ctx, env: (env,) if _any(body(ctx, env)) else ()
+        return lambda ctx, env, k: body(ctx, env, _stop) and k(env)
 
-    def run(ctx: _Ctx, env: dict) -> Iterator[dict]:
+    def run(ctx: _Ctx, env: dict, k) -> bool:
         witnesses: dict = {}
-        for env2 in body(ctx, env):
+
+        def each(env2: dict) -> bool:
             key = tuple(map(env2.__getitem__, kept))
             seen = witnesses.setdefault(key, set())
             if len(seen) < need:
                 seen.add(env2.get(var))
-                if len(seen) == need:
-                    yield dict(zip(kept, key))
+                return len(seen) == need and k(dict(zip(kept, key)))
+            return False
+        return body(ctx, env, each)
 
     return run
 
@@ -687,23 +720,29 @@ def evaluate(
     """Bindings of f's free variables satisfied by the KB (deduplicated).
 
     ``params`` binds some free variables before the search starts (a
-    template's ?p and ?CQ); the bindings leave them out.
+    template's ?p and ?CQ); the bindings leave them out.  They are collected,
+    up to ``cfg.max_bindings``, before the first is yielded, each with the
+    diagnostics the search had recorded when it found that binding.
     """
     cfg = cfg or EvalConfig()
     env = dict(params or {})
     problem = check_safe_range(f, env.keys())
     if problem:
         raise UnsafeFormulaError(problem)
-    ctx = _Ctx(kb, cfg, diagnostics)
+    ctx = _Ctx(kb, cfg)
+    diagnostics = [] if diagnostics is None else diagnostics
     names = sorted(free_variables(f) - env.keys())
-    seen = set()
-    count = 0
-    for out in solve(ctx, f, env):
-        b = Binding(tuple((k, out[k]) for k in names if k in out))
-        if b in seen:
-            continue
-        seen.add(b)
+    found: dict = {}  # binding -> the number of diagnostics recorded before it
+
+    def collect(out: dict) -> bool:
+        found.setdefault(Binding(tuple((k, out[k]) for k in names if k in out)),
+                         len(ctx.diagnostics))
+        return len(found) == cfg.max_bindings
+
+    solve(ctx, f, env, collect)
+    shown = 0
+    for b, recorded in found.items():
+        diagnostics.extend(ctx.diagnostics[shown:recorded])
+        shown = recorded
         yield b
-        count += 1
-        if cfg.max_bindings is not None and count >= cfg.max_bindings:
-            return
+    diagnostics.extend(ctx.diagnostics[shown:])

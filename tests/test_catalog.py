@@ -4,10 +4,14 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import kb_from
 from wdcheck import catalog, evaluator
 from wdcheck.catalog import (
+    CheckResult,
+    Violation,
     check,
     derive_violation_queries,
     extract_declarations,
@@ -275,6 +279,12 @@ class TestCheck:
         assert bindings == sorted(bindings)
 
 
+# text with what JSON escapes: quotes, backslashes, control and non-ASCII characters
+_TEXT = st.text(st.sampled_from('aZ09 "\\\n\t\x00\x1f\x7f\xe9\u2603\u2028\U0001f600')
+                | st.characters(), max_size=6)
+_TEXT_EXAMPLE = 'a "quoted" \\ \u2028 \xe9'
+
+
 class TestReports:
     def test_json_schema(self):
         kb = kb_from("P2302(P26, Q21510862)\nP26(Q3, Q4)")
@@ -286,6 +296,23 @@ class TestReports:
         assert v["declaration_property"] == "P26"
         assert v["binding"] == {"x": "Q3", "y": "Q4"}
         assert v["suppressed"] is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(
+        Violation, template=_TEXT, variant=_TEXT, declaration_property=st.none() | _TEXT,
+        params=st.lists(st.lists(_TEXT, min_size=2, max_size=2), max_size=3),
+        binding=st.dictionaries(_TEXT, _TEXT, max_size=3),
+        severity=st.sampled_from(["regular", "mandatory", "suggestion", _TEXT_EXAMPLE]),
+        suppressed=st.booleans(), message=_TEXT, diagnostics=st.lists(_TEXT, max_size=2),
+    ), max_size=4))
+    def test_json_report_is_what_json_dumps_writes(self, found):
+        result = CheckResult(found)
+        doc = {"summary": result.summary(), "violations": [
+            {"template": v.template, "declaration_property": v.declaration_property,
+             "params": v.params, "binding": v.binding, "severity": v.severity,
+             "suppressed": v.suppressed, "message": v.message, "diagnostics": v.diagnostics}
+            for v in found]}
+        assert render_json(result) == json.dumps(doc, indent=2, sort_keys=True)
 
     def test_text_report(self):
         kb = kb_from("P2302(P26, Q21510862)\nP26(Q3, Q4)")

@@ -223,6 +223,26 @@ class TestQuery:
         assert code == 0
         assert "?x=Q3" in out and "?y=Q4" in out
 
+    @pytest.mark.parametrize("atoms,code", [(200, 0), (1000, 2)])
+    def test_chain_nesting_limit(self, capsys, tmp_path, atoms, code):
+        # a conjunct's plan runs the rest of the conjunction inside it
+        path = tmp_path / "kb.native"
+        path.write_text("P26(Q1, Q2)\nP26(Q2, Q1)\n")
+        chain = " & ".join(f"P26(?x{i}, ?x{i + 1})" for i in range(atoms))
+        got = run(capsys, "query", "--input", str(path), "--no-close", "--max-bindings", "1",
+                  chain)
+        assert got[0] == code
+        if code == 0:
+            assert got[1].startswith("?x0=Q1, ?x1=Q2, ") and got[2] == ""
+        else:
+            assert got[1:] == ("", "error: cannot evaluate a formula nested 1000 levels deep: "
+                                   "its plan exceeds Python's recursion limit\n")
+
+    def test_formula_too_deep_to_parse(self, capsys, family_file):
+        got = run(capsys, "query", "--input", family_file, "--no-close",
+                  "(" * 1000 + "P26(?x, ?y)" + ")" * 1000)
+        assert got == (2, "", "error: input nests deeper than Python's recursion limit allows\n")
+
     def test_json_bindings(self, capsys, family_file):
         code, out, _ = run(capsys, "query", "--input", family_file, "--no-close",
                            "--format", "json", "P26(?x, ?y) & !P26(?y, ?x)")

@@ -169,6 +169,15 @@ class TestAtoms:
         assert got == []
         assert diags and "integer" in str(diags[0])
 
+    def test_diagnostics_come_with_the_binding_found_after_them(self):
+        # the bindings are collected first; each is yielded with the
+        # diagnostics the search had recorded when it found that binding
+        kb = kb_from("P1(Q1, 5)\nP1(Q2, Q9)\nP1(Q3, 7)\n")
+        diags: list = []
+        got = [(b["x"], len(diags)) for b in evaluate(
+            kb, parse("P1(?x, ?v) & integer(?v)"), EvalConfig(), diags)]
+        assert got == [(Q(1), 0), (Q(3), 1)]
+
 
 class TestConnectives:
     def test_negation(self, family_kb):
@@ -645,6 +654,76 @@ def test_open_predicate_reads_few_candidates():
     assert len(list(evaluate(kb, f))) == 24
     assert len(open_reads) <= 2 * 24
     assert len(open_reads) + len(bound_reads) <= 3 * 24
+
+
+def _counted_kb(text: str, reads: list) -> KnowledgeBase:
+    """A KB whose every index hands out candidate lists that count what is read from them."""
+    kb = kb_from(text)
+    kb._qualifier_index = {a: _Counted(sts, reads) for a, sts in kb.by_qualifier_attr.items()}
+    kb._subject_index = {s: _Counted(sts, reads) for s, sts in kb.by_subject.items()}
+    kb.statements = _CountedStatements(kb.statements, reads)
+    for name in ("by_property", "by_prop_subject", "by_prop_value"):
+        setattr(kb, name, {k: _Counted(sts, reads) for k, sts in getattr(kb, name).items()})
+    return kb
+
+
+_WITNESSES = """\
+P1(Q1, Q10) @ {P3: Q5}
+P1(Q2, Q10) @ {P3: Q5}
+P1(Q3, Q11) @ {P3: Q5}
+P1(Q4, Q11) @ {P3: Q5}
+P2(Q10, Q20)
+P2(Q10, Q21)
+P2(Q11, Q20)
+P2(Q11, Q21)
+P4(Q1, 5)
+P4(Q2, 6)
+"""
+
+
+# each plan kind, with a statement atom after it: a plan that ignored a stop
+# from its continuation would go on to its next candidate, and read it
+@pytest.mark.parametrize("text", [
+    "P1(?x, ?y)",
+    "P1(?x, ?y) & P2(?y, ?z)",
+    "?p(?x, ?y)@?S & (P3 : Q5) in ?S",  # open predicate: every statement
+    "P1(?x, ?y) | P2(?x, ?y)",
+    "P1(?x, ?y) & (P2(?y, Q20) | P2(?y, Q21)) & P2(?y, ?z)",
+    "P1(?x, ?y) & ((?x = ?x & !P2(?y, Q99)) | P2(?y, Q99)) & P2(?y, ?z)",
+    "P1(?w, ?y) & (exists[2] ?x . P1(?x, ?y)) & P2(?y, ?z)",
+    "P1(?x, ?y)@{P3: ?q} & P2(?y, ?z)",
+    "P1(?x, ?y)@?S & (P3 : ?q) in ?S & P2(?y, ?z)",
+    "P1(?x, ?y)@?S & (P3 : Q5) in ?S & P2(?y, ?z)",
+    "P1(?x, ?y) & ?w = ?y & P2(?w, ?z)",
+    "P1(?x, ?y) & ?x = ?x & P2(?y, ?z)",
+    "P4(?x, ?n) & geq(?n, 1) & P1(?x, ?y)",
+    "P1(?x, ?y) & !P2(?y, Q99) & P2(?y, ?z)",
+    "P1(?x, ?y) & (P2(?y, Q20) -> P2(?y, Q21)) & P2(?y, ?z)",
+    "P1(?x, ?y) & (forall ?v . (P2(?y, ?v) -> P2(?y, ?v))) & P2(?y, ?z)",
+    "P1(?x, ?y) & (exists ?v . P2(?y, ?v)) & P2(?y, ?z)",
+    "P1(?x, ?y) & (exists ?x . P1(?x, ?y)) & P2(?y, ?z)",
+])
+def test_a_test_stops_at_its_first_witness(text):
+    reads: list = []
+    kb = _counted_kb(_WITNESSES, reads)
+    f = parse(text)
+    first: list = []  # how many candidates the search had read at its first solution
+
+    def note(env):
+        first.append(len(reads))
+        return False
+
+    solve(_Ctx(kb, EvalConfig()), f, {}, note)
+    assert len(reads) > first[0]  # the whole search reads past its first solution
+    closed = f
+    for var in sorted(free_variables(f)):
+        closed = Exists(var, closed)
+    reads.clear()
+    assert list(evaluate(kb, Not(closed))) == []
+    assert len(reads) == first[0]
+    reads.clear()
+    assert len(list(evaluate(kb, f, EvalConfig(max_bindings=1)))) == 1
+    assert len(reads) == first[0]
 
 
 @pytest.mark.parametrize("literal", [
