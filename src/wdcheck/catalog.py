@@ -260,6 +260,8 @@ def check(
     for violation in _violations(kb, instances, cfg, result.notes):
         result.violations.append(violation)
         if max_violations is not None and len(result.violations) >= max_violations:
+            # the cap is on violations: the rest still give their skip notes, unevaluated
+            result.notes.extend(inst.note for inst in instances if inst.query is None)
             break
     result.violations.sort(key=Violation.sort_key)
     return result

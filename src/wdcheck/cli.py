@@ -32,6 +32,17 @@ class CliError(Exception):
     pass
 
 
+def _read(path: str) -> str:
+    """A file's text; one that cannot be read, or is not UTF-8, is a CliError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 at byte offset {exc.start}") from exc
+
+
 def _load_inputs(specs: list, labels: LabelTable) -> KnowledgeBase:
     """Load every input into one KB, as if the inputs were one file."""
     if not specs:
@@ -41,11 +52,7 @@ def _load_inputs(specs: list, labels: LabelTable) -> KnowledgeBase:
         path, _, fmt = spec.rpartition(":")
         if fmt not in ("json", "native"):
             path, fmt = spec, None
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
+        text = _read(path)
         if fmt is None:
             # native text never starts with a JSON object or array
             fmt = "json" if text.lstrip()[:1] in ("{", "[") else "native"
@@ -64,11 +71,7 @@ def _load_inputs(specs: list, labels: LabelTable) -> KnowledgeBase:
 def _load_rules(path, labels: LabelTable) -> list:
     rules = builtin_ontology()
     if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                rules.extend(parse_rules(fh.read(), labels))
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
+        rules.extend(parse_rules(_read(path), labels))
     return rules
 
 
@@ -208,18 +211,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constraint checking for Wikidata-style knowledge bases")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_close=True):
+    def add_input(p):
         p.add_argument("--input", action="append", default=[],
                        metavar="PATH[:json|native]",
                        help="knowledge base file; repeatable")
+
+    def add_io(p):
+        add_input(p)
         p.add_argument("--include-deprecated", action="store_true",
                        help="also match deprecated-rank statements")
-        if with_close:
-            p.add_argument("--close", dest="close", action="store_true", default=True,
-                           help="apply inference rules before checking (default)")
-            p.add_argument("--no-close", dest="close", action="store_false")
-            p.add_argument("--rules", metavar="FILE",
-                           help="extra rule file applied on top of the builtin ontology")
+        p.add_argument("--close", dest="close", action="store_true", default=True,
+                       help="apply inference rules before checking (default)")
+        p.add_argument("--no-close", dest="close", action="store_false")
+        p.add_argument("--rules", metavar="FILE",
+                       help="extra rule file applied on top of the builtin ontology")
 
     pc = sub.add_parser("check", help="report constraint violations")
     add_io(pc)
@@ -241,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.set_defaults(func=cmd_query)
 
     pi = sub.add_parser("infer", help="print the rule closure in native format")
-    add_io(pi, with_close=False)
+    add_input(pi)
     pi.add_argument("--rules", metavar="FILE")
     pi.add_argument("--explain", action="store_true",
                     help="print a provenance comment per derived fact")

@@ -348,9 +348,12 @@ def _match_eq(atom: Eq, env: dict) -> Iterator[dict]:
             yield env
         return
     side, value = (atom.right, lv) if lv is not None else (atom.left, rv)
-    if value is None or not isinstance(side, (ObjVar, SetVar)):
+    if value is not None and isinstance(side, (ObjVar, SetVar)):
+        yield {**env, side.name: value}
+    elif not any(v is None and free_variables(t) <= env.keys()
+                 for t, v in ((atom.left, lv), (atom.right, rv))):
         raise EvalError("equality with both sides unbound")
-    yield {**env, side.name: value}
+    # else a side whose variables env binds is a function left undefined: it equals nothing
 
 
 def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:

@@ -32,10 +32,12 @@ from .model import (
     DATATYPE_RELATIONS,
     AttrSet,
     EntityId,
+    Frozen,
     QuantityVal,
     StringVal,
     TimeVal,
     Value,
+    _new_tuple,
 )
 
 BUILTIN_PREDICATES = ("no_value", "Commons_namespace")
@@ -57,46 +59,22 @@ class ParseError(FormulaError):
 # ---------------------------------------------------------------------------
 
 
-class _Node:
+class _Node(Frozen):
     """Base of every term, set term, atom and formula node.
 
     Each node type names its fields once, in ``_fields`` (as ``ast`` nodes
-    do); construction (positional, trailing fields left out are None),
-    equality, hashing, ``repr`` and the traversal read it.  Nodes are
-    immutable: only construction and the caches write the instance
-    dictionary, directly.
+    do), and a node is the tuple of their values: construction is positional,
+    with trailing fields left out as None.  Equality, hashing, ``repr`` and
+    refused assignment are ``Frozen``'s; the traversal reads the fields in
+    order.  Only the caches keep an instance dictionary, and write it
+    directly.
     """
 
-    _fields: tuple = ()
-
-    def __init__(self, *values) -> None:
-        fields = self._fields
-        missing = len(fields) - len(values)
+    def __new__(cls, *values) -> "_Node":
+        missing = len(cls._fields) - len(values)
         if missing < 0:
-            raise TypeError(f"{type(self).__name__} has {len(fields)} field(s)")
-        values += (None,) * missing
-        d = self.__dict__
-        for name, value in zip(fields, values):
-            d[name] = value
-        d["_values"] = values  # the field values in order: what equality and hashing compare
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+            raise TypeError(f"{cls.__name__} has {len(cls._fields)} field(s)")
+        return _new_tuple(cls, values + (None,) * missing)
 
     @cached_property
     def _memo(self) -> dict:
@@ -219,7 +197,7 @@ def _sub_nodes(values: tuple, out: list) -> list:
 
 def _children(node: _Node) -> tuple:
     """Direct sub-nodes, in field order (a builtin predicate name is not a node)."""
-    return tuple(_sub_nodes(node._values, []))
+    return tuple(_sub_nodes(node, []))
 
 
 def _map_value(value, fn):
@@ -234,7 +212,7 @@ def _map(node: _Node, fn) -> _Node:
     """The node rebuilt with fn applied to each direct sub-node; a leaf is itself."""
     if not _children(node):
         return node
-    return type(node)(*(_map_value(value, fn) for value in node._values))
+    return type(node)(*(_map_value(value, fn) for value in node))
 
 
 def _nodes(node: _Node) -> Iterator[_Node]:

@@ -40,11 +40,11 @@ def _refuse(self, name: str, *value) -> None:
 
 
 class Frozen(tuple):
-    """An immutable record that caches nothing: the tuple of the fields
-    ``_fields`` names, each read as an attribute.  It hashes as that tuple, in
-    C; as a frozen dataclass, it equals only its own class (``StringVal("rank")
-    != Pseudo("rank")``), does not order and prints as ``Name(field=value)``.
-    """
+    """An immutable record: the tuple of the fields ``_fields`` names, each
+    read as an attribute.  It hashes as that tuple, in C; as a frozen
+    dataclass, it equals only its own class (``StringVal("rank") !=
+    Pseudo("rank")``), does not order and prints as ``Name(field=value)``.
+    A subclass without ``__slots__`` keeps only its caches in ``__dict__``."""
 
     __slots__ = ()
     _fields: tuple = ()

@@ -281,7 +281,7 @@ def _chain(rule: Rule) -> Optional[_Chain]:
     return None
 
 
-def _close_chain(ctx: _Ctx, rule: Rule, chain: _Chain, genv: dict, b: EntityId,
+def _close_chain(kb: KnowledgeBase, rule: Rule, chain: _Chain, genv: dict, b: EntityId,
                  a: EntityId, record) -> bool:
     """Derive B(x, z) for every z that A+ reaches from a B-successor of x.
 
@@ -292,15 +292,13 @@ def _close_chain(ctx: _Ctx, rule: Rule, chain: _Chain, genv: dict, b: EntityId,
     happened and the pass derived something: facts derived later in the
     pass may open a way around that node, so the rule must run again.
     """
-    kb = ctx.kb
-    keep_deprecated = ctx.cfg.include_deprecated
     edges: dict = {}
     for st in kb.by_property.get(a, ()):
-        if keep_deprecated or st.rank != "deprecated":
+        if st.rank != "deprecated":
             edges.setdefault(st.subject, []).append(st.value)
     sources: dict = {}
     for st in kb.by_property.get(b, ()) if edges else ():
-        if keep_deprecated or st.rank != "deprecated":
+        if st.rank != "deprecated":
             sources.setdefault(st.subject, []).append(st.value)
     xn, yn, zn = chain.b.args[0].name, chain.a.args[0].name, chain.a.args[1].name
     blocked = derived = False
@@ -349,13 +347,12 @@ def _derived_statement(rule: Rule, env: dict, kb: KnowledgeBase) -> Optional[Sta
 def closure(
     base: KnowledgeBase,
     rules: Optional[list] = None,
-    cfg: Optional[EvalConfig] = None,
     max_rounds: Optional[int] = None,
 ) -> ClosureResult:
     """Least fixpoint of the rules over a copy of the base KB."""
     if rules is None:
         rules = builtin_ontology()
-    cfg = cfg or EvalConfig()
+    cfg = EvalConfig()  # a deprecated statement never takes part in a derivation
     kb = base.copy()
     result = ClosureResult(kb=kb)
     shapes = [(rule, _chain(rule)) for rule in rules]
@@ -401,7 +398,7 @@ def closure(
                 key = (n, b, a)
                 if closed.get(key) == sizes(b, a):
                     continue  # no B or A fact arrived since its last pass
-                if _close_chain(ctx, rule, chain, genv, b, a, record):
+                if _close_chain(kb, rule, chain, genv, b, a, record):
                     closed.pop(key, None)
                 else:
                     closed[key] = sizes(b, a)

@@ -269,6 +269,15 @@ class TestCheck:
         result = violations(kb, max_violations=3)
         assert len(result.violations) == 3
 
+    def test_max_violations_keeps_every_skip_note(self):
+        # the format declaration comes after the cap is reached, and is skipped
+        kb = kb_from("P2302(P26, Q19474404)\nP26(Q1, Q2)\nP26(Q1, Q3)\n"
+                     'P2302(P212, Q21502404) @ {P1793: "\\\\p{L}+"}\nP212(Q1, "x")\n')
+        capped = check(kb, max_violations=1)
+        assert len(capped.violations) == 1
+        assert capped.notes == check(kb).notes
+        assert any("skipped format declaration" in note for note in capped.notes)
+
     def test_deterministic_order(self):
         kb = kb_from("P2302(P26, Q21510862)\n" +
                      "\n".join(f"P26(Q{i}, Q{i + 100})" for i in (3, 1, 2)))

@@ -1,5 +1,6 @@
 """Command line behavior and exit-status contract."""
 
+import gzip
 import json
 import os
 import pathlib
@@ -107,6 +108,18 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--input", str(path), "--no-close",
                            "--max-violations", "2", "--format", "json")
         assert len(json.loads(out)["violations"]) == 2
+
+    def test_max_violations_keeps_every_skip_note(self, capsys, tmp_path):
+        path = tmp_path / "notes.native"
+        path.write_text("P2302(P26, Q19474404)\nP26(Q1, Q2)\nP26(Q1, Q3)\n"
+                        'P2302(P212, Q21502404) @ {P1793: "\\\\p{L}+"}\nP212(Q1, "x")\n')
+        code, out, _ = run(capsys, "check", "--input", str(path), "--no-close",
+                           "--max-violations", "1")
+        assert code == 1
+        assert out == ("[regular] single_value on P26 with ?o1=Q2, ?o2=Q3, ?s=Q1\n"
+                       "note: skipped format declaration s4 on P212: "
+                       "unsupported regex construct in '\\\\p{L}+'\n"
+                       "1 violation(s), 0 suppressed\n  regular: 1\n")
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_max_violations_caps_global_templates(self, capsys, tmp_path, cap):
@@ -307,6 +320,23 @@ class TestQuery:
         assert (code, out) == (2, "")
         assert err == "error: 1:10: invalid date '2020-02-30': day is out of range for month\n"
 
+    @pytest.mark.parametrize("query", ["P1(?x, ?a) & ?z = difference(?a, 1)",
+                                       "P1(?x, ?a) & difference(?a, 1) = ?z"])
+    def test_undefined_function_term_equals_nothing(self, capsys, tmp_path, query):
+        path = tmp_path / "kb.native"
+        path.write_text("P1(Q1, Q9)\nP1(Q2, 5)\n")
+        code, out, err = run(capsys, "query", "--input", str(path), "--no-close", query)
+        assert (code, out, err) == (0, "?a=5, ?x=Q2, ?z=4\n", "")
+
+    def test_include_deprecated(self, capsys, tmp_path):
+        path = tmp_path / "dep.native"
+        path.write_text("P26(Q3, Q4) rank=deprecated\n")
+        code, out, _ = run(capsys, "query", "--input", str(path), "P26(?x, ?y)")
+        assert (code, out) == (0, "no bindings\n")
+        code, out, _ = run(capsys, "query", "--input", str(path), "--include-deprecated",
+                           "P26(?x, ?y)")
+        assert (code, out) == (0, "?x=Q3, ?y=Q4\n")
+
     def test_equality_binds_only_a_bare_variable(self, capsys, tmp_path):
         # the literal's ?d is bound by nothing, so the gate rejects the query
         path = tmp_path / "kb.native"
@@ -350,6 +380,15 @@ class TestInfer:
         closed.write_text(once)
         code, twice, _ = run(capsys, "infer", "--input", str(closed))
         assert once == twice
+
+    def test_include_deprecated_is_a_usage_error(self, capsys, tmp_path):
+        # the closure never uses a deprecated statement, so the flag would do nothing
+        path = tmp_path / "kb.native"
+        path.write_text("P279(Q1, Q2) rank=deprecated\nP279(Q2, Q3)\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--input", str(path), "--include-deprecated"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --include-deprecated" in capsys.readouterr().err
 
     def test_rule_body_must_be_safe_range(self, capsys, tmp_path):
         rules = tmp_path / "bad.rules"
@@ -497,6 +536,20 @@ class TestErrors:
         path.write_text("{not json")
         code, _, err = run(capsys, "check", "--input", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command, name, data, offset", [
+        (["check", "--input"], "kb.native.gz", gzip.compress(b"P26(Q1, Q2)\n", mtime=0), 1),
+        (["infer", "--input"], "kb.native", 'P1(Q1, "caf\u00e9")\n'.encode("latin-1"), 11),
+        (["check", "--input", "kb.native", "--rules"], "bad.rules",
+         b"name: r\nkind: rule\n\xff\n", 19),
+    ], ids=["gzip-input", "latin1-input", "rules-file"])
+    def test_file_not_utf8(self, capsys, tmp_path, monkeypatch, command, name, data, offset):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kb.native").write_text("P26(Q1, Q2)\n")
+        (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, *command, name)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {name}: not UTF-8 at byte offset {offset}\n"
 
     def test_no_input(self, capsys):
         code, _, err = run(capsys, "check")

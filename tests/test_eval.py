@@ -616,6 +616,19 @@ def test_function_terms_read_what_bare_variables_bind(text):
     assert _agrees(kb, text, domain_limit=12)
 
 
+@pytest.mark.parametrize("text", [
+    "P1(?x, ?a) & ?z = difference(?a, 1)",
+    "P1(?x, ?a) & difference(?a, 1) = ?z",
+    "P1(?x, ?a) & P1(?x, ?z) & ?z = difference(?a, 1)",  # neither side left to bind
+])
+def test_undefined_function_term_equals_nothing(text):
+    # difference(Q9, 1) is undefined: that match is false, the query goes on;
+    # P2 puts 3 in the oracle's active domain
+    kb = kb_from("P1(Q1, Q9)\nP1(Q2, 5)\nP1(Q2, 4)\nP2(Q3, 3)")
+    assert rows(kb, text) == rows(kb_from("P1(Q2, 5)\nP1(Q2, 4)\nP2(Q3, 3)"), text)
+    assert _agrees(kb, text, domain_limit=12)
+
+
 class _Counted(list):
     """A candidate list that counts the statements read from it."""
 

@@ -373,6 +373,9 @@ class TestNodes:
                 assert same is node
             with pytest.raises(AttributeError):
                 setattr(node, node._fields[0], None)
+            fields = tuple(node)  # a node is the tuple of its fields, but never equals one
+            assert node != fields and fields != node and hash(node) == hash(fields)
+            assert vars(node).keys().isdisjoint(node._fields)  # the dictionary holds caches only
         assert Exists("x", f) != Forall("x", f)
         assert And((f,)) != Or((f,))
 
@@ -394,7 +397,7 @@ class TestNodes:
         (Implies(_rel, _eq), (_rel, _eq)),
         (Exists("y", _rel, 2), (_rel,)),
         (Forall("x", _eq), (_eq,)),
-    ], ids=lambda v: str(len(v)) if isinstance(v, tuple) else type(v).__name__)
+    ], ids=lambda v: str(len(v)) if type(v) is tuple else type(v).__name__)
     def test_children_in_field_order(self, node, children):
         assert _children(node) == children
         assert _map(node, lambda c: c) == node
@@ -405,3 +408,5 @@ class TestNodes:
         assert repr(Exists("x", _eq)) == ("Exists(var='x', body=Eq(left=ObjVar(name='x'), "
                                           "right=Const(value=EntityId(kind='item', num=1))), "
                                           "count=None)")
+        with pytest.raises(TypeError):
+            Rel(_p26, (_x, _y), _S, None)
