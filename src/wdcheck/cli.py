@@ -56,10 +56,11 @@ def _load_inputs(specs: list, labels: LabelTable) -> KnowledgeBase:
         if fmt is None:
             # native text never starts with a JSON object or array
             fmt = "json" if text.lstrip()[:1] in ("{", "[") else "native"
-        if fmt == "json":
-            _, stats = load_wikidata_json(text, kb)
-        else:
-            _, stats = load_native(text, labels, kb)
+        try:
+            _, stats = load_wikidata_json(text, kb) if fmt == "json" \
+                else load_native(text, labels, kb)
+        except (IngestError, json.JSONDecodeError) as exc:
+            raise CliError(f"{path}: {exc}") from exc
         if stats.skipped:
             counts = Counter(reason for reason, _detail in stats.skipped)
             shown = ", ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
@@ -135,7 +136,11 @@ def cmd_query(args, labels: LabelTable) -> int:
     cfg = EvalConfig(include_deprecated=args.include_deprecated,
                      max_bindings=args.max_bindings)
     f = parse(args.formula, labels)
-    rows = [b.as_dict() for b in evaluate(kb, f, cfg)]
+    diagnostics: list = []
+    rows = [b.as_dict() for b in evaluate(kb, f, cfg, diagnostics)]
+    if diagnostics:  # a datatype error makes its atom false: say so, or "no bindings" misleads
+        print(f"note: {len(diagnostics)} datatype diagnostic(s); first: {diagnostics[0]}",
+              file=sys.stderr)
     if args.format == "json":
         print(json.dumps(
             [{k: str(v) for k, v in row.items()} for row in rows], indent=2))

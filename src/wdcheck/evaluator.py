@@ -15,11 +15,14 @@ plan fixes which conjuncts are ready and their cost classes, the projection
 of each quantifier, the ``exists v . !g`` of each ``forall``, and the access
 path of each statement atom (``_rel_path``): the one place that picks the
 statements an atom reads, the semi-naive delta of a closure round included,
-and that binds them with one environment per match.  At run time a plan
-reads only candidate counts.  A construct that cannot bind what it leaves
-open raises ``EvalError``.  The gate's verdicts are cached on the node as
-well, so a template variant whose ?p and ?CQ are parameters (``evaluate``'s
-``params``) is gated and planned once, however many declarations run it.
+and that binds them with one environment per match.  One rule, ``_extend``,
+matches each term of a statement or set atom that is neither known nor a
+variable's first bare occurrence, and checks a function term once the whole
+match is bound.  At run time a plan reads only candidate counts.  A
+construct that cannot bind what it leaves open raises ``EvalError``.  The
+gate's verdicts are cached on the node as well, so a template variant whose
+?p and ?CQ are parameters (``evaluate``'s ``params``) is gated and planned
+once, however many declarations run it.
 The brute-force oracle, with its own atom matcher, is in ``oracle``.
 
 Plans push their solutions into a continuation and stop when it returns True
@@ -167,38 +170,44 @@ def _value_of(t):
     return (lambda env, v=t.value: v) if isinstance(t, Const) else lambda env: _try_resolve(t, env)
 
 
-def _extend(terms: tuple, values: tuple, env: dict) -> Optional[dict]:
-    """env extended so that each term equals its value (one new dict at most), or None."""
+def _extend(terms: tuple, values: tuple, env: dict, late: tuple = ()) -> Optional[tuple]:
+    """(env2, late2) under which each constant and bare variable equals its value (one
+    new dict at most), or None; late2 adds each function term with the value it must
+    equal once the whole match is bound (``_holds``)."""
     out = env
     for t, v in zip(terms, values):
-        if isinstance(t, Const):
+        if isinstance(t, (ObjVar, SetVar)):
+            if t.name not in out:
+                if out is env:
+                    out = dict(env)
+                out[t.name] = v
+            elif out[t.name] != v:
+                return None
+        elif isinstance(t, Const):
             if t.value != v:
                 return None
-        elif isinstance(t, (ObjVar, SetVar)) and t.name not in out:
-            if out is env:
-                out = dict(env)
-            out[t.name] = v
-        elif _try_resolve(t, out) != v:
-            return None
-    return out
+        else:
+            late += ((t, v),)
+    return out, late
 
 
-def _names_pseudo(lit: SetLiteral) -> bool:
-    return any(isinstance(a, Const) and isinstance(a.value, Pseudo) for a, _v in lit.pairs)
+def _holds(env: dict, late: tuple) -> bool:
+    """Whether each deferred function term equals its value; an undefined one equals nothing."""
+    return all(_try_resolve(t, env) == v for t, v in late)
 
 
-def _bijections(lit: SetLiteral, quals: AttrSet, env: dict, i: int = 0, used=frozenset()):
-    """Extensions of env under which the literal's pairs from the i-th on map one to one
-    onto the pairs of quals not yet used.  Pseudo pairs of quals (mirrored rank and
-    references) count only when the literal names a pseudo attribute itself."""
-    targets = (quals if _names_pseudo(lit) else quals.without_pseudo()).sorted_pairs()
-    if i == len(lit.pairs) == len(targets):
-        yield env
-    elif len(lit.pairs) == len(targets):
-        for j, target in enumerate(targets):
-            out = None if j in used else _extend(lit.pairs[i], target, env)
-            if out is not None:
-                yield from _bijections(lit, quals, out, i + 1, used | {j})
+def _bijections(pairs: tuple, targets: list, env: dict, late: tuple, i: int = 0,
+                used=frozenset()):
+    """Extensions of env under which pairs[i:] map one to one onto the targets not yet
+    used (as many as the pairs) and the deferred terms of late hold."""
+    if i == len(pairs):
+        if _holds(env, late):
+            yield env
+        return
+    for j, target in enumerate(targets):
+        m = None if j in used else _extend(pairs[i], target, env, late)
+        if m is not None:
+            yield from _bijections(pairs, targets, *m, i + 1, used | {j})
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +223,12 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
     the subject, value or property index for a known predicate; the subject
     index, the ``_qualifier_key`` bucket or every statement for an open one; a
     builtin table's rows.  ``run(ctx, env, k, candidates=None)`` is the atom's
-    plan: it builds one environment per match and passes it to k.  Each
-    position is a known value (tested unless the index keyed on it; all
-    tested positions in one comparison, ``_tests``), a fresh variable, a
-    repeat of one, or a term resolved under the match; a literal is one known
-    set or is matched pair by pair.
+    plan: it builds one environment per match and passes it to k.  A position
+    that is a known value is tested unless the index keyed on it (all tested
+    positions in one comparison, ``_tests``), and the first bare occurrence of
+    a variable is bound.  Every other position (a repeat, a function term) and
+    a literal's pairs, which ``_bijections`` maps one to one onto the
+    statement's qualifiers, are matched by ``_extend``'s one rule.
     """
     args = {"no_value": ("property", "subject"), "Commons_namespace": ("subject", "value")}
     terms = dict(zip(args.get(rel.pred, ("subject", "value")), rel.args))
@@ -227,16 +237,14 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
     if isinstance(rel.attrs, SetVar):
         terms["qualifiers"] = rel.attrs
     known = {f: _value_of(t) for f, t in terms.items() if free_variables(t) <= bound}
-    fresh, same, late = {}, [], []  # fresh: variable -> the field that binds it
+    fresh, later = {}, []  # fresh: variable -> the field that binds it; later: left to _extend
     for f, t in terms.items():
         if f in known:
             continue
-        if not isinstance(t, (ObjVar, SetVar)):
-            late.append((f, t))
-        elif t.name in fresh:
-            same.append((f, fresh[t.name]))
-        else:
+        if isinstance(t, (ObjVar, SetVar)) and t.name not in fresh:
             fresh[t.name] = f
+        else:
+            later.append((f, t))
     pred, subj, value = known.get("property"), known.get("subject"), known.get("value")
     key = _qualifier_key(rel, bound, siblings)
     if isinstance(rel.pred, str):  # only a Commons page is looked up
@@ -253,20 +261,18 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
             else ("by_qualifier_attr", _value_of(key), ()) if key else (None, None, ())
     tests = _tests(known, [f for f in known if f not in covered])
     delta_tests = _tests(known, [f for f in known if f != "property"])
-    same_f, same_g = (attrgetter(*fs) for fs in zip(*same)) if same else (None, None)
     lit = rel.attrs if isinstance(rel.attrs, SetLiteral) else None
-    whole = lit is not None and free_variables(lit) <= bound
-    pseudo = lit is not None and _names_pseudo(lit)
-    held: dict = {}  # placeholder variable -> a function term of a literal that is not whole
-    if lit is not None and not whole:
-        # matched as a placeholder, resolved once every pair is: it may read any pair's variable
-        def hold(t):
-            if not isinstance(t, FuncApp):
-                return t
-            held[f"#{len(held)}"] = t
-            return ObjVar(f"#{len(held) - 1}")
+    pairs = lit.pairs if lit is not None else ()
+    # pseudo pairs of a statement (mirrored rank and references) count when the literal names one
+    pseudo = any(isinstance(a, Const) and isinstance(a.value, Pseudo) for a, _v in pairs)
+    later_fields, later_terms = zip(*later) if later else ((), ())
 
-        lit = SetLiteral(tuple((hold(a), hold(v)) for a, v in lit.pairs))
+    def matches(st: Statement, out: dict):
+        """out's extensions under which the later positions and the literal's pairs match st."""
+        quals = () if lit is None else \
+            (st.qualifiers if pseudo else st.qualifiers.without_pseudo()).sorted_pairs()
+        m = _extend(later_terms, [getattr(st, f) for f in later_fields], out)
+        return () if m is None or len(quals) != len(pairs) else _bijections(pairs, quals, *m)
 
     def read(ctx: _Ctx, env: dict):
         if ctx.delta is not None and ctx.delta[0] is rel:
@@ -281,30 +287,22 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
     def run(ctx: _Ctx, env: dict, k, candidates=None) -> bool:
         if candidates is None:
             candidates = read(ctx, env)
-        want = _try_resolve(lit, env) if whole else None  # collapsed pairs match no set
-        if not candidates or whole and (want is None or len(want) < len(lit.pairs)):
+        if not candidates:
             return False
         tested, expect = delta_tests if ctx.delta is not None and ctx.delta[0] is rel else tests
         expected = tested and expect(env)
         keep_deprecated = ctx.cfg.include_deprecated
         for st in candidates:
             if st.rank == "deprecated" and not keep_deprecated \
-                    or tested and tested(st) != expected \
-                    or same and same_f(st) != same_g(st) \
-                    or whole and want != (st.qualifiers if pseudo else st.qualifiers.without_pseudo()):
+                    or tested and tested(st) != expected:
                 continue
             out = env
             if fresh:
                 out = env.copy()
                 for name, f in fresh.items():
                     out[name] = getattr(st, f)
-            for out2 in (out,) if lit is None or whole else _bijections(lit, st.qualifiers, out):
-                if held:
-                    if any(_try_resolve(t, out2) != out2[name] for name, t in held.items()):
-                        continue
-                    out2 = {key: v for key, v in out2.items() if key not in held}
-                if (not late or all(_try_resolve(t, out2) == getattr(st, f) for f, t in late)) \
-                        and k(out2):
+            for out2 in (out,) if lit is None and not later else matches(st, out):
+                if k(out2):
                     return True
         return False
 
@@ -336,9 +334,9 @@ def _match_member(atom: SetMember, env: dict) -> Iterator[dict]:
     if target is None and free_variables(atom.set) - env.keys():
         raise EvalError("set atom evaluated before its set term was bound")
     for pair in target.sorted_pairs() if target is not None else ():
-        out = _extend((atom.attr, atom.value), pair, env)
-        if out is not None:
-            yield out
+        m = _extend((atom.attr, atom.value), pair, env)
+        if m is not None and (not m[1] or _holds(*m)):
+            yield m[0]
 
 
 def _match_eq(atom: Eq, env: dict) -> Iterator[dict]:

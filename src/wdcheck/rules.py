@@ -344,12 +344,8 @@ def _derived_statement(rule: Rule, env: dict, kb: KnowledgeBase) -> Optional[Sta
     return make_statement(kb.fresh_statement_id("d"), subj, pred, value, quals, rank, refs)
 
 
-def closure(
-    base: KnowledgeBase,
-    rules: Optional[list] = None,
-    max_rounds: Optional[int] = None,
-) -> ClosureResult:
-    """Least fixpoint of the rules over a copy of the base KB."""
+def closure(base: KnowledgeBase, rules: Optional[list] = None) -> ClosureResult:
+    """Least fixpoint of the rules over a copy of the base KB; it is finite (module docstring)."""
     if rules is None:
         rules = builtin_ontology()
     cfg = EvalConfig()  # a deprecated statement never takes part in a derivation
@@ -373,8 +369,6 @@ def closure(
 
     while True:
         result.rounds += 1
-        if max_rounds is not None and result.rounds > max_rounds:
-            raise RuleError(f"closure did not settle within {max_rounds} rounds")
         fresh.clear()
         ctx = _Ctx(kb, cfg)
         if delta is None:  # the first round joins over everything

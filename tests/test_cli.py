@@ -288,6 +288,17 @@ class TestQuery:
         code, out, err = run(capsys, "query", "--input", str(path), "--no-close", query)
         assert (code, out, err) == (0, rows, "")
 
+    @pytest.mark.parametrize("fmt, shown", [("text", "no bindings\n"), ("json", "[]\n")])
+    def test_datatype_diagnostics_noted(self, capsys, tmp_path, fmt, shown):
+        # the bad pattern makes the atom false: stdout and the exit code are as without a note
+        path = tmp_path / "kb.native"
+        path.write_text('P212(Q1, "x")\nP212(Q2, "y")\n')
+        code, out, err = run(capsys, "query", "--input", str(path), "--no-close",
+                             "--format", fmt, 'P212(?x, ?y) & matches_regex(?y, "[")')
+        assert (code, out) == (0, shown)
+        assert err == ("note: 2 datatype diagnostic(s); first: cannot compile '[': "
+                       "unterminated character set at position 0\n")
+
     @pytest.mark.parametrize("facts", ["P31(Q1, Q5)\n", "P31(Q1, Q5)\nP26(Q1, Q2)\n"])
     @pytest.mark.parametrize("query,var", [
         ("P26(?x, ?y) & exists ?z . !P31(?z, ?y)", "z"),
@@ -560,8 +571,28 @@ class TestErrors:
         path.write_text("P31(Q1, Q5)\nP569(Q1, 2020-02-30)\n")
         code, out, err = run(capsys, "check", "--input", str(path))
         assert (code, out) == (2, "")
-        assert err == ("error: line 2: 1:10: invalid date '2020-02-30': "
+        assert err == (f"error: {path}: line 2: 1:10: invalid date '2020-02-30': "
                        "day is out of range for month\n")
+
+    def test_load_error_names_the_input_that_has_it(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.native").write_text("P1(Q1, Q2)\n")
+        (tmp_path / "bad.native").write_text("P1(Q1, 2020-02-30)\n")
+        code, out, err = run(capsys, "check", "--no-close",
+                             "--input", "a.native", "--input", "bad.native")
+        assert (code, out) == (2, "")
+        assert err == ("error: bad.native: line 1: 1:8: invalid date '2020-02-30': "
+                       "day is out of range for month\n")
+
+    def test_json_syntax_error_names_the_input(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.native").write_text("P1(Q1, Q2)\n")
+        (tmp_path / "bad.json").write_text('[{"id": "Q1" "claims": {}}]')
+        code, out, err = run(capsys, "check", "--no-close",
+                             "--input", "a.native", "--input", "bad.json")
+        assert (code, out) == (2, "")
+        assert err == ("error: bad.json: Expecting ',' delimiter: "
+                       "line 1 column 14 (char 13)\n")
 
     def test_crash_exits_2_not_1(self, capsys, family_file, monkeypatch):
         def crash(*args, **kwargs):

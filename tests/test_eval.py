@@ -616,6 +616,65 @@ def test_function_terms_read_what_bare_variables_bind(text):
     assert _agrees(kb, text, domain_limit=12)
 
 
+@pytest.mark.parametrize("text, v", [
+    ("P1(?x, ?y)@?S & (difference(?v, 1) : ?v) in ?S", {"v": "5"}),
+    ("P1(?x, ?y)@?S & exists ?v . (difference(?v, 1) : ?v) in ?S", {}),
+])
+def test_set_atom_function_term_reads_the_variable_its_pair_binds(text, v):
+    # ?v stands after the function term that reads it, in the same pair
+    kb = kb_from("P1(Q1, Q2) @ {4: 5}")
+    assert rows(kb, text) == [{"S": '{rank: "normal", 4: 5}', "x": "Q1", "y": "Q2", **v}]
+    assert _agrees(kb, text, domain_limit=12)
+
+
+# Where difference(?u, 1) stands: a set atom's attribute or value, a statement
+# position, or a literal pair, next to a partner term.  ?u is bound by that
+# partner (before or after the function term), by another pair or set atom,
+# or by an earlier conjunct.  The statements have quantity qualifier
+# attributes and values, so the term is often defined and often matches; an
+# item ?u leaves it undefined, and then it matches nothing.
+_FN_STATEMENTS = st.tuples(
+    st.sampled_from(["Q1", "Q2"]),
+    st.sampled_from(["1", "2", "3", "Q1"]),
+    st.lists(st.tuples(st.sampled_from(["1", "2", "P2"]), st.sampled_from(["1", "2", "3", "Q1"])),
+             max_size=2, unique=True),
+)
+
+
+@st.composite
+def _function_term_query(draw, stmts):
+    s, o, _quals = draw(st.sampled_from(stmts))
+    fn = "difference(?u, 1)"
+    partner = draw(st.sampled_from(["?u", "?u", "?w", "2", "Q1"]))
+    a, b = (fn, partner) if draw(st.booleans()) else (partner, fn)
+    binder = draw(st.sampled_from(["conjunct", "pair"] + (["none"] if partner == "?u" else [])))
+    c, d = draw(st.sampled_from([("2", "?u"), ("?u", "1"), ("P2", "?u")]))
+    first = draw(st.booleans())  # the binding pair or set atom stands before the term's
+    where = draw(st.sampled_from(["member", "position", "literal"]))
+    if where == "member":
+        atoms = [f"({a} : {b}) in ?S"] + ([f"({c} : {d}) in ?S"] if binder == "pair" else [])
+        query = " & ".join([f"P1({s}, {o})@?S"] + (atoms[::-1] if first else atoms))
+    elif where == "position":
+        query = f"P1({a}, {b})" + (f"@{{{c}: {d}}}" if binder == "pair" else "")
+    else:
+        pairs = [f"{a}: {b}"] + ([f"{c}: {d}"] if binder == "pair" else [])
+        query = f"P1({s}, {o})@{{{', '.join(pairs[::-1] if first else pairs)}}}"
+    if binder == "conjunct":
+        query = f"P1({draw(st.sampled_from(['Q1', 'Q2']))}, ?u) & {query}"
+    return query
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FN_STATEMENTS, min_size=1, max_size=3), st.data())
+def test_function_terms_match_wherever_they_stand(stmts, data):
+    kb = kb_from("\n".join(f"P1({s}, {o}) @ {{{', '.join(f'{a}: {v}' for a, v in quals)}}}"
+                           for s, o, quals in stmts))
+    f = parse(data.draw(_function_term_query(stmts)))
+    assert check_safe_range(f) is None
+    cfg = EvalConfig(oracle_domain_limit=16)
+    assert set(evaluate(kb, f, cfg)) == set(brute_force_evaluate(kb, f, cfg))
+
+
 @pytest.mark.parametrize("text", [
     "P1(?x, ?a) & ?z = difference(?a, 1)",
     "P1(?x, ?a) & difference(?a, 1) = ?z",

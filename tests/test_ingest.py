@@ -605,8 +605,8 @@ def test_json_shape_fault_skips_the_smallest_unit(capsys, tmp_path, path, value,
     if skipped is None:
         with pytest.raises(IngestError):
             load_wikidata_json(dump)
-        assert (code, out, err) == (2, "", "error: expected 'entities' to map ids to "
-                                           "documents, not a list\n")
+        assert (code, out, err) == (2, "", f"error: {file}: expected 'entities' to map ids "
+                                           "to documents, not a list\n")
         return
     kb, stats = load_wikidata_json(dump)
     assert (stats.skipped, len(kb.statements)) == ([skipped], loaded)

@@ -217,11 +217,6 @@ class TestClosure:
         closed = closure(kb, rules=rules).kb
         assert closed.has_fact(Q(1), P(1038), Q(3), AttrSet())
 
-    def test_max_rounds_guard(self):
-        kb = kb_from("P279(Q1, Q2)\nP279(Q2, Q1)")
-        with pytest.raises(RuleError):
-            closure(kb, max_rounds=0)
-
     def test_derived_rank_defaults_to_normal(self):
         kb = kb_from("P279(Q1, Q2)\nP279(Q2, Q3)")
         result = closure(kb)
