@@ -28,7 +28,6 @@ from .model import (
     AttrSet,
     EntityId,
     KnowledgeBase,
-    QuantityVal,
     Record,
     StringVal,
     UnsupportedPattern,
@@ -105,23 +104,13 @@ def extract_declarations(kb: KnowledgeBase) -> list:
                 or is_property(st.value):
             continue
         params = st.qualifiers
-        severity = "regular"
-        for v in params.values_for(L.PARAM_STATUS):
-            if v == L.MANDATORY_STATUS:
-                severity = "mandatory"
-            elif v == L.SUGGESTION_STATUS:
-                severity = "suggestion"
+        statuses = params.values_for(L.PARAM_STATUS)  # mandatory outranks suggestion
+        severity = "mandatory" if L.MANDATORY_STATUS in statuses \
+            else "suggestion" if L.SUGGESTION_STATUS in statuses else "regular"
         exceptions = tuple(v for v in params.values_for(L.PARAM_EXCEPTION)
                            if isinstance(v, EntityId))
         out.append(Declaration(st.id, st.subject, st.value, params, severity, exceptions))
     return out
-
-
-def _count_value(params: AttrSet, attr: EntityId) -> Optional[int]:
-    for v in params.values_for(attr):
-        if isinstance(v, QuantityVal) and v.amount == int(v.amount) and v.amount >= 1:
-            return int(v.amount)
-    return None
 
 
 # label table -> {variant text: violation query}; keyed by the table object,
@@ -132,37 +121,15 @@ _QUERY_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _PARAMS = frozenset(("p", "CQ"))
 
 
-def _violation_query(text: str, labels: LabelTable) -> Formula:
-    """The negated variant text, parsed once per label table; ?p and ?CQ stay free."""
+def _variant_query(tpl: ConstraintTemplate, var: Variant, labels: LabelTable) -> tuple:
+    """(violation query, gate verdict) of a variant: its text parsed and negated once per
+    label table, ?p and ?CQ left free for its declarations to bind, and None or why the
+    query is not range-restricted once they are."""
     cache = _QUERY_CACHE.setdefault(labels, {})
-    if text not in cache:
-        cache[text] = negate_to_violation_query(parse(text, labels))
-    return cache[text]
-
-
-def _variant_queries(tpl: ConstraintTemplate, decl: Optional[Declaration],
-                     labels: LabelTable) -> Iterator[tuple]:
-    """(variant, violation query) for each enabled variant of the template.
-
-    Where a variant applies is up to its formula; only a counting variant
-    needs its declaration's count written into the text.
-    """
-    if decl is None and tpl.type_item is not None:
-        raise CatalogError(f"template {tpl.name} needs a declaration")
-    for var in tpl.variants:
-        if not var.enabled:
-            continue
-        text = var.text
-        if var.count_param is not None:
-            k = _count_value(decl.params, var.count_param)
-            if k is None:
-                continue
-            text = text.replace("<K>", str(k))
-        yield var, _violation_query(text, labels)
-
-
-def _params_of(decl: Optional[Declaration]) -> dict:
-    return {} if decl is None else {"p": decl.property, "CQ": decl.params}
+    query = cache.get(var.text)
+    if query is None:
+        query = cache[var.text] = negate_to_violation_query(parse(var.text, labels))
+    return query, check_safe_range(query, () if tpl.type_item is None else _PARAMS)
 
 
 def derive_violation_queries(
@@ -170,23 +137,21 @@ def derive_violation_queries(
     decl: Optional[Declaration] = None,
     labels: Optional[LabelTable] = None,
 ) -> list:
-    """(variant, query) pairs: negated formulae, with ?p and ?CQ replaced if declared."""
-    params = _params_of(decl)
-    return [(var, _ground(query, params))
-            for var, query in _variant_queries(tpl, decl, labels or DEFAULT_LABELS)]
-
-
-def _ground(query: Formula, params: dict) -> Formula:
-    if not params:
-        return query
-    return substitute(query, {"p": params["p"]}, {"CQ": params["CQ"]})
+    """(variant, query) pairs of the enabled variants, with a declaration's ?p and
+    ?CQ written in as constants."""
+    if decl is None and tpl.type_item is not None:
+        raise CatalogError(f"template {tpl.name} needs a declaration")
+    labels = labels or DEFAULT_LABELS
+    objmap, setmap = ({}, {}) if decl is None else ({"p": decl.property}, {"CQ": decl.params})
+    return [(var, substitute(_variant_query(tpl, var, labels)[0], objmap, setmap))
+            for var in tpl.variants if var.enabled]
 
 
 class Instance(NamedTuple):
     """A violation query to evaluate, or (query None) a note on what was skipped.
 
     A property template's query keeps ?p and ?CQ free; ``params`` binds them
-    to the declaration, and ``ground_query`` writes them in.
+    to the declaration, for the evaluator and the oracle alike.
     """
 
     template: ConstraintTemplate
@@ -197,10 +162,8 @@ class Instance(NamedTuple):
 
     @property
     def params(self) -> dict:
-        return _params_of(self.declaration)
-
-    def ground_query(self) -> Formula:
-        return _ground(self.query, self.params)
+        decl = self.declaration
+        return {} if decl is None else {"p": decl.property, "CQ": decl.params}
 
 
 def instantiate(kb: KnowledgeBase, templates: list,
@@ -208,23 +171,24 @@ def instantiate(kb: KnowledgeBase, templates: list,
     """Every violation query of the templates over the KB's declarations.
 
     Global templates are instantiated once; a property template once per
-    declaration of its type item.  Each distinct variant text is parsed,
-    negated and gated once; its declarations share the query.  Declarations
-    that fail prevalidation and queries that are not range-restricted come
-    out as notes, in order.
+    declaration of its type item.  Each enabled variant is parsed, negated
+    and gated once; its declarations share the query.  Declarations that fail
+    prevalidation and queries that are not range-restricted come out as
+    notes, in order.
     """
     labels = labels or DEFAULT_LABELS
     declarations = extract_declarations(kb)
     for tpl in templates:
         decls = [None] if tpl.type_item is None else [
             d for d in declarations if d.type_item == tpl.type_item]
-        params = () if tpl.type_item is None else _PARAMS
         for decl in decls:
             if decl is not None and (note := _prevalidate(tpl, decl)):
                 yield Instance(tpl, decl, None, None, note)
                 continue
-            for var, query in _variant_queries(tpl, decl, labels):
-                problem = check_safe_range(query, params)
+            for var in tpl.variants:
+                if not var.enabled:
+                    continue
+                query, problem = _variant_query(tpl, var, labels)
                 if problem:
                     yield Instance(tpl, decl, var, None, f"skipped {tpl.name}/{var.name}: "
                                    f"query not range-restricted ({problem})")
@@ -269,8 +233,8 @@ def check(
 
 def _prevalidate(tpl: ConstraintTemplate, decl: Declaration) -> Optional[str]:
     if tpl.name == "format":
-        for v in decl.params.values_for(L.PARAM_REGEX):
-            if isinstance(v, StringVal):
+        for a, v in decl.params.sorted_pairs():  # the first bad pattern in a fixed order
+            if a == L.PARAM_REGEX and isinstance(v, StringVal):
                 try:
                     compile_pattern(v.text)
                 except UnsupportedPattern as exc:
@@ -384,17 +348,13 @@ def validate_catalog(labels: Optional[LabelTable] = None) -> list:
 
     Returns a list of problems; an empty list means the catalog is sound.
     """
-    labels = labels or DEFAULT_LABELS
     problems = []
     for tpl in builtin_templates():
-        params = () if tpl.type_item is None else _PARAMS
         for var in tpl.variants:
             try:
-                query = _violation_query(var.text.replace("<K>", "2"), labels)
+                issue = _variant_query(tpl, var, labels or DEFAULT_LABELS)[1]
             except Exception as exc:
-                problems.append(f"{tpl.name}/{var.name}: {exc}")
-                continue
-            issue = check_safe_range(query, params)
+                issue = exc
             if issue:
                 problems.append(f"{tpl.name}/{var.name}: {issue}")
     return problems

@@ -53,6 +53,7 @@ from .formula import (
     SetLiteral,
     SetMember,
     SetVar,
+    _Node,
     _children,
     free_variables,
     negate,
@@ -71,6 +72,7 @@ from .model import (
     _new_tuple,
     datatype_function,
     datatype_relation,
+    witness_count,
 )
 
 
@@ -555,7 +557,8 @@ _ONCE = (SetMember, Eq, DtRel, Not, Implies, Exists, Forall)  # as tests, match 
 
 def _exists_plan(f, bound: frozenset):
     """The body's solutions projected onto the other variables; each outer
-    binding holds once it has one (``exists[k]``: k) distinct witnesses."""
+    binding holds once it has one (``exists[k]``, and ``exists[?k]`` each run: k)
+    distinct witnesses."""
     if f.var in bound:  # an outer ?var: hidden from the body, put back into what it finds
         var, plan = f.var, _plan(f, bound - {f.var})
         return lambda ctx, env, k: plan(ctx, {key: v for key, v in env.items() if key != var},
@@ -565,12 +568,8 @@ def _exists_plan(f, bound: frozenset):
         raise _unbound(f, loose)
     body, var = _plan(f.body, bound), f.var
     kept = tuple(sorted(bound | free_variables(f)))
-    need = f.count or 1
 
-    if need == 1 and free_variables(f) <= bound:  # a test, decided at the first witness
-        return lambda ctx, env, k: body(ctx, env, _stop) and k(env)
-
-    def run(ctx: _Ctx, env: dict, k) -> bool:
+    def run(ctx: _Ctx, env: dict, k, need=f.count or 1) -> bool:
         witnesses: dict = {}
 
         def each(env2: dict) -> bool:
@@ -582,6 +581,12 @@ def _exists_plan(f, bound: frozenset):
             return False
         return body(ctx, env, each)
 
+    if isinstance(f.count, _Node):  # exists[?k]
+        count = _value_of(f.count)
+        return lambda ctx, env, k: bool(need := witness_count(count(env), ctx.diagnostics)) \
+            and run(ctx, env, k, need)
+    if (f.count or 1) == 1 and free_variables(f) <= bound:  # a test, decided at the first witness
+        return lambda ctx, env, k: body(ctx, env, _stop) and k(env)
     return run
 
 
@@ -627,8 +632,9 @@ def _binds(f: Formula, pre) -> frozenset:
         return free_variables(f) & bound
     if isinstance(f, Or):
         return frozenset.intersection(*[_binds(g, pre) for g in f.items])
-    if isinstance(f, Exists):
-        return _binds(f.body, pre - {f.var}) - {f.var}
+    if isinstance(f, Exists):  # exists[?k] reads ?k: something outside must bind it
+        out = _binds(f.body, pre - {f.var}) - {f.var}
+        return out - {f.count.name} if isinstance(f.count, ObjVar) else out
     return _NOTHING  # DtRel, Not, Implies and Forall only test
 
 

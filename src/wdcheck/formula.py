@@ -5,7 +5,8 @@ relational atom ``P26(?x, ?y)@?SQ`` matches a statement together with its
 qualifier set; a set atom ``(P585 : ?v) in ?SQ`` tests qualifier membership.
 Connectives are ``!``, ``&``, ``|`` and ``->`` (in decreasing precedence,
 ``->`` right-associative); quantifiers are ``exists ?x . f``, ``forall ?x . f``
-and the counting form ``exists[k] ?x . f``.  Variables starting with a
+and the counting forms ``exists[k] ?x . f`` and (``?k`` bound outside it)
+``exists[?k] ?x . f``.  Variables starting with a
 lowercase letter range over values, uppercase ones over qualifier sets.
 Bare lowercase names are resolved through the label table (``spouse``), as
 are backtick-quoted labels; datatype relations (``less_than``) and functions
@@ -154,7 +155,8 @@ class Implies(_Node):
 
 
 class Exists(_Node):
-    """``exists ?var . body``; with a count k, ``exists[k]``: k distinct witnesses."""
+    """``exists ?var . body``; with a count, k distinct witnesses: ``exists[k]``
+    (an int) or ``exists[?k]`` (an ObjVar, bound outside the quantifier)."""
 
     _fields = ("var", "body", "count")
 
@@ -430,14 +432,19 @@ class Parser:
         if kind == "exists" and self.peek().text == "[":
             self.advance()
             num = self.peek()
-            if num.kind != "number" or "." in num.text or int(num.text) < 1:
+            if num.kind == "var":
+                count = self.term()  # an object variable: term() refuses a set variable
+            elif num.kind != "number" or "." in num.text or int(num.text) < 1:
                 self.fail("expected a positive integer count")
-            count = int(self.advance().text)
+            else:
+                count = int(self.advance().text)
             self.expect("]")
         names = [self.variable_name()]
         while self.peek().text == ",":
             self.advance()
             names.append(self.variable_name())
+        if isinstance(count, ObjVar) and count.name in names:
+            self.fail("a counting quantifier cannot bind its own count variable", tok)
         self.expect(".")
         body = self.implies()
         for name in reversed(names):
@@ -764,7 +771,8 @@ def _print(f: Formula, min_prec: int) -> str:
     elif isinstance(f, Implies):
         text = _print(f.body, 1) + " -> " + _print(f.head, 0)
     elif isinstance(f, Exists):
-        count = "" if f.count is None else f"[{f.count}]"
+        count = "" if f.count is None else \
+            f"[{_print_term(f.count) if isinstance(f.count, _Node) else f.count}]"
         text = f"exists{count} ?{f.var} . " + _print(f.body, 0)
     elif isinstance(f, Forall):
         text = f"forall ?{f.var} . " + _print(f.body, 0)

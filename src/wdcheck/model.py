@@ -533,11 +533,8 @@ class KnowledgeBase:
 
     # -- lookup -------------------------------------------------------------
 
-    def facts_for(self, property: EntityId, include_deprecated: bool = False) -> list[Statement]:
-        out = self.by_property.get(property, [])
-        if include_deprecated:
-            return list(out)
-        return [st for st in out if st.rank != "deprecated"]
+    def facts_for(self, property: EntityId) -> list[Statement]:  # deprecated ones left out
+        return [st for st in self.by_property.get(property, ()) if st.rank != "deprecated"]
 
     @property
     def by_qualifier_attr(self) -> dict[Value, list[Statement]]:
@@ -779,6 +776,16 @@ def datatype_relation(name: str, *args: Value) -> bool:
     if len(args) != arity:
         raise DatatypeError(f"{name} expects {arity} arguments, got {len(args)}")
     return fn(*args)
+
+
+def witness_count(v: Value, diagnostics: list) -> int:
+    """How many witnesses ``exists[?k]`` needs when ?k is v, a positive integer without
+    a unit; for any other v, 0 (the quantifier is false) and a diagnostic."""
+    if isinstance(v, QuantityVal) and v.unit is None and v.amount >= 1 \
+            and v.amount == v.amount.to_integral_value():
+        return int(v.amount)
+    diagnostics.append(f"a count must be a positive integer without a unit, got {v}")
+    return 0
 
 
 def _fn_difference(a: Value, b: Value) -> Value:

@@ -4,7 +4,8 @@
 variables over the variable pools and keeps those under which ``holds``: an
 object variable ranges over the active domain (the KB's constants plus the
 formula's own), a set variable over the KB's qualifier sets plus the
-formula's ground set literals.  Quantifiers range over the same pools.
+formula's ground set literals.  Quantifiers range over the same pools, which
+a parameter's values join (``params``, as ``evaluate`` takes them).
 Under a total binding an atom only needs a yes or no, so the oracle
 decides atoms with its own ground matcher and shares no matching code with
 the evaluator: it checks the evaluator's access paths as well as its plans.
@@ -49,6 +50,7 @@ from .model import (
     _value_sort_key,
     datatype_function,
     datatype_relation,
+    witness_count,
 )
 
 
@@ -60,22 +62,26 @@ class _PoolCtx:
     """One oracle run: the KB, the config, the diagnostics and the variable pools."""
 
     def __init__(self, kb: KnowledgeBase, cfg: EvalConfig, formula: Formula,
-                 diagnostics: Optional[list] = None) -> None:
+                 diagnostics: Optional[list] = None, params: Optional[dict] = None) -> None:
         self.kb = kb
         self.cfg = cfg
         self.diagnostics = diagnostics if diagnostics is not None else []
         self.formula = formula
+        self.params = params or {}
 
     @cached_property
     def domain(self) -> list:
-        """Object-variable pool: the KB's and the formula's constants, sorted."""
+        """Object-variable pool: the KB's, the formula's and the parameters' constants, sorted."""
         dom = set(self.kb.active_domain()) | all_constants(self.formula)
+        for v in self.params.values():  # a set parameter's attributes and values
+            dom.update(itertools.chain.from_iterable(v) if isinstance(v, AttrSet) else (v,))
         return sorted(dom, key=_value_sort_key)
 
     @cached_property
     def set_domain(self) -> list:
-        """Set-variable pool: the KB's qualifier sets and the formula's ground literals."""
-        return sorted(self.kb.attr_sets() | ground_set_literals(self.formula), key=str)
+        """Set-variable pool: the KB's qualifier sets, the formula's ground literals and params."""
+        sets = {v for v in self.params.values() if isinstance(v, AttrSet)}
+        return sorted(self.kb.attr_sets() | ground_set_literals(self.formula) | sets, key=str)
 
     def pool(self, var: str) -> list:
         return self.set_domain if is_set_name(var) else self.domain
@@ -186,7 +192,9 @@ def _holds(ctx: _PoolCtx, f: Formula, env: dict) -> bool:
         return all(_holds(ctx, f.body, {**env, f.var: v}) for v in ctx.pool(f.var))
     if isinstance(f, Exists):
         need, found = f.count or 1, 0
-        for v in ctx.pool(f.var):
+        if not isinstance(need, int):  # exists[?k]; 0 when ?k is no count: false
+            need = witness_count(_value(f.count, env), ctx.diagnostics)
+        for v in ctx.pool(f.var) if need else ():
             if _holds(ctx, f.body, {**env, f.var: v}):
                 found += 1
                 if found == need:
@@ -200,19 +208,22 @@ def brute_force_evaluate(
     f: Formula,
     cfg: Optional[EvalConfig] = None,
     diagnostics: Optional[list] = None,
+    params: Optional[dict] = None,
 ) -> Iterator[Binding]:
-    """Enumerate every total binding and filter by holds (testing oracle)."""
+    """Enumerate every total binding and filter by holds (testing oracle); the
+    bindings leave out the variables that ``params`` binds."""
     cfg = cfg or EvalConfig()
-    ctx = _PoolCtx(kb, cfg, f, diagnostics)
+    params = dict(params or {})
+    ctx = _PoolCtx(kb, cfg, f, diagnostics, params)
     if len(ctx.domain) > cfg.oracle_domain_limit:
         raise DomainTooLarge(
             f"active domain has {len(ctx.domain)} constants, oracle limit is {cfg.oracle_domain_limit}")
-    fv = sorted(free_variables(f))
+    fv = sorted(free_variables(f) - params.keys())
     pools = [ctx.pool(v) for v in fv]
     count = 0
     for combo in itertools.product(*pools):
         env = dict(zip(fv, combo))
-        if _holds(ctx, f, env):
+        if _holds(ctx, f, {**params, **env}):
             yield Binding.of(env)
             count += 1
             if cfg.max_bindings is not None and count >= cfg.max_bindings:

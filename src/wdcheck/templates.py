@@ -21,18 +21,16 @@ from .model import EntityId, Frozen, _new_tuple
 
 
 class Variant(Frozen):
-    """One formula of a template; the formula alone decides where it applies.
-
-    ``count_param`` fills the <K> placeholder; ``symmetric_pairs``, ((var_a,
-    var_b), ...), are deduplicated without regard to order.
-    """
+    """One formula of a template, which alone decides where it applies and reads its
+    declaration through ?p and ?CQ; ``symmetric_pairs``, ((var_a, var_b), ...), are
+    deduplicated without regard to order."""
 
     __slots__ = ()
-    _fields = ("name", "text", "count_param", "symmetric_pairs", "enabled")
+    _fields = ("name", "text", "symmetric_pairs", "enabled")
 
-    def __new__(cls, name: str, text: str, count_param: Optional[EntityId] = None,
-                symmetric_pairs: tuple = (), enabled: bool = True) -> "Variant":
-        return _new_tuple(cls, (name, text, count_param, symmetric_pairs, enabled))
+    def __new__(cls, name: str, text: str, symmetric_pairs: tuple = (),
+                enabled: bool = True) -> "Variant":
+        return _new_tuple(cls, (name, text, symmetric_pairs, enabled))
 
 
 class ConstraintTemplate(Frozen):
@@ -93,11 +91,12 @@ def builtin_templates() -> list:
                 f"{_PC}(?p, multi_value_constraint)@?CQ & "
                 "!(exists ?mc . (minimum_count : ?mc) in ?CQ) & ?p(?s, ?o1) -> "
                 "exists ?o2 . (?p(?s, ?o2) & !(?o1 = ?o2))"),
+        # a declared count that is not a positive integer without a unit silences it
         Variant("minimum_count",
                 f"{_PC}(?p, multi_value_constraint)@?CQ & "
-                "(minimum_count : ?mc) in ?CQ & ?p(?s, ?o1) -> "
-                "exists[<K>] ?o2 . ?p(?s, ?o2)",
-                count_param=L.PARAM_MIN_COUNT),
+                "(minimum_count : ?mc) in ?CQ & "
+                "has_unit(?mc, no_unit) & integer(?mc) & geq(?mc, 1) & ?p(?s, ?o1) -> "
+                "exists[?mc] ?o2 . ?p(?s, ?o2)"),
     ], description="Items should have more than one value (or a declared minimum)."))
 
     t.append(_t("distinct_values", L.DISTINCT_VALUES_CONSTRAINT, "existing", [

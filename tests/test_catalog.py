@@ -47,6 +47,14 @@ class TestDeclarations:
         assert by_prop[P(26)].severity == "regular"
         assert by_prop[P(1082)].severity == "mandatory"
 
+    def test_mandatory_outranks_suggestion(self):
+        # the two statuses come out of a frozenset in an order the hash seed picks
+        kb = kb_from("P2302(P26, Q21510862) @ {P2316: Q21502408, P2316: Q62026391}\n"
+                     "P2302(P40, Q21510862) @ {P2316: Q62026391}\nP26(Q1, Q2)\n")
+        assert [d.severity for d in extract_declarations(kb)] == ["mandatory", "suggestion"]
+        assert render_text(check(kb, [template_by_name("symmetric")])).splitlines()[0] == \
+            "[mandatory] symmetric on P26 with ?x=Q1, ?y=Q2"
+
     def test_exceptions_decoded(self):
         kb = kb_from("P2302(P26, Q19474404) @ {P2303: Q42, P2303: Q43}")
         (decl,) = extract_declarations(kb)
@@ -94,13 +102,24 @@ class TestQueryDerivation:
          'P18(Q1, "x.jpg")\ncommons_ns("x.jpg", "Category")', ["namespace"]),
         ("multi_value", "P2302(P40, Q21510857)", "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)",
          ["plain"]),
-        # the declared minimum replaces <K>, and silences plain
+        # the declared minimum is the count of exists[?mc], and silences plain
         ("multi_value", "P2302(P40, Q21510857) @ {P90011: 3}",
          "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", ["minimum_count"] * 3),
         ("multi_value", "P2302(P40, Q21510857) @ {P90011: 2}",
          "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", ["minimum_count"]),
-        # a minimum that is not a positive integer silences both
+        # each declared minimum reports on its own: Q1 falls short of 2, Q1 and Q3 of 3
+        ("multi_value", "P2302(P40, Q21510857) @ {P90011: 2, P90011: 3}",
+         "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", ["minimum_count"] * 4),
+        # a minimum that is not a positive integer without a unit silences both
         ("multi_value", "P2302(P40, Q21510857) @ {P90011: 0}",
+         "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", []),
+        ("multi_value", "P2302(P40, Q21510857) @ {P90011: 2.5}",
+         "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", []),
+        ("multi_value", "P2302(P40, Q21510857) @ {P90011: -1}",
+         "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", []),
+        ("multi_value", 'P2302(P40, Q21510857) @ {P90011: "3"}',
+         "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", []),
+        ("multi_value", "P2302(P40, Q21510857) @ {P90011: 3 unit=Q11573}",
          "P40(Q1, Q2)\nP40(Q3, Q4)\nP40(Q3, Q5)", []),
     ]
 
@@ -131,9 +150,9 @@ class TestQueryDerivation:
 class TestVariantPlans:
     """Each variant text is built once; its declarations bind ?p and ?CQ."""
 
-    def test_each_variant_text_parsed_negated_and_gated_once(self, monkeypatch):
-        kb = kb_from("P2302(P26, Q21510862)\nP2302(P40, Q21510862)\n"
-                     "P2302(P3373, Q21510862)\nP26(Q1, Q2)\nP40(Q3, Q4)\n")
+    @staticmethod
+    def _count_builds(monkeypatch, kb, template: str) -> tuple:
+        """(violations, {parse, negate, gate: calls}, enabled variant texts) of one check."""
         calls = {"parse": 0, "negate": 0, "gate": 0}
 
         def counting(name, fn):
@@ -151,11 +170,25 @@ class TestVariantPlans:
         monkeypatch.setattr(catalog, "negate_to_violation_query",
                             counting("negate", catalog.negate_to_violation_query))
         monkeypatch.setattr(evaluator, "_report", report)
-        tpl = template_by_name("symmetric")
+        tpl = template_by_name(template)
         texts = {var.text for var in tpl.variants if var.enabled}
-        result = check(kb, [tpl], LabelTable())
-        assert len(result.violations) == 2
-        assert calls == {"parse": len(texts), "negate": len(texts), "gate": len(texts)}
+        return len(check(kb, [tpl], LabelTable()).violations), calls, len(texts)
+
+    def test_each_variant_text_parsed_negated_and_gated_once(self, monkeypatch):
+        kb = kb_from("P2302(P26, Q21510862)\nP2302(P40, Q21510862)\n"
+                     "P2302(P3373, Q21510862)\nP26(Q1, Q2)\nP40(Q3, Q4)\n")
+        found, calls, n = self._count_builds(monkeypatch, kb, "symmetric")
+        assert found == 2
+        assert calls == {"parse": n, "negate": n, "gate": n}
+
+    def test_declared_counts_share_one_variant_query(self, monkeypatch):
+        # three declared counts, one query each variant: the count is a parameter, not text
+        kb = kb_from("P2302(P26, Q21510857) @ {P90011: 2}\nP2302(P40, Q21510857) @ {P90011: 3}\n"
+                     "P2302(P3373, Q21510857) @ {P90011: 4}\n"
+                     "P26(Q1, Q2)\nP40(Q3, Q4)\nP3373(Q5, Q6)\n")
+        found, calls, n = self._count_builds(monkeypatch, kb, "multi_value")
+        assert found == 3
+        assert calls == {"parse": n, "negate": n, "gate": n}
 
     def test_declarations_differing_in_pseudo_pairs_report_their_own(self):
         # one parameter set, declared three times: plain, with a rank and
@@ -171,7 +204,8 @@ class TestVariantPlans:
         assert len({id(inst.query) for inst in instances}) == 1
         for inst in instances:
             got = [b.as_dict() for b in evaluate(kb, inst.query, params=inst.params)]
-            assert got == [b.as_dict() for b in evaluate(kb, inst.ground_query())]
+            (_, written), = derive_violation_queries(inst.template, inst.declaration)
+            assert got == [b.as_dict() for b in evaluate(kb, written)]
             assert sorted(str(b["s"]) for b in got) == ["Q3", "Q5"]
             assert not {"p", "CQ"} & set().union(*got)
         result = check(kb, [template_by_name("mandatory_qualifier")])
@@ -215,6 +249,27 @@ class TestCheck:
         result = violations(kb)
         assert result.unsuppressed == []
         assert any("skipped format" in n for n in result.notes)
+
+    def test_unsupported_regex_note_names_the_first_in_sorted_order(self):
+        kb = kb_from('P2302(P212, Q21502404) @ {P1793: "(?R)", P1793: "\\p{L}+"}\n'
+                     'P212(Q1, "x")\n')
+        result = violations(kb, ["format"])
+        assert result.notes == ["skipped format declaration s1 on P212: "
+                                "unsupported regex construct in '(?R)'"]
+
+    def test_each_declared_minimum_count_reports_its_own(self):
+        kb = kb_from("P2302(P40, Q21510857) @ {P90011: 2, P90011: 3}\n"
+                     "P40(Q1, Q2)\nP40(Q1, Q3)\n")
+        assert render_text(violations(kb)) == (
+            "[regular] multi_value (minimum_count) on P40 with ?mc=3, ?o1=Q2, ?s=Q1\n"
+            "[regular] multi_value (minimum_count) on P40 with ?mc=3, ?o1=Q3, ?s=Q1\n"
+            "2 violation(s), 0 suppressed\n"
+            "  regular: 2\n")
+        # a count that is no positive integer is silenced before it can leave a diagnostic
+        kb = kb_from('P2302(P40, Q21510857) @ {P90011: "x", P90011: 2 unit=Q11573, '
+                     "P90011: 0, P90011: 3}\nP40(Q1, Q2)\nP40(Q1, Q3)\n")
+        assert [(v.binding["mc"], v.diagnostics) for v in violations(kb).violations] == \
+            [("3", []), ("3", [])]
 
     def test_format_violation(self):
         kb = kb_from('P2302(P212, Q21502404) @ {P1793: "97[89]-.*"}\n'

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from wdcheck.cli import main
+from wdcheck.formula import parse
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -100,6 +101,24 @@ class TestCheck:
                            "--no-close", "--oracle")
         assert code == 1
         assert "mismatch" not in err
+
+    def test_oracle_says_what_it_compared(self, capsys, tmp_path):
+        # the family fixture's domain is above the oracle's limit: a vacuous
+        # cross-check says so, and changes neither the report nor the exit code
+        plain = run(capsys, "check", "--input", str(FIXTURES / "family_s1.native"), "--no-close")
+        code, out, err = run(capsys, "check", "--input", str(FIXTURES / "family_s1.native"),
+                             "--no-close", "--oracle")
+        assert (code, out) == plain[:2]
+        assert err == ("note: oracle compared 0 of 22 queries; "
+                       "22 skipped (active domain above 12 constants)\n")
+        path = tmp_path / "small.native"
+        path.write_text("P2302(P40, Q21510857) @ {P90011: 1, P90011: 3}\n"
+                        "P40(Q1, Q2)\nP40(Q1, Q3)\n")
+        code, out, err = run(capsys, "check", "--input", str(path), "--no-close",
+                             "--templates", "multi_value", "--oracle")
+        assert code == 1 and "?mc=3" in out
+        assert err == "note: oracle compared 2 of 2 queries; 0 skipped " \
+            "(active domain above 12 constants)\n"
 
     def test_max_violations(self, capsys, tmp_path):
         path = tmp_path / "many.native"
@@ -528,6 +547,13 @@ class TestCatalog:
         doc = json.loads(out)
         assert len(doc) >= 36
         assert all({"name", "variants", "category"} <= set(t) for t in doc)
+
+    def test_json_listing_formulas_parse(self, capsys):
+        # each listed formula is the text check parses: nothing is filled in first
+        code, out, _ = run(capsys, "catalog", "--format", "json")
+        for t in json.loads(out):
+            for v in t["variants"]:
+                parse(v["formula"])  # raises a ParseError on a placeholder
 
     def test_json_listing_pinned(self, capsys):
         # a variant's formula is the whole constraint, so the listing shows it all

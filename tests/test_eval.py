@@ -40,7 +40,7 @@ from wdcheck.formula import (
     parse,
 )
 from wdcheck.ingest import load_wikidata_json
-from wdcheck.model import KnowledgeBase, P, Q, StringVal
+from wdcheck.model import AttrSet, KnowledgeBase, P, Q, StringVal
 from wdcheck.oracle import DomainTooLarge, brute_force_evaluate, holds
 from wdcheck.rules import closure
 
@@ -213,6 +213,27 @@ class TestConnectives:
         assert len(rows(kb, "P26(?x, ?o) & exists[1] ?y . ?y = ?o")) == 3
         assert rows(kb, "P26(?x, ?o) & exists[2] ?y . ?y = ?o") == []
 
+    def test_counting_quantifier_with_a_variable_count(self):
+        kb = kb_from("P26(Q1, Q2)\nP26(Q1, Q3)\nP26(Q4, Q5)\nP1(Q1, 2)\nP1(Q4, 2)\nP1(Q4, 1)")
+        f = "P1(?x, ?k) & exists[?k] ?y . P26(?x, ?y)"
+        assert rows(kb, f) == [{"x": "Q4", "k": "1"}, {"x": "Q1", "k": "2"}]
+        negated = "P1(?x, ?k) & P26(?x, ?o) & !(exists[?k] ?y . P26(?x, ?y))"
+        assert rows(kb, negated) == [{"x": "Q4", "k": "2", "o": "Q5"}]
+        assert _agrees(kb, f, 12) and _agrees(kb, negated, 12)
+        # the count must be bound outside the quantifier, not by its own body
+        for text in ("exists[?k] ?y . P26(?x, ?y)", "exists[?k] ?y . P26(?x, ?y) & P1(?x, ?k)"):
+            assert check_safe_range(parse(text)) == "free variable(s) not range-restricted: k"
+
+    @pytest.mark.parametrize("count", ["2.5", "0", "-1", '"2"', "2 unit=Q11573", "Q2"])
+    def test_a_count_that_is_no_positive_integer_is_false_with_diagnostic(self, count):
+        kb = kb_from(f"P26(Q1, Q2)\nP26(Q1, Q3)\nP1(Q1, {count})")
+        f = parse("P1(?x, ?k) & exists[?k] ?y . P26(?x, ?y)")
+        diagnostics: list = []
+        assert list(evaluate(kb, f, None, diagnostics)) == []
+        assert diagnostics and "a count must be a positive integer" in diagnostics[0]
+        negated = parse("P1(?x, ?k) & !(exists[?k] ?y . P26(?x, ?y))")
+        assert set(evaluate(kb, negated)) == set(brute_force_evaluate(kb, negated)) != set()
+
     def test_index_driven_queries_never_build_the_domain(self, family_kb, monkeypatch):
         def refuse():
             raise AssertionError("variable pool built")
@@ -379,6 +400,18 @@ class TestOracle:
         lines = "\n".join(f"P26(Q{i}, Q{i + 100})" for i in range(1, 10))
         with pytest.raises(DomainTooLarge):
             list(brute_force_evaluate(kb_from(lines), parse("P26(?x, ?y)")))
+
+    def test_params_are_bound_and_join_the_pools(self):
+        # what evaluate's params bind, the oracle binds too, and leaves out of the bindings
+        kb = kb_from("P26(Q1, Q2)\nP26(Q2, Q1)\nP26(Q3, Q4)")
+        q = parse("?p(?x, ?y) & !?p(?y, ?x) & (P580 : ?v) in ?CQ")
+        params = {"p": P(26), "CQ": AttrSet.of([(P(580), Q(9))])}
+        got = set(brute_force_evaluate(kb, q, params=params))
+        assert got == set(evaluate(kb, q, params=params))
+        assert [b.as_dict() for b in got] == [{"x": Q(3), "y": Q(4), "v": Q(9)}]
+        # a parameter's values widen the domain, as they would written in as constants
+        with pytest.raises(DomainTooLarge):
+            list(brute_force_evaluate(kb, q, EvalConfig(oracle_domain_limit=6), params=params))
 
     def test_agreement_on_fixture(self):
         kb = kb_from("P26(Q1, Q2)\nP26(Q2, Q1)\nP26(Q3, Q4)")

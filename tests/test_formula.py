@@ -106,6 +106,20 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("exists[2] ?SQ . P26(?s, ?o)@?SQ")
 
+    def test_counting_quantifier_with_a_variable_count(self):
+        f = parse("exists[?k] ?o . P26(?s, ?o)")
+        assert isinstance(f, Exists) and f.count == ObjVar("k")
+        assert free_variables(f) == {"s", "k"}  # the count is bound outside
+
+    @pytest.mark.parametrize("text,message", [
+        ("exists[?K] ?o . P26(?s, ?o)", "set variable not allowed in term position"),
+        ("exists[?o] ?o . P26(?s, ?o)", "a counting quantifier cannot bind its own count"),
+        ("exists[?o] ?s, ?o . P26(?s, ?o)", "a counting quantifier cannot bind its own count"),
+    ])
+    def test_counting_variable_refused(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse(text)
+
     def test_not_equal_sugar(self):
         assert parse("?x != ?y") == Not(Eq(ObjVar("x"), ObjVar("y")))
 
@@ -240,6 +254,7 @@ class TestPrinting:
         "P26(?x, ?y)@?SQ & !P26(?y, ?x)",
         "(P585 : ?v) in ?SQ",
         "exists[2] ?o . ?p(?s, ?o)",
+        "(P1082 : ?k) in ?CQ & !(exists[?k] ?o . ?p(?s, ?o))",
         "forall ?b . !(P569(?s, ?b) | P571(?s, ?b))",
         "?p(?s, ?o)@{P580: 1988-06-12, P582: 1990-01-01}",
         'matches_regex(?o, "97[89]-\\\\d+")',

@@ -296,7 +296,7 @@ class TestKnowledgeBase:
         kb = KnowledgeBase()
         kb.add_statement(make_statement("s1", Q(1), P(26), Q(2), rank="deprecated"))
         assert kb.facts_for(P(26)) == []
-        assert len(kb.facts_for(P(26), include_deprecated=True)) == 1
+        assert len(kb.by_property[P(26)]) == 1
 
     def test_active_domain(self):
         kb = KnowledgeBase()

@@ -162,7 +162,7 @@ class TestClosure:
             "P26(Q1, Q2) @ {P580: 1988-06-12} rank=preferred"
         )
         closed = closure(kb).kb
-        derived = [st for st in closed.facts_for(P(26), include_deprecated=True)
+        derived = [st for st in closed.by_property[P(26)]
                    if st.subject == Q(2)]
         assert len(derived) == 1
         assert derived[0].qualifiers.values_for(P(580))
