@@ -8,7 +8,6 @@ from .model import (
     EntityId,
     KnowledgeBase,
     ModelError,
-    NoValueFact,
     P,
     Pseudo,
     Q,

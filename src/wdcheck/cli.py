@@ -87,8 +87,10 @@ def _select_templates(args) -> list:
     templates = builtin_templates()
     if getattr(args, "non_property", False):
         templates = [t for t in templates if t.category == "non_property"]
-    if getattr(args, "templates", None):
+    if getattr(args, "templates", None) is not None:
         wanted = {name.strip() for name in args.templates.split(",") if name.strip()}
+        if not wanted:
+            raise CliError("--templates names no template")
         known = {t.name for t in templates}
         missing = wanted - known
         if missing:

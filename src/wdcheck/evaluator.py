@@ -62,13 +62,11 @@ from .formula import (
 from .model import (
     AttrSet,
     DatatypeError,
-    EMPTY_ATTRS,
     Frozen,
     KnowledgeBase,
     Pseudo,
     Record,
     Statement,
-    StringVal,
     _new_tuple,
     datatype_function,
     datatype_relation,
@@ -220,22 +218,28 @@ def _bijections(pairs: tuple, targets: list, env: dict, late: tuple, i: int = 0,
 def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
     """rel's access path for environments that bind exactly bound: (read, run).
 
-    ``read(ctx, env)`` returns the candidates of the one index fixed here, and
-    their number is rel's cost: the delta of a closure round that names rel;
-    the subject, value or property index for a known predicate; the subject
-    index, the ``_qualifier_key`` bucket or every statement for an open one; a
-    builtin table's rows.  ``run(ctx, env, k, candidates=None)`` is the atom's
-    plan: it builds one environment per match and passes it to k.  A position
-    that is a known value is tested unless the index keyed on it (all tested
-    positions in one comparison, ``_tests``), and the first bare occurrence of
-    a variable is bound.  Every other position (a repeat, a function term) and
-    a literal's pairs, which ``_bijections`` maps one to one onto the
-    statement's qualifiers, are matched by ``_extend``'s one rule.
+    A builtin atom ``no_value(a, b)`` or ``Commons_namespace(a, b)`` reads its
+    table's rows (``KnowledgeBase``) as a statement atom with that name as a
+    known predicate reads statements.  ``read(ctx, env)`` returns the
+    candidates of the one index fixed here, and their number is rel's cost:
+    the delta of a closure round that names rel; the subject, value or
+    property index for a known predicate; the subject index, the
+    ``_qualifier_key`` bucket or every statement for an open one.  ``run(ctx,
+    env, k, candidates=None)`` is the atom's plan: it builds one environment
+    per match and passes it to k.  A position that is a known value is tested
+    unless the index keyed on it (all tested positions in one comparison,
+    ``_tests``), and the first bare occurrence of a variable is bound.  Every
+    other position (a repeat, a function term) and a literal's pairs, which
+    ``_bijections`` maps one to one onto the statement's qualifiers, are
+    matched by ``_extend``'s one rule.  The path is kept on rel for the
+    variables of rel that bound holds and the qualifier key, all it reads.
     """
-    args = {"no_value": ("property", "subject"), "Commons_namespace": ("subject", "value")}
-    terms = dict(zip(args.get(rel.pred, ("subject", "value")), rel.args))
-    if not isinstance(rel.pred, str):
-        terms["property"] = rel.pred
+    key = _qualifier_key(rel, bound, siblings)
+    memo = ("path", bound & free_variables(rel), key)
+    if memo in rel._memo:
+        return rel._memo[memo]
+    pred_term = Const(rel.pred) if isinstance(rel.pred, str) else rel.pred
+    terms = {"subject": rel.args[0], "value": rel.args[1], "property": pred_term}
     if isinstance(rel.attrs, SetVar):
         terms["qualifiers"] = rel.attrs
     known = {f: _value_of(t) for f, t in terms.items() if free_variables(t) <= bound}
@@ -248,12 +252,8 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
         else:
             later.append((f, t))
     pred, subj, value = known.get("property"), known.get("subject"), known.get("value")
-    key = _qualifier_key(rel, bound, siblings)
-    if isinstance(rel.pred, str):  # only a Commons page is looked up
-        page = subj if rel.pred == "Commons_namespace" else None
-        index, lookup, covered = rel.pred, page, ("subject",) if page else ()
-    elif pred and (subj or value):
-        other, p = subj or value, rel.pred.value if isinstance(rel.pred, Const) else None
+    if pred and (subj or value):
+        other, p = subj or value, pred_term.value if isinstance(pred_term, Const) else None
         index, covered = ("by_prop_subject", "subject") if subj else ("by_prop_value", "value")
         lookup = (lambda env: (pred(env), other(env))) if p is None else (lambda env: (p, other(env)))
         covered = ("property", covered)
@@ -282,8 +282,6 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
             return delta.get(pred(env), ()) if pred else [st for sts in delta.values() for st in sts]
         if index is None:
             return ctx.kb.statements.values()
-        if index in args:
-            return _table(ctx.kb, index, lookup, env)
         return getattr(ctx.kb, index).get(lookup(env), ())
 
     def run(ctx: _Ctx, env: dict, k, candidates=None) -> bool:
@@ -308,6 +306,7 @@ def _rel_path(rel: Rel, bound: frozenset, siblings: tuple):
                     return True
         return False
 
+    rel._memo[memo] = read, run
     return read, run
 
 
@@ -319,16 +318,6 @@ def _tests(known: dict, fields: list) -> tuple:
         return (attrgetter(fields[0]), known[fields[0]]) if fields else (None, None)
     expects = [known[f] for f in fields]
     return attrgetter(*fields), lambda env: tuple([get(env) for get in expects])
-
-
-def _table(kb: KnowledgeBase, name: str, page, env: dict) -> list:
-    """The rows of a builtin fact table as statements; a known Commons page is one lookup."""
-    if name == "no_value":
-        return [Statement("", f.subject, f.property, None, f.qualifiers) for f in kb.no_value_facts]
-    key = page and page(env)
-    ns = kb.commons_ns.get(key.text) if isinstance(key, StringVal) else None
-    pages = sorted(kb.commons_ns.items()) if page is None else [] if ns is None else [(key.text, ns)]
-    return [Statement("", StringVal(p), None, StringVal(ns), EMPTY_ATTRS) for p, ns in pages]
 
 
 def _match_member(atom: SetMember, env: dict) -> Iterator[dict]:

@@ -38,7 +38,6 @@ from .model import (
     NOVALUE,
     QuantityVal,
     RANKS,
-    RANK_ATTR,
     Record,
     StringVal,
     TimeVal,
@@ -53,11 +52,11 @@ class IngestError(Exception):
 
 
 class IngestStats(Record):
-    __slots__ = ("statements", "no_value_facts", "commons_pages", "labels", "skipped")
+    __slots__ = ("statements", "no_values", "commons_pages", "labels", "skipped")
 
-    def __init__(self, statements: int = 0, no_value_facts: int = 0, commons_pages: int = 0,
+    def __init__(self, statements: int = 0, no_values: int = 0, commons_pages: int = 0,
                  labels: int = 0, skipped: Optional[list] = None) -> None:
-        self.statements, self.no_value_facts = statements, no_value_facts
+        self.statements, self.no_values = statements, no_values
         self.commons_pages, self.labels = commons_pages, labels
         self.skipped = [] if skipped is None else skipped  # (reason, detail) pairs
 
@@ -179,7 +178,7 @@ class _LineParser(Parser):
             self.expect(")")
             if not isinstance(page, StringVal) or not isinstance(ns, StringVal):
                 self.fail("commons_ns takes two strings")
-            self.kb.add_commons_page(page.text, ns.text)
+            self.kb.add_statement(make_statement("", page, "Commons_namespace", ns))
             self.stats.commons_pages += 1
         elif tok.kind == "ident" and tok.text == "no_value":
             self.advance()
@@ -189,8 +188,8 @@ class _LineParser(Parser):
             subj = self.entity()
             self.expect(")")
             pairs, rank, _refs = self.tail(no_value=True)
-            self.kb.add_no_value(make_no_value(prop, subj, pairs, rank))
-            self.stats.no_value_facts += 1
+            self.kb.add_statement(make_no_value(prop, subj, pairs, rank))
+            self.stats.no_values += 1
         else:
             prop = self.entity()
             if prop.kind != "property":
@@ -234,17 +233,18 @@ def load_native(
 
 
 def export_native(kb: KnowledgeBase) -> str:
-    """Render a KB as native fact lines; load_native inverts this."""
-    lines = [_fact_line(f"{st.property}({st.subject}, {_render_value(st.value)})",
+    """Render a KB as native fact lines: the statements, the no-value rows in load order,
+    then the Commons pages by page and namespace; load_native inverts this."""
+    pages = sorted(kb.by_property.get("Commons_namespace", ()),
+                   key=lambda st: (st.subject.text, st.value.text))
+    lines = [_fact_line(f"{_LINE_NAMES.get(st.property, st.property)}"
+                        f"({st.subject}, {_render_value(st.value)})",
                         st.qualifiers, st.rank, len(st.references))
-             for st in kb.statements.values()]
-    for fact in kb.no_value_facts:
-        rank = next((v.text for v in fact.qualifiers.values_for(RANK_ATTR)), "normal")
-        lines.append(_fact_line(f"no_value({fact.property}, {fact.subject})",
-                                fact.qualifiers, rank))
-    for page, ns in sorted(kb.commons_ns.items()):
-        lines.append(f"commons_ns({StringVal(page)}, {StringVal(ns)})")
+             for st in [*kb.statements.values(), *kb.by_property.get("no_value", ()), *pages]]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+_LINE_NAMES = {"Commons_namespace": "commons_ns"}  # a row's table -> its native line's name
 
 
 def _fact_line(head: str, qualifiers: AttrSet, rank: str, refs: int = 0) -> str:
@@ -488,8 +488,8 @@ def _ingest_claim(kb, stats, subject: EntityId, prop: EntityId, claim: dict) -> 
         return
     refs = [f"{sid}:r{i + 1}" for i in range(len(references))]
     if isinstance(mainsnak, dict) and mainsnak.get("snaktype") == "novalue":
-        kb.add_no_value(make_no_value(prop, subject, pairs, rank))
-        stats.no_value_facts += 1
+        kb.add_statement(make_no_value(prop, subject, pairs, rank))
+        stats.no_values += 1
         return
     try:
         value = _decode_snak(mainsnak, kb)

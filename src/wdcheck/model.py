@@ -365,7 +365,8 @@ EMPTY_ATTRS = AttrSet()
 
 
 class Statement(Record, frozen=True):
-    # qualifiers include the mirrored rank/reference pseudo-pairs
+    # qualifiers include the mirrored rank/reference pseudo-pairs; a row (id "") of a
+    # builtin table has the table's name as its property (KnowledgeBase)
     __slots__ = ("id", "subject", "property", "value", "qualifiers", "rank", "references", "_key")
 
     def __init__(self, id: str, subject: EntityId, property: EntityId, value: Value,
@@ -419,9 +420,9 @@ def make_statement(
 
 
 def make_no_value(property: EntityId, subject: EntityId,
-                  qualifiers: Iterable[tuple[Value, Value]] = (), rank: str = "normal") -> NoValueFact:
-    """Build a no-value fact, its rank mirrored into its qualifiers as make_statement does."""
-    return NoValueFact(property, subject, _mirrored(qualifiers, rank)[0])
+                  qualifiers: Iterable[tuple[Value, Value]] = (), rank: str = "normal") -> Statement:
+    """The ``no_value(property, subject)`` row, its rank mirrored as make_statement does."""
+    return make_statement("", property, "no_value", subject, qualifiers, rank)
 
 
 def _mirrored(qualifiers: Iterable[tuple[Value, Value]], rank: str, refs: tuple = ()) -> tuple:
@@ -457,37 +458,30 @@ def _rank_only(rank: str) -> AttrSet:
 _RANK_ONLY = {rank: _rank_only(rank) for rank in RANKS}
 
 
-class NoValueFact(Frozen):
-    __slots__ = ()
-    _fields = ("property", "subject", "qualifiers")
-
-    def __new__(cls, property: EntityId, subject: EntityId,
-                qualifiers: AttrSet = EMPTY_ATTRS) -> "NoValueFact":
-        return _new_tuple(cls, (property, subject, qualifiers))
-
-
 # ---------------------------------------------------------------------------
 # Knowledge base
 # ---------------------------------------------------------------------------
 
 
 class KnowledgeBase:
-    """Statements plus no-value and Commons-namespace facts, with lookup indexes.
+    """Statements with lookup indexes.
 
-    Treated as immutable once loading (and, where requested, rule closure)
-    has finished; all read paths are side-effect free.
+    A builtin-table fact is a row: a statement with id ``""`` whose property
+    is the table's name, ``"no_value"`` or ``"Commons_namespace"``, and whose
+    subject and value are the atom's two arguments, with its own mirrored rank
+    and qualifiers.  ``by_property``, ``by_prop_subject`` and ``by_prop_value``
+    index rows as statements; ``statements`` and the indexes built from it
+    hold statements only.  Treated as immutable once loading (and, where
+    requested, rule closure) has finished; all read paths are side-effect free.
     """
 
     def __init__(self) -> None:
         self.statements: dict[str, Statement] = {}
-        self.by_property: dict[EntityId, list[Statement]] = {}
-        self.by_prop_subject: dict[tuple[EntityId, EntityId], list[Statement]] = {}
-        self.by_prop_value: dict[tuple[EntityId, Value], list[Statement]] = {}
-        self.no_value_facts: list[NoValueFact] = []
-        self._no_value_set: set = set()  # no_value_facts, for the duplicate test
-        self.commons_ns: dict[str, str] = {}
+        self.by_property: dict[Union[EntityId, str], list[Statement]] = {}
+        self.by_prop_subject: dict[tuple, list[Statement]] = {}
+        self.by_prop_value: dict[tuple, list[Statement]] = {}
         self.labels: dict[EntityId, str] = {}
-        self._content_keys: set = set()
+        self._content_keys: set = set()  # the statements' content keys, and the rows
         self._anon_counter: int = 0
         self._domain_cache: Optional[frozenset] = None
         self._qualifier_index: Optional[dict] = None
@@ -506,13 +500,19 @@ class KnowledgeBase:
         return f"{prefix}{n}"
 
     def add_statement(self, st: Statement) -> None:
-        if st.id in self.statements:
-            raise ModelError(f"duplicate statement id: {st.id}")
-        self.statements[st.id] = st
+        """Add a statement, or a row (id ""); an exact duplicate of a row is dropped."""
+        if st.id:
+            if st.id in self.statements:
+                raise ModelError(f"duplicate statement id: {st.id}")
+            self.statements[st.id] = st
+            self._content_keys.add(st.content_key())
+        elif st in self._content_keys:
+            return
+        else:
+            self._content_keys.add(st)
         self.by_property.setdefault(st.property, []).append(st)
         self.by_prop_subject.setdefault((st.property, st.subject), []).append(st)
         self.by_prop_value.setdefault((st.property, st.value), []).append(st)
-        self._content_keys.add(st.content_key())
         self._domain_cache = None
         self._qualifier_index = None
         self._subject_index = None
@@ -521,17 +521,14 @@ class KnowledgeBase:
         # without_pseudo() of a pseudo-free set, or of a statement's set, builds nothing
         return (subject, property, value, qualifiers.without_pseudo()) in self._content_keys
 
-    def add_no_value(self, fact: NoValueFact) -> None:
-        if fact not in self._no_value_set:
-            self._no_value_set.add(fact)
-            self.no_value_facts.append(fact)
-            self._domain_cache = None
-
-    def add_commons_page(self, page: str, namespace: str) -> None:
-        self.commons_ns[page] = namespace
-        self._domain_cache = None
-
     # -- lookup -------------------------------------------------------------
+
+    def facts(self) -> Iterator[Statement]:
+        """The statements, then the rows of each table in load order."""
+        yield from self.statements.values()
+        for table, rows in self.by_property.items():
+            if type(table) is str:
+                yield from rows
 
     def facts_for(self, property: EntityId) -> list[Statement]:  # deprecated ones left out
         return [st for st in self.by_property.get(property, ()) if st.rank != "deprecated"]
@@ -562,32 +559,21 @@ class KnowledgeBase:
 
     def attr_sets(self) -> set:
         """Attribute sets realized anywhere in the KB (set-variable domain)."""
-        out = {st.qualifiers for st in self.statements.values()}
-        out.update(f.qualifiers for f in self.no_value_facts)
+        out = {st.qualifiers for st in self.facts()}
         out.add(EMPTY_ATTRS)
         return out
 
     def active_domain(self) -> frozenset:
-        """All constants occurring in statements, facts and qualifier sets."""
+        """All constants in statements, rows and qualifier sets; a table's name is none."""
         if self._domain_cache is not None:
             return self._domain_cache
-        dom: set = set()
-        for st in self.statements.values():
+        dom = {p for p in self.by_property if type(p) is not str}
+        for st in self.facts():
             dom.add(st.subject)
-            dom.add(st.property)
             dom.add(st.value)
             for a, v in st.qualifiers:
                 dom.add(a)
                 dom.add(v)
-        for f in self.no_value_facts:
-            dom.add(f.property)
-            dom.add(f.subject)
-            for a, v in f.qualifiers:
-                dom.add(a)
-                dom.add(v)
-        for page, ns in self.commons_ns.items():
-            dom.add(StringVal(page))
-            dom.add(StringVal(ns))
         self._domain_cache = frozenset(dom)
         return self._domain_cache
 
@@ -599,9 +585,6 @@ class KnowledgeBase:
         kb.by_prop_subject = {k: list(v) for k, v in self.by_prop_subject.items()}
         kb.by_prop_value = {k: list(v) for k, v in self.by_prop_value.items()}
         kb._content_keys = set(self._content_keys)
-        kb.no_value_facts = list(self.no_value_facts)
-        kb._no_value_set = set(self._no_value_set)
-        kb.commons_ns = dict(self.commons_ns)
         kb.labels = dict(self.labels)
         kb._anon_counter = self._anon_counter
         return kb

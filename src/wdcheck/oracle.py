@@ -41,12 +41,10 @@ from .formula import (
     is_set_name,
 )
 from .model import (
-    EMPTY_ATTRS,
     AttrSet,
     DatatypeError,
     KnowledgeBase,
     Pseudo,
-    StringVal,
     _value_sort_key,
     datatype_function,
     datatype_relation,
@@ -88,15 +86,12 @@ class _PoolCtx:
 
     @cached_property
     def facts(self) -> dict:
-        """(property, subject, value) -> the qualifier sets of the statements the atoms see."""
+        """(property, subject, value) -> the qualifier sets of the statements and rows the
+        atoms see; a row's property is its table's name, as a builtin atom's predicate is."""
         out: dict = {}
-        for st in self.kb.statements.values():
+        for st in self.kb.facts():
             if st.rank != "deprecated" or self.cfg.include_deprecated:
                 out.setdefault((st.property, st.subject, st.value), []).append(st.qualifiers)
-        for f in self.kb.no_value_facts:
-            out.setdefault(("no_value", f.property, f.subject), []).append(f.qualifiers)
-        for page, ns in self.kb.commons_ns.items():
-            out[("Commons_namespace", StringVal(page), StringVal(ns))] = [EMPTY_ATTRS]
         return out
 
 

@@ -487,8 +487,8 @@ def test_criterion_10_native_round_trip():
     assert export_native(kb2) == exported
     keys = lambda k: sorted(map(str, (st.content_key() for st in k.statements.values())))
     assert keys(kb2) == keys(kb)
-    assert kb2.no_value_facts == kb.no_value_facts
-    assert kb2.commons_ns == kb.commons_ns
+    rows = lambda k: [st for st in k.facts() if not st.id]
+    assert rows(kb2) == rows(kb) and len(rows(kb)) == 2
 
 
 # ---------------------------------------------------------------------------

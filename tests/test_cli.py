@@ -91,6 +91,42 @@ class TestCheck:
         assert code == 2
         assert "unknown template" in err
 
+    @pytest.mark.parametrize("names", ["", " , "])
+    def test_templates_naming_none_is_usage_error(self, capsys, family_file, names):
+        assert run(capsys, "check", "--input", family_file, "--templates", names) == \
+            (2, "", "error: --templates names no template\n")
+
+    @pytest.mark.parametrize("lines, flags, code, out", [
+        (["no_value(P40, Q3) rank=deprecated", "P40(Q3, Q5)"], [], 0,
+         "0 violation(s), 0 suppressed\n"),
+        (["no_value(P40, Q3) rank=deprecated", "P40(Q3, Q5)"], ["--include-deprecated"], 1,
+         "[regular] no_value_statement with ?p=P40, ?s=Q3\n1 violation(s), 0 suppressed\n"
+         "  regular: 1\n"),
+        (['P2302(P1, Q21510852) @ {P2307: "Category"}', 'P1(Q1, "Page")',
+          'commons_ns("Page", "Category")', 'commons_ns("Page", "Gallery")'], [], 0,
+         "0 violation(s), 0 suppressed\n"),
+    ], ids=["deprecated-no-value", "deprecated-no-value-included", "page-in-two-namespaces"])
+    def test_builtin_table_reports_do_not_depend_on_line_order(self, capsys, tmp_path, lines,
+                                                               flags, code, out):
+        # a deprecated no-value fact is matched only as a deprecated statement is; a
+        # page keeps every namespace it is given
+        template = "commons_link" if "P2302" in lines[0] else "no_value_statement"
+        outcomes = set()
+        for order in (lines, lines[::-1]):
+            path = tmp_path / "kb.native"
+            path.write_text("\n".join(order) + "\n")
+            outcomes.add(run(capsys, "check", "--input", str(path), "--no-close",
+                             "--templates", template, *flags))
+        assert outcomes == {(code, out, "")}
+
+    def test_infer_writes_every_namespace_of_a_page(self, capsys, tmp_path):
+        path = tmp_path / "kb.native"
+        path.write_text('commons_ns("Page", "Gallery")\nP1(Q1, "Page")\n'
+                        'commons_ns("Page", "Category")\n')
+        code, out, _ = run(capsys, "infer", "--input", str(path))
+        assert code == 0
+        assert out.endswith('commons_ns("Page", "Category")\ncommons_ns("Page", "Gallery")\n')
+
     def test_non_property_only(self, capsys, family_file):
         code, out, _ = run(capsys, "check", "--input", family_file,
                            "--non-property", "--format", "json")

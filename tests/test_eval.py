@@ -840,20 +840,30 @@ def test_literal_pairs_match_one_to_one(literal):
     assert _agrees(kb, f"P1(Q1, ?o)@{literal}", 14)
 
 
-@pytest.mark.parametrize("text", [
-    'Commons_namespace("Page", ?ns)',
-    "P1(?x, ?page) & Commons_namespace(?page, ?ns)",
-    'P1(?x, ?page) & !Commons_namespace(?page, "Category")',
-    "no_value(?p, ?s)@?Q & P1(?s, ?page)",
-    "P1(?s, ?page) & no_value(?p, ?s)",  # the fact table is read with ?s bound
-])
+# each builtin-table query -> its row count without and with deprecated facts
+_BUILTIN_ROWS = {
+    'Commons_namespace("Page", ?ns)': (2, 2),
+    "P1(?x, ?page) & Commons_namespace(?page, ?ns)": (3, 3),
+    'P1(?x, ?page) & !Commons_namespace(?page, "Category")': (1, 1),
+    "no_value(?p, ?s)@?Q & P1(?s, ?page)": (1, 2),
+    "P1(?s, ?page) & no_value(?p, ?s)": (1, 2),  # the fact table is read with ?s bound
+}
+
+
+@pytest.mark.parametrize("text", list(_BUILTIN_ROWS))
 def test_builtin_tables_agree_with_the_oracle(text):
-    # a known page is read by one lookup
+    # a known page is read by one lookup; a page keeps each of its namespaces, and a
+    # deprecated no-value row is seen only with the deprecated statements
     kb = kb_from('P1(Q1, "Page")\nP1(Q2, "Gallery")\ncommons_ns("Page", "Category")\n'
-                 'commons_ns("Gallery", "Gallery")\nno_value(P1, Q1)\nno_value(P2, Q3)\n'
-                 'no_value(P3, Q4)\n')
-    assert rows(kb, text)
-    assert _agrees(kb, text, 14)
+                 'commons_ns("Gallery", "Gallery")\ncommons_ns("Page", "Gallery")\n'
+                 'no_value(P1, Q1)\nno_value(P2, Q3)\nno_value(P3, Q4)\n'
+                 'no_value(P2, Q1) rank=deprecated\n')
+    f = parse(text)
+    for include_deprecated, count in zip((False, True), _BUILTIN_ROWS[text]):
+        cfg = EvalConfig(include_deprecated=include_deprecated, oracle_domain_limit=14)
+        got = set(evaluate(kb, f, cfg))
+        assert len(got) == count
+        assert got == set(brute_force_evaluate(kb, f, cfg))
 
 
 def test_binding_api():

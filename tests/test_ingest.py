@@ -86,11 +86,13 @@ class TestNativeFormat:
         kb, stats = load_native(
             'no_value(P40, Q3) @ {P585: 2020-01-01} rank=preferred\n'
             'commons_ns("Douglas Adams", "Category")')
-        assert stats.no_value_facts == 1
+        assert stats.no_values == 1
         assert stats.commons_pages == 1
-        (fact,) = kb.no_value_facts
-        assert fact.property == P(40)
-        assert kb.commons_ns["Douglas Adams"] == "Category"
+        (row,) = kb.by_property["no_value"]
+        assert (row.subject, row.value, row.rank) == (P(40), Q(3), "preferred")
+        (page,) = kb.by_property["Commons_namespace"]
+        assert (page.subject, page.value) == (StringVal("Douglas Adams"), StringVal("Category"))
+        assert kb.statements == {}
 
     def test_comments_and_blank_lines(self):
         kb, stats = load_native("# header\n\nP26(Q1, Q2)  # trailing\n")
@@ -243,8 +245,8 @@ def _outcome(load) -> tuple:
     except IngestError as exc:
         return ("error", str(exc))
     return ([(st.id, st.subject, st.property, st.value, st.qualifiers, st.rank, st.references)
-             for st in kb.statements.values()],
-            kb.no_value_facts, kb.commons_ns, kb._anon_counter, stats)
+             for st in kb.facts()],
+            kb._anon_counter, stats)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -305,15 +307,14 @@ def _native_kbs(draw):
             [(a, fresh(v)) for a, v in quals], rank, [f"r{i}" for i in range(refs)]))
     for prop, subj, quals, rank in draw(st.lists(st.tuples(
             _props, _items, _qualifiers, st.sampled_from(RANKS)), max_size=2)):
-        kb.add_no_value(make_no_value(prop, subj, [(a, fresh(v)) for a, v in quals], rank))
+        kb.add_statement(make_no_value(prop, subj, [(a, fresh(v)) for a, v in quals], rank))
     for page, ns in draw(st.lists(st.tuples(st.text(), st.text()), max_size=2)):
-        kb.add_commons_page(page, ns)
+        kb.add_statement(make_statement("", StringVal(page), "Commons_namespace", StringVal(ns)))
     return kb
 
 
 def _content_keys(kb: KnowledgeBase) -> tuple:
-    """The statements' content keys and the no-value facts, every anonymous
-    constant made the same."""
+    """The statements' content keys and the rows, every anonymous constant made the same."""
     def plain(v):
         return None if isinstance(v, AnonConst) else v
 
@@ -322,7 +323,8 @@ def _content_keys(kb: KnowledgeBase) -> tuple:
 
     return (Counter((s, p, plain(v), pairs(quals))
                     for s, p, v, quals in (st.content_key() for st in kb.statements.values())),
-            Counter((f.property, f.subject, pairs(f.qualifiers)) for f in kb.no_value_facts))
+            Counter((r.subject, r.property, r.value, pairs(r.qualifiers))
+                    for r in kb.facts() if not r.id))
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,7 +340,7 @@ def test_readme_examples_run():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     facts, formula = re.findall(r"```text\n(.*?)```", readme, flags=re.DOTALL)
     kb, stats = load_native(facts)
-    assert (stats.statements, stats.no_value_facts, stats.commons_pages) == (5, 1, 1)
+    assert (stats.statements, stats.no_values, stats.commons_pages) == (5, 1, 1)
     assert not stats.skipped
     f = parse(formula)
     assert isinstance(f, Implies)
@@ -352,7 +354,7 @@ class TestMerge:
         assert len(merged.statements) == 2
         anons = {st.value for st in merged.statements.values()}
         assert len(anons) == 2  # distinct anonymous constants survive the merge
-        assert len(merged.no_value_facts) == 1
+        assert len(merged.by_property["no_value"]) == 1
 
 
 def entity_doc(eid, claims=None, label=None):
@@ -439,10 +441,10 @@ class TestWikidataJson:
         })
         kb, stats = load_wikidata_json([doc])
         assert stats.statements == 1
-        assert stats.no_value_facts == 1
+        assert stats.no_values == 1
         (st,) = kb.statements.values()
         assert isinstance(st.value, AnonConst)
-        assert kb.no_value_facts[0].property == P(40)
+        assert kb.by_property["no_value"][0].subject == P(40)
 
     def test_unsupported_datatype_skipped(self):
         doc = entity_doc("Q1", {
@@ -542,7 +544,8 @@ class TestWikidataJson:
         kb, _ = load_wikidata_json([doc])
         (st,) = kb.statements.values()
         assert st.rank == "normal"
-        assert kb.no_value_facts[0].qualifiers == AttrSet.of([(RANK_ATTR, StringVal("normal"))])
+        (row,) = kb.by_property["no_value"]
+        assert row.qualifiers == AttrSet.of([(RANK_ATTR, StringVal("normal"))])
 
     def test_many_novalue_claims_load_in_linear_time(self):
         docs = [entity_doc(f"Q{i}", {"P40": [claim("P40", {"snaktype": "novalue"})]})
@@ -550,7 +553,7 @@ class TestWikidataJson:
         start = time.perf_counter()
         kb, stats = load_wikidata_json(docs)
         assert time.perf_counter() - start < 5.0
-        assert stats.no_value_facts == len(kb.no_value_facts) == 10_000
+        assert stats.no_values == len(kb.by_property["no_value"]) == 10_000
 
     def test_bad_document_shape(self):
         with pytest.raises(IngestError):
@@ -758,7 +761,7 @@ def _entity_container(dump) -> bool:
 @given(_wikibase_dumps(), st.data())
 def test_wikibase_json_fuzz(dump, data):
     kb, stats = load_wikidata_json(dump)
-    assert stats.statements + stats.no_value_facts + len(stats.skipped) == _claim_count(dump)
+    assert stats.statements + stats.no_values + len(stats.skipped) == _claim_count(dump)
     dump = data.draw(_mutated(copy.deepcopy(dump)))
     try:
         kb, stats = load_wikidata_json(json.dumps(dump))  # text, as the CLI reads it

@@ -20,7 +20,6 @@ from wdcheck.model import (
     EntityId,
     KnowledgeBase,
     ModelError,
-    NoValueFact,
     P,
     PRECISION_DAY,
     PRECISION_YEAR,
@@ -35,6 +34,7 @@ from wdcheck.model import (
     datatype_function,
     datatype_relation,
     days_in_month,
+    make_no_value,
     make_statement,
     time_interval,
     _value_sort_key,
@@ -125,15 +125,18 @@ _RECORDS = [
      "property=EntityId(kind='property', num=26), value=EntityId(kind='item', num=2), "
      "qualifiers=AttrSet(pairs=frozenset({(Pseudo(name='rank'), StringVal(text='normal'))})), "
      "rank='normal', references=())"),
-    (NoValueFact(P(26), Q(1)), (P(26), Q(1), AttrSet()),
-     "NoValueFact(property=EntityId(kind='property', num=26), "
-     "subject=EntityId(kind='item', num=1), qualifiers=AttrSet(pairs=frozenset()))"),
+    (make_no_value(P(26), Q(1)),
+     ("", P(26), "no_value", Q(1), AttrSet.of([(RANK_ATTR, StringVal("normal"))]), "normal", ()),
+     "Statement(id='', subject=EntityId(kind='property', num=26), property='no_value', "
+     "value=EntityId(kind='item', num=1), "
+     "qualifiers=AttrSet(pairs=frozenset({(Pseudo(name='rank'), StringVal(text='normal'))})), "
+     "rank='normal', references=())"),
 ]
 _RECORD_IDS = [repr(value)[:24] for value, _f, _r in _RECORDS]
 
 
 class TestRecordContract:
-    """The model values, AttrSet, Statement and NoValueFact behave as the frozen
+    """The model values, AttrSet and Statement (a no-value row too) behave as the frozen
     dataclasses they replaced: equal only within their class, hashing as their
     field tuple (so set and dict orders do not move), immutable, picklable,
     and printed the same."""
@@ -323,28 +326,45 @@ class TestKnowledgeBase:
         assert AttrSet() in kb.attr_sets()
 
     def test_copy_is_independent(self):
+        facts = [make_statement("s1", Q(1), P(26), Q(2)), make_no_value(P(40), Q(1)),
+                 make_statement("", StringVal("Page"), "Commons_namespace", StringVal("Category"))]
         kb = KnowledgeBase()
-        kb.add_statement(make_statement("s1", Q(1), P(26), Q(2)))
-        kb.add_no_value(NoValueFact(P(40), Q(1)))
-        kb.add_commons_page("Page", "Category")
+        for st in facts:
+            kb.add_statement(st)
         clone = kb.copy()
-        clone.add_statement(make_statement("s2", Q(3), P(26), Q(4)))
-        assert len(kb.statements) == 1
-        assert clone.no_value_facts == kb.no_value_facts
-        assert clone.commons_ns == kb.commons_ns
+        more = [make_statement("s2", Q(3), P(26), Q(4)), make_no_value(P(40), Q(3))]
+        for st in more:
+            clone.add_statement(st)
+        assert list(kb.facts()) == facts and len(kb.statements) == 1
+        assert list(clone.facts()) == [facts[0], more[0], facts[1], more[1], facts[2]]
 
     def test_no_value_duplicates_dropped_in_order(self):
         kb = KnowledgeBase()
-        facts = [NoValueFact(P(40), Q(1)), NoValueFact(P(40), Q(2)), NoValueFact(P(40), Q(1)),
-                 NoValueFact(P(41), Q(1)), NoValueFact(P(40), Q(2))]
-        for fact in facts:
-            kb.add_no_value(fact)
-        assert kb.no_value_facts == [facts[0], facts[1], facts[3]]
+        rows = [make_no_value(P(40), Q(1)), make_no_value(P(40), Q(2)), make_no_value(P(40), Q(1)),
+                make_no_value(P(41), Q(1)), make_no_value(P(40), Q(2)),
+                make_no_value(P(40), Q(1), rank="deprecated")]  # another rank: another row
+        for row in rows:
+            kb.add_statement(row)
+        assert kb.by_property["no_value"] == [rows[0], rows[1], rows[3], rows[5]]
+        assert kb.statements == {}  # a row is indexed, not kept with the statements
         clone = kb.copy()
-        clone.add_no_value(NoValueFact(P(41), Q(1)))
-        clone.add_no_value(NoValueFact(P(42), Q(1)))
-        assert clone.no_value_facts == [facts[0], facts[1], facts[3], NoValueFact(P(42), Q(1))]
-        assert len(kb.no_value_facts) == 3
+        clone.add_statement(make_no_value(P(41), Q(1)))
+        clone.add_statement(make_no_value(P(42), Q(1)))
+        assert clone.by_property["no_value"] == [rows[0], rows[1], rows[3], rows[5],
+                                                 make_no_value(P(42), Q(1))]
+        assert len(kb.by_property["no_value"]) == 4
+
+    def test_rows_are_facts_but_their_table_is_no_constant(self):
+        kb = KnowledgeBase()
+        page = make_statement("", StringVal("Page"), "Commons_namespace", StringVal("Category"))
+        other = make_statement("", StringVal("Page"), "Commons_namespace", StringVal("Gallery"))
+        for st in (page, other, page, make_no_value(P(40), Q(1), [(P(585), Q(9))])):
+            kb.add_statement(st)
+        assert kb.by_prop_subject[("Commons_namespace", StringVal("Page"))] == [page, other]
+        assert kb.active_domain() == {StringVal("Page"), StringVal("Category"),
+                                      StringVal("Gallery"), P(40), Q(1), P(585), Q(9),
+                                      RANK_ATTR, StringVal("normal")}
+        assert AttrSet.of([(P(585), Q(9)), (RANK_ATTR, StringVal("normal"))]) in kb.attr_sets()
 
 
 class TestCopyContract:
