@@ -200,15 +200,6 @@ def _params_list(params: AttrSet) -> list:
     return [[str(a), str(v)] for a, v in params.without_pseudo().sorted_pairs()]
 
 
-def _canonical_binding(shown: dict, pairs: tuple) -> frozenset:
-    """Order-normalize symmetric variable pairs of a printed binding for deduplication."""
-    swapped = dict(shown)
-    for a, b in pairs:
-        if a in swapped and b in swapped:
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-    return frozenset(min(tuple(sorted(shown.items())), tuple(sorted(swapped.items()))))
-
-
 def check(
     kb: KnowledgeBase,
     templates: Optional[list] = None,
@@ -245,7 +236,6 @@ def _prevalidate(tpl: ConstraintTemplate, decl: Declaration) -> Optional[str]:
 
 def _violations(kb, instances, cfg, notes: list) -> Iterator[Violation]:
     """Evaluate each instance; skip notes go to notes as they come."""
-    seen: set = set()
     for inst in instances:
         tpl, decl, var, query, note = inst
         if query is None:
@@ -258,14 +248,9 @@ def _violations(kb, instances, cfg, notes: list) -> Iterator[Violation]:
         for binding in evaluate(kb, query, cfg, diagnostics, inst.params):
             env = binding.as_dict()
             shown = {k: str(v) for k, v in binding.data}  # data is sorted by name
-            if var.symmetric_pairs:
-                # symmetric-pair dedup is scoped per template and declaration
-                key = (tpl.name, decl and decl.statement_id, var.name,
-                       _canonical_binding(shown, var.symmetric_pairs))
-                if key in seen:
-                    continue
-                seen.add(key)
-            suppressed = decl is not None and env.get(tpl.subject_var) in decl.exceptions
+            # it shows on the page of each subject that is not an exception
+            suppressed = decl is not None and all(env.get(v) in decl.exceptions
+                                                  for v in tpl.subjects)
             values = ", ".join(f"?{k}={text}" for k, text in shown.items()
                                if not isinstance(env[k], AttrSet))
             yield Violation(

@@ -32,6 +32,7 @@ test (``!``, ``->``, ``forall``, a closed ``exists``) stops at its first witness
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter, methodcaller
 from typing import Iterator, Optional
 
@@ -61,6 +62,7 @@ from .formula import (
 )
 from .model import (
     AttrSet,
+    DATATYPE_RELATIONS,
     DatatypeError,
     Frozen,
     KnowledgeBase,
@@ -69,7 +71,6 @@ from .model import (
     Statement,
     _new_tuple,
     datatype_function,
-    datatype_relation,
     witness_count,
 )
 
@@ -345,17 +346,6 @@ def _match_eq(atom: Eq, env: dict) -> Iterator[dict]:
     # else a side whose variables env binds is a function left undefined: it equals nothing
 
 
-def _eval_dtrel(ctx: _Ctx, atom: DtRel, env: dict) -> bool:
-    try:
-        args = [_resolve_term(t, env) for t in atom.args]
-        if None in args:
-            raise EvalError(f"datatype relation {atom.name} evaluated with unbound argument")
-        return datatype_relation(atom.name, *args)
-    except DatatypeError as exc:
-        ctx.diagnostics.append(str(exc))
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Plans: each formula node compiled once per set of bound variables
 # ---------------------------------------------------------------------------
@@ -453,7 +443,23 @@ def _atom_plan(atom, bound: frozenset, siblings: tuple):
             return lambda ctx, env, k: (v := left(env)) is not None and v == right(env) \
                 and k(env)
         return lambda ctx, env, k: any(map(k, _match_eq(atom, env)))
-    return lambda ctx, env, k: _eval_dtrel(ctx, atom, env) and k(env)
+    if free_variables(atom) - bound:  # a datatype relation only tests
+        raise _unbound(atom, free_variables(atom) - bound)
+    # readers and relation picked once; a DatatypeError, an undefined function argument's
+    # included, makes it false and leaves a diagnostic
+    args = [_value_of(t) if isinstance(t, (ObjVar, SetVar, Const)) else partial(_resolve_term, t)
+            for t in atom.args]
+    a, b = args if len(args) == 2 else (args[0], None)  # the parser checked the arity
+    relation = DATATYPE_RELATIONS[atom.name][1]
+
+    def test(ctx: _Ctx, env: dict, k) -> bool:
+        try:
+            holds = relation(a(env), b(env)) if b else relation(a(env))
+        except DatatypeError as exc:
+            ctx.diagnostics.append(str(exc))
+            return False
+        return holds and k(env)
+    return test
 
 
 def _qualifier_key(rel: Rel, bound: frozenset, siblings: tuple):

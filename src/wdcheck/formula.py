@@ -524,11 +524,12 @@ class Parser:
         tok = self.advance()
         name = tok.text
         arity = table[name][0]
+        read = self.term_or_set if node is DtRel else self.term  # a relation may order sets
         self.expect("(")
-        args = [self.term()]
+        args = [read()]
         while self.peek().text == ",":
             self.advance()
-            args.append(self.term())
+            args.append(read())
         self.expect(")")
         if len(args) != arity:
             self.fail(f"{name} takes {arity} argument(s)", tok)

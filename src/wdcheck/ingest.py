@@ -56,7 +56,7 @@ class IngestStats(Record):
 
     def __init__(self, statements: int = 0, no_values: int = 0, commons_pages: int = 0,
                  labels: int = 0, skipped: Optional[list] = None) -> None:
-        self.statements, self.no_values = statements, no_values
+        self.statements, self.no_values = statements, no_values  # rows: a repeat is not kept
         self.commons_pages, self.labels = commons_pages, labels
         self.skipped = [] if skipped is None else skipped  # (reason, detail) pairs
 
@@ -178,8 +178,8 @@ class _LineParser(Parser):
             self.expect(")")
             if not isinstance(page, StringVal) or not isinstance(ns, StringVal):
                 self.fail("commons_ns takes two strings")
-            self.kb.add_statement(make_statement("", page, "Commons_namespace", ns))
-            self.stats.commons_pages += 1
+            self.stats.commons_pages += self.kb.add_statement(
+                make_statement("", page, "Commons_namespace", ns))
         elif tok.kind == "ident" and tok.text == "no_value":
             self.advance()
             self.expect("(")
@@ -188,8 +188,7 @@ class _LineParser(Parser):
             subj = self.entity()
             self.expect(")")
             pairs, rank, _refs = self.tail(no_value=True)
-            self.kb.add_statement(make_no_value(prop, subj, pairs, rank))
-            self.stats.no_values += 1
+            self.stats.no_values += self.kb.add_statement(make_no_value(prop, subj, pairs, rank))
         else:
             prop = self.entity()
             if prop.kind != "property":
@@ -488,8 +487,7 @@ def _ingest_claim(kb, stats, subject: EntityId, prop: EntityId, claim: dict) -> 
         return
     refs = [f"{sid}:r{i + 1}" for i in range(len(references))]
     if isinstance(mainsnak, dict) and mainsnak.get("snaktype") == "novalue":
-        kb.add_statement(make_no_value(prop, subject, pairs, rank))
-        stats.no_values += 1
+        stats.no_values += kb.add_statement(make_no_value(prop, subject, pairs, rank))
         return
     try:
         value = _decode_snak(mainsnak, kb)

@@ -499,15 +499,15 @@ class KnowledgeBase:
             n += 1
         return f"{prefix}{n}"
 
-    def add_statement(self, st: Statement) -> None:
-        """Add a statement, or a row (id ""); an exact duplicate of a row is dropped."""
+    def add_statement(self, st: Statement) -> bool:
+        """Add a statement, or a row (id "") unless it repeats one; whether st was added."""
         if st.id:
             if st.id in self.statements:
                 raise ModelError(f"duplicate statement id: {st.id}")
             self.statements[st.id] = st
             self._content_keys.add(st.content_key())
         elif st in self._content_keys:
-            return
+            return False
         else:
             self._content_keys.add(st)
         self.by_property.setdefault(st.property, []).append(st)
@@ -516,6 +516,7 @@ class KnowledgeBase:
         self._domain_cache = None
         self._qualifier_index = None
         self._subject_index = None
+        return True
 
     def has_fact(self, subject: EntityId, property: EntityId, value: Value, qualifiers: AttrSet) -> bool:
         # without_pseudo() of a pseudo-free set, or of a statement's set, builds nothing
@@ -740,6 +741,28 @@ def _rel_has_unit(v: Value, unit: Value) -> bool:
     return isinstance(v, QuantityVal) and v.unit == unit
 
 
+def _order_key(v) -> tuple:
+    """``precedes``' key on a value or an attribute set, by class name as _value_sort_key
+    orders, then by fields: two keys are equal exactly when the values are."""
+    cls = v.__class__
+    if cls is QuantityVal:  # 1 and 1.0 are equal; no unit and no bounds first
+        return cls.__name__, v.amount, str(v.unit or ""), () if v.lower is None else v[2:]
+    if cls is AttrSet:
+        return cls.__name__, tuple(sorted((_order_key(a), _order_key(w)) for a, w in v.pairs))
+    return cls.__name__, tuple(v)
+
+
+_tuple_lt = tuple.__lt__
+
+
+def _rel_precedes(a, b) -> bool:
+    """A strict total order on values that agrees with ``=``."""
+    cls = a.__class__
+    if cls is b.__class__ and cls is not QuantityVal and cls is not AttrSet:
+        return _tuple_lt(a, b)  # their fields compare natively, as = compares them
+    return _order_key(a) < _order_key(b)
+
+
 DATATYPE_RELATIONS = {
     "less_than": (2, _rel_less_than),
     "overlaps": (2, _rel_overlaps),
@@ -749,6 +772,7 @@ DATATYPE_RELATIONS = {
     "geq": (2, _rel_geq),
     "leq": (2, _rel_leq),
     "has_unit": (2, _rel_has_unit),
+    "precedes": (2, _rel_precedes),
 }
 
 

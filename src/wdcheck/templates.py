@@ -22,35 +22,32 @@ from .model import EntityId, Frozen, _new_tuple
 
 class Variant(Frozen):
     """One formula of a template, which alone decides where it applies and reads its
-    declaration through ?p and ?CQ; ``symmetric_pairs``, ((var_a, var_b), ...), are
-    deduplicated without regard to order."""
+    declaration through ?p and ?CQ.  A formula over a pair of statements or subjects
+    finds each unordered pair once: ``precedes`` puts the smaller first."""
 
     __slots__ = ()
-    _fields = ("name", "text", "symmetric_pairs", "enabled")
+    _fields = ("name", "text", "enabled")
 
-    def __new__(cls, name: str, text: str, symmetric_pairs: tuple = (),
-                enabled: bool = True) -> "Variant":
-        return _new_tuple(cls, (name, text, symmetric_pairs, enabled))
+    def __new__(cls, name: str, text: str, enabled: bool = True) -> "Variant":
+        return _new_tuple(cls, (name, text, enabled))
 
 
 class ConstraintTemplate(Frozen):
     """``type_item`` is None for a global (declaration-free) template; ``category``
-    is "existing", "proposed" or "non_property"."""
+    is "existing", "proposed" or "non_property".  ``subjects`` names the variables
+    of a violation's subjects: it is suppressed when each is a declared exception."""
 
     __slots__ = ()
-    _fields = ("name", "type_item", "category", "variants", "subject_var", "description")
+    _fields = ("name", "type_item", "category", "variants", "subjects", "description")
 
-    def __new__(cls, name: str, type_item: Optional[EntityId], category: str, variants: tuple,
-                subject_var: str = "s", description: str = "") -> "ConstraintTemplate":
-        return _new_tuple(cls, (name, type_item, category, variants, subject_var, description))
+    def __new__(cls, name: str, type_item: Optional[EntityId], category: str, variants,
+                subjects: tuple = ("s",), description: str = "") -> "ConstraintTemplate":
+        return _new_tuple(cls, (name, type_item, category, tuple(variants), subjects,
+                                description))
 
 
 _PC = "property_constraint"
-
-
-def _t(name, type_item, category, variants, subject_var="s", description=""):
-    return ConstraintTemplate(name, type_item, category, tuple(variants),
-                              subject_var, description)
+_t = ConstraintTemplate
 
 
 _START_S = ("(date_of_birth(?s, ?b) | inception(?s, ?b) | "
@@ -77,13 +74,11 @@ def builtin_templates() -> list:
     t.append(_t("single_value", L.SINGLE_VALUE_CONSTRAINT, "existing", [
         Variant("main",
                 f"{_PC}(?p, single_value_constraint)@?CQ & "
-                "?p(?s, ?o1)@?SQ1 & ?p(?s, ?o2)@?SQ2 -> "
-                "(?o1 = ?o2 & ?SQ1 = ?SQ2) "
-                "| (exception_to_constraint : ?s) in ?CQ "
-                "| (exists ?sep . exists ?v1 . exists ?v2 . "
+                "?p(?s, ?o1)@?SQ1 & ?p(?s, ?o2)@?SQ2 & !(?o1 = ?o2 & ?SQ1 = ?SQ2) & "
+                "!precedes(?o2, ?o1) & !(?o1 = ?o2 & precedes(?SQ2, ?SQ1)) -> "
+                "exists ?sep . exists ?v1 . exists ?v2 . "
                 "((separator : ?sep) in ?CQ & (?sep : ?v1) in ?SQ1 & "
-                "(?sep : ?v2) in ?SQ2 & !(?v1 = ?v2)))",
-                symmetric_pairs=(("o1", "o2"), ("SQ1", "SQ2"))),
+                "(?sep : ?v2) in ?SQ2 & !(?v1 = ?v2))"),
     ], description="The property generally has a single value per item."))
 
     t.append(_t("multi_value", L.MULTI_VALUE_CONSTRAINT, "existing", [
@@ -102,9 +97,8 @@ def builtin_templates() -> list:
     t.append(_t("distinct_values", L.DISTINCT_VALUES_CONSTRAINT, "existing", [
         Variant("main",
                 f"{_PC}(?p, distinct_values_constraint) & "
-                "?p(?s1, ?o1) & ?p(?s2, ?o2) & !(?s1 = ?s2) -> !(?o1 = ?o2)",
-                symmetric_pairs=(("s1", "s2"), ("o1", "o2"))),
-    ], subject_var="s1",
+                "?p(?s1, ?o1) & ?p(?s2, ?o2) & precedes(?s1, ?s2) -> !(?o1 = ?o2)"),
+    ], subjects=("s1", "s2"),
         description="No two subjects may share a value for the property."))
 
     t.append(_t("format", L.FORMAT_CONSTRAINT, "existing", [
@@ -120,7 +114,7 @@ def builtin_templates() -> list:
         Variant("same_qualifiers",
                 f"{_PC}(?p, symmetric_constraint) & ?p(?x, ?y)@?SQ -> ?p(?y, ?x)@?SQ",
                 enabled=False),
-    ], subject_var="x",
+    ], subjects=("x",),
         description="Statements should exist in both directions."))
 
     t.append(_t("inverse", L.INVERSE_CONSTRAINT, "existing", [
@@ -281,12 +275,11 @@ def builtin_templates() -> list:
                 "(?p(?s, ?o)@?SQ & (rank : preferred) in ?SQ)"),
         Variant("one_preferred",
                 f"{_PC}(?p, single_best_value_constraint)@?CQ & "
-                "?p(?s, ?o1)@?SQ1 & ?p(?s, ?o2)@?SQ2 & !(?o1 = ?o2) & "
+                "?p(?s, ?o1)@?SQ1 & ?p(?s, ?o2)@?SQ2 & precedes(?o1, ?o2) & "
                 "(rank : preferred) in ?SQ1 & (rank : preferred) in ?SQ2 -> "
                 "exists ?sep . exists ?v1 . exists ?v2 . "
                 "((separator : ?sep) in ?CQ & (?sep : ?v1) in ?SQ1 & "
-                "(?sep : ?v2) in ?SQ2 & !(?v1 = ?v2))",
-                symmetric_pairs=(("o1", "o2"), ("SQ1", "SQ2"))),
+                "(?sep : ?v2) in ?SQ2 & !(?v1 = ?v2))"),
     ], description="Exactly one value should carry preferred rank."))
 
     t.append(_t("property_scope", L.PROPERTY_SCOPE_CONSTRAINT, "existing", [
@@ -332,8 +325,7 @@ def builtin_templates() -> list:
     t.append(_t("asymmetric", None, "proposed", [
         Variant("main",
                 "instance_of(?p, asymmetric_property) & ?p(?y, ?x) -> !?p(?x, ?y)"),
-    ], subject_var="y",
-        description="Statements must not exist in both directions."))
+    ], description="Statements must not exist in both directions."))
 
     t.append(_t("local_value_type", L.LOCAL_VALUE_TYPE_CONSTRAINT, "proposed", [
         Variant("instance_of",
@@ -373,8 +365,7 @@ def builtin_templates() -> list:
         Variant("subsumed",
                 "union_of(?u, list_values_as_qualifiers)@?Q & (of : ?c) in ?Q & "
                 "instance_of(?i, ?c) -> instance_of(?i, ?u)"),
-    ], subject_var="i",
-        description="A class equals the union of its listed member classes."))
+    ], description="A class equals the union of its listed member classes."))
 
     t.append(_t("disjoint_union_of", None, "non_property", [
         Variant("partitioned",
@@ -386,15 +377,13 @@ def builtin_templates() -> list:
         Variant("subsumed",
                 "disjoint_union_of(?u, list_values_as_qualifiers)@?Q & "
                 "(of : ?c) in ?Q & instance_of(?i, ?c) -> instance_of(?i, ?u)"),
-    ], subject_var="i",
-        description="A class is partitioned by its listed member classes."))
+    ], description="A class is partitioned by its listed member classes."))
 
     t.append(_t("disjoint_with", None, "non_property", [
         Variant("main",
                 "disjoint_with(?c1, ?c2) & instance_of(?i, ?c1) -> "
                 "!instance_of(?i, ?c2)"),
-    ], subject_var="i",
-        description="Two classes share no instances."))
+    ], description="Two classes share no instances."))
 
     t.append(_t("no_value_statement", None, "non_property", [
         Variant("main",
@@ -410,21 +399,17 @@ def builtin_templates() -> list:
         Variant("main",
                 "metasubclass_of(?m1, ?m2) & instance_of(?c1, ?m1) -> "
                 "exists ?c2 . (subclass_of(?c1, ?c2) & instance_of(?c2, ?m2))"),
-    ], subject_var="c1",
-        description="Instances of the metaclass are subclasses of the other's instances."))
+    ], description="Instances of the metaclass are subclasses of the other's instances."))
 
     t.append(_t("instance_subclass_exclusivity", None, "non_property", [
         Variant("main",
                 "instance_of(?i1, ?i2) -> !subclass_of(?i1, ?i2)"),
-    ], subject_var="i1",
-        description="Nothing is both an instance and a subclass of the same item."))
+    ], description="Nothing is both an instance and a subclass of the same item."))
 
     t.append(_t("subclass_loop", None, "non_property", [
         Variant("main",
-                "subclass_of(?c1, ?c2) & !(?c1 = ?c2) -> !subclass_of(?c2, ?c1)",
-                symmetric_pairs=(("c1", "c2"),)),
-    ], subject_var="c1",
-        description="Subclass hierarchies must not contain loops."))
+                "subclass_of(?c1, ?c2) & precedes(?c1, ?c2) -> !subclass_of(?c2, ?c1)"),
+    ], description="Subclass hierarchies must not contain loops."))
 
     return t
 

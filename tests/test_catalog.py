@@ -238,6 +238,24 @@ class TestCheck:
         result = violations(kb)
         assert len(result.unsuppressed) == 1
 
+    @pytest.mark.parametrize("declaration,facts", [
+        ("P2302(P569, Q19474404) @ {P2303: Q1}", "P569(Q1, 1990-01-01)\nP569(Q1, 1991-01-01)"),
+        ('P2302(P569, Q21502404) @ {P2303: Q1, P1793: "[0-9]+"}', 'P569(Q1, "x")'),
+    ])
+    def test_subject_exception_suppresses(self, declaration, facts):
+        # single value decides its exceptions as format does: neither formula names them
+        result = violations(kb_from(declaration + "\n" + facts))
+        assert [v.suppressed for v in result.violations] == [True]
+
+    @pytest.mark.parametrize("exceptions,suppressed", [
+        ("", False), ("Q1", False), ("Q2", False), ("Q1, P2303: Q2", True)])
+    def test_pair_suppressed_when_both_subjects_exempt(self, exceptions, suppressed):
+        # a pair shows on the page of each subject that is not an exception
+        params = f" @ {{P2303: {exceptions}}}" if exceptions else ""
+        kb = kb_from(f'P2302(P214, Q21502410){params}\nP214(Q2, "x")\nP214(Q1, "x")\n')
+        (v,) = violations(kb, ["distinct_values"]).violations
+        assert (v.binding["s1"], v.binding["s2"], v.suppressed) == ("Q1", "Q2", suppressed)
+
     def test_one_of(self):
         kb = kb_from("P2302(P21, Q21510859) @ {P2305: Q6581097, P2305: Q6581072}\n"
                      "P21(Q1, Q6581097)\nP21(Q2, Q5)\n")

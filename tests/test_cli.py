@@ -354,6 +354,16 @@ class TestQuery:
         assert err == ("note: 2 datatype diagnostic(s); first: cannot compile '[': "
                        "unterminated character set at position 0\n")
 
+    def test_undefined_function_argument_is_false(self, capsys, tmp_path):
+        # difference(5, "x") is undefined: geq is false and says why, and nothing is unbound
+        path = tmp_path / "kb.native"
+        path.write_text('P1(Q1, 5)\nP2(Q1, "x")\n')
+        code, out, err = run(capsys, "query", "--input", str(path), "--no-close",
+                             "P1(?s, ?a) & P2(?s, ?b) & geq(difference(?a, ?b), 1)")
+        assert (code, out) == (0, "no bindings\n")
+        assert err == ('note: 1 datatype diagnostic(s); first: difference expects two '
+                       'quantities or two times, got 5, "x"\n')
+
     @pytest.mark.parametrize("facts", ["P31(Q1, Q5)\n", "P31(Q1, Q5)\nP26(Q1, Q2)\n"])
     @pytest.mark.parametrize("query,var", [
         ("P26(?x, ?y) & exists ?z . !P31(?z, ?y)", "z"),

@@ -2,6 +2,7 @@
 
 import calendar
 import copy
+import itertools
 import os
 import pickle
 import subprocess
@@ -10,6 +11,8 @@ from datetime import datetime
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wdcheck.ingest import export_native
 from wdcheck.model import (
@@ -255,6 +258,50 @@ class TestValueOrder:
                                         [(P(1), v) for v in self.VALUES]))
         assert export_native(kb) == (
             'P26(Q1, Q2) @ {P1: somevalue, P1: Q10, P1: Q2, P1: P5, P1: novalue, P1: 2, P1: "s"}\n')
+
+
+_AMOUNTS = st.sampled_from(["0", "-0", "1", "1.0", "1.50", "1.5", "-2", "10"]).map(Decimal)
+
+
+@st.composite
+def _quantities(draw):
+    amount = draw(_AMOUNTS)
+    spread = draw(st.sampled_from([None, Decimal(0), Decimal("0.5"), Decimal("0.50")]))
+    bounds = (None, None) if spread is None else (amount - spread, amount + spread)
+    return QuantityVal(amount, draw(st.sampled_from([None, Q(11573), Q(577), "@days"])), *bounds)
+
+
+_SCALARS = st.one_of(
+    st.builds(EntityId, st.sampled_from(["item", "property"]), st.integers(1, 3)),
+    st.builds(StringVal, st.text("ab", max_size=2)),
+    _quantities(),
+    st.builds(TimeVal, st.sampled_from([datetime(1990, 1, 1), datetime(1990, 1, 1, 12),
+                                        datetime(2001, 5, 3)]), st.integers(9, 14)),
+    st.builds(AnonConst, st.integers(1, 3)),
+    st.sampled_from([RANK_ATTR, NOVALUE, Pseudo("no_unit")]),
+)
+_VALUES = st.one_of(_SCALARS, st.builds(AttrSet, st.frozensets(
+    st.tuples(st.sampled_from([P(1), P(2), RANK_ATTR]), _SCALARS), max_size=3)))
+
+
+class TestPrecedes:
+    """``precedes`` is a strict total order that agrees with ``=``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_VALUES, _VALUES)
+    @example(QuantityVal(Decimal(1)), QuantityVal(Decimal("1.0")))
+    @example(AttrSet.of([(P(1), QuantityVal(Decimal(1)))]),
+             AttrSet.of([(P(1), QuantityVal(Decimal("1.0")))]))
+    def test_trichotomy(self, a, b):
+        assert [a == b, datatype_relation("precedes", a, b),
+                datatype_relation("precedes", b, a)].count(True) == 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(_VALUES, _VALUES, _VALUES)
+    def test_transitive(self, a, b, c):
+        for x, y, z in itertools.permutations((a, b, c)):
+            if datatype_relation("precedes", x, y) and datatype_relation("precedes", y, z):
+                assert datatype_relation("precedes", x, z)
 
 
 class TestStatement:
