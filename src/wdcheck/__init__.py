@@ -37,6 +37,5 @@ from .evaluator import (
     check_safe_range,
     evaluate,
 )
-from .oracle import brute_force_evaluate, holds
 
 __version__ = "0.1.0"

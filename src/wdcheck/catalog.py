@@ -151,7 +151,7 @@ class Instance(NamedTuple):
     """A violation query to evaluate, or (query None) a note on what was skipped.
 
     A property template's query keeps ?p and ?CQ free; ``params`` binds them
-    to the declaration, for the evaluator and the oracle alike.
+    to the declaration when the query is evaluated.
     """
 
     template: ConstraintTemplate

@@ -14,7 +14,6 @@ from collections import Counter
 from .catalog import (
     builtin_templates,
     check,
-    instantiate,
     render_json,
     render_text,
     validate_catalog,
@@ -24,7 +23,6 @@ from .formula import FormulaError, parse
 from .ingest import IngestError, export_native, load_native, load_wikidata_json
 from .labels import LabelTable
 from .model import KnowledgeBase, ModelError
-from .oracle import DomainTooLarge, brute_force_evaluate
 from .rules import RuleError, builtin_ontology, closure, parse_rules
 
 
@@ -99,39 +97,11 @@ def _select_templates(args) -> list:
     return templates
 
 
-def _oracle_crosscheck(kb, templates, labels, cfg) -> list:
-    """Compare what check runs against brute force on each (variant, declaration).
-
-    Both evaluate the one query object of the variant with the declaration's
-    ?p and ?CQ bound as parameters.  A note on stderr says how many queries
-    were compared and how many the oracle's domain limit skipped.
-    """
-    mismatches, compared = [], 0
-    queries = [inst for inst in instantiate(kb, templates, labels) if inst.query is not None]
-    for inst in queries:
-        try:
-            expect = set(brute_force_evaluate(kb, inst.query, cfg, params=inst.params))
-        except DomainTooLarge:
-            continue
-        compared += 1
-        if set(evaluate(kb, inst.query, cfg, params=inst.params)) != expect:
-            mismatches.append(f"{inst.template.name}/{inst.variant.name}")
-    print(f"note: oracle compared {compared} of {len(queries)} queries; "
-          f"{len(queries) - compared} skipped (active domain above "
-          f"{cfg.oracle_domain_limit} constants)", file=sys.stderr)
-    return mismatches
-
-
 def cmd_check(args, labels: LabelTable) -> int:
     kb = _prepare_kb(args, labels)
     cfg = EvalConfig(include_deprecated=args.include_deprecated)
     templates = _select_templates(args)
     result = check(kb, templates, labels, cfg, max_violations=args.max_violations)
-    if args.oracle:
-        mismatches = _oracle_crosscheck(kb, templates, labels, cfg)
-        if mismatches:
-            print("oracle mismatch in: " + ", ".join(mismatches), file=sys.stderr)
-            return 2
     out = render_json(result) if args.format == "json" else render_text(result)
     print(out, end="" if out.endswith("\n") else "\n")
     return 1 if result.unsuppressed else 0
@@ -245,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run only the non-property constraint templates")
     pc.add_argument("--format", choices=("text", "json"), default="text")
     pc.add_argument("--max-violations", type=_positive_int, metavar="N")
-    pc.add_argument("--oracle", action="store_true",
-                    help="cross-check results against brute-force evaluation")
     pc.set_defaults(func=cmd_check)
 
     pq = sub.add_parser("query", help="evaluate a formula against the KB")

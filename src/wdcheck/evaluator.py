@@ -23,7 +23,6 @@ construct that cannot bind what it leaves open raises ``EvalError``.  The
 gate's verdicts are cached on the node as well, so a template variant whose
 ?p and ?CQ are parameters (``evaluate``'s ``params``) is gated and planned
 once, however many declarations run it.
-The brute-force oracle, with its own atom matcher, is in ``oracle``.
 
 Plans push their solutions into a continuation and stop when it returns True
 (``_plan``): a conjunct's continuation runs the rest of the conjunction, and a
@@ -109,15 +108,14 @@ class Binding(Frozen):
 
 
 class EvalConfig(Record):
-    __slots__ = ("max_bindings", "include_deprecated", "oracle_domain_limit")
+    __slots__ = ("max_bindings", "include_deprecated")
 
-    def __init__(self, max_bindings: Optional[int] = None, include_deprecated: bool = False,
-                 oracle_domain_limit: int = 12) -> None:
+    def __init__(self, max_bindings: Optional[int] = None,
+                 include_deprecated: bool = False) -> None:
         if max_bindings is not None and max_bindings < 1:
             raise ValueError("max_bindings must be at least 1 when bounded")
         self.max_bindings = max_bindings
         self.include_deprecated = include_deprecated
-        self.oracle_domain_limit = oracle_domain_limit
 
 
 class _Ctx:

@@ -248,16 +248,6 @@ def free_variables(f: _Node) -> frozenset:
     return out
 
 
-def all_constants(f: Formula) -> set:
-    """All constant values occurring in a formula, including inside set literals."""
-    return {n.value for n in _nodes(f) if isinstance(n, Const)}
-
-
-def ground_set_literals(f: Formula) -> set:
-    """Set literals of a formula made only of constants, as AttrSet values."""
-    return {n.ground for n in _nodes(f) if isinstance(n, SetLiteral) and n.ground is not None}
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------

@@ -64,6 +64,14 @@ class IngestStats(Record):
         self.skipped.append((reason, detail))
 
 
+def _add_row(kb, stats: IngestStats, row, detail: str) -> bool:
+    """Add a no-value or Commons row; one that repeats a row is skipped as a duplicate."""
+    if kb.add_statement(row):
+        return True
+    stats.skip("duplicate", detail)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Native text format
 # ---------------------------------------------------------------------------
@@ -178,8 +186,9 @@ class _LineParser(Parser):
             self.expect(")")
             if not isinstance(page, StringVal) or not isinstance(ns, StringVal):
                 self.fail("commons_ns takes two strings")
-            self.stats.commons_pages += self.kb.add_statement(
-                make_statement("", page, "Commons_namespace", ns))
+            self.stats.commons_pages += _add_row(
+                self.kb, self.stats, make_statement("", page, "Commons_namespace", ns),
+                f"{page} Commons_namespace")
         elif tok.kind == "ident" and tok.text == "no_value":
             self.advance()
             self.expect("(")
@@ -188,7 +197,8 @@ class _LineParser(Parser):
             subj = self.entity()
             self.expect(")")
             pairs, rank, _refs = self.tail(no_value=True)
-            self.stats.no_values += self.kb.add_statement(make_no_value(prop, subj, pairs, rank))
+            self.stats.no_values += _add_row(
+                self.kb, self.stats, make_no_value(prop, subj, pairs, rank), f"{subj} {prop}")
         else:
             prop = self.entity()
             if prop.kind != "property":
@@ -487,7 +497,8 @@ def _ingest_claim(kb, stats, subject: EntityId, prop: EntityId, claim: dict) -> 
         return
     refs = [f"{sid}:r{i + 1}" for i in range(len(references))]
     if isinstance(mainsnak, dict) and mainsnak.get("snaktype") == "novalue":
-        stats.no_values += kb.add_statement(make_no_value(prop, subject, pairs, rank))
+        stats.no_values += _add_row(
+            kb, stats, make_no_value(prop, subject, pairs, rank), f"{subject} {prop}")
         return
     try:
         value = _decode_snak(mainsnak, kb)

@@ -9,16 +9,18 @@ a parameter's values join (``params``, as ``evaluate`` takes them).
 Under a total binding an atom only needs a yes or no, so the oracle
 decides atoms with its own ground matcher and shares no matching code with
 the evaluator: it checks the evaluator's access paths as well as its plans.
+The enumeration is exponential in the variables, so it refuses a domain above
+``domain_limit`` constants, and it reads no ``max_bindings``.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
-from .evaluator import Binding, EvalConfig, EvalError
-from .formula import (
+from wdcheck.evaluator import Binding, EvalConfig, EvalError
+from wdcheck.formula import (
     And,
     Const,
     DtRel,
@@ -35,12 +37,11 @@ from .formula import (
     SetLiteral,
     SetMember,
     SetVar,
-    all_constants,
+    _nodes,
     free_variables,
-    ground_set_literals,
     is_set_name,
 )
-from .model import (
+from wdcheck.model import (
     AttrSet,
     DatatypeError,
     KnowledgeBase,
@@ -52,6 +53,16 @@ from .model import (
 )
 
 
+def all_constants(f: Formula) -> set:
+    """All constant values occurring in a formula, including inside set literals."""
+    return {n.value for n in _nodes(f) if isinstance(n, Const)}
+
+
+def ground_set_literals(f: Formula) -> set:
+    """Set literals of a formula made only of constants, as AttrSet values."""
+    return {n.ground for n in _nodes(f) if isinstance(n, SetLiteral) and n.ground is not None}
+
+
 class DomainTooLarge(EvalError):
     """Brute-force evaluation refused: the active domain exceeds the bound."""
 
@@ -60,10 +71,10 @@ class _PoolCtx:
     """One oracle run: the KB, the config, the diagnostics and the variable pools."""
 
     def __init__(self, kb: KnowledgeBase, cfg: EvalConfig, formula: Formula,
-                 diagnostics: Optional[list] = None, params: Optional[dict] = None) -> None:
+                 params: Optional[dict] = None) -> None:
         self.kb = kb
         self.cfg = cfg
-        self.diagnostics = diagnostics if diagnostics is not None else []
+        self.diagnostics: list = []
         self.formula = formula
         self.params = params or {}
 
@@ -144,17 +155,16 @@ def _rel_holds(ctx: _PoolCtx, rel: Rel, env: dict) -> bool:
 def holds(
     kb: KnowledgeBase,
     f: Formula,
-    binding: Union[Binding, dict],
+    binding: dict,
     cfg: Optional[EvalConfig] = None,
-    diagnostics: Optional[list] = None,
 ) -> bool:
     """Truth of f under a total binding of its free variables."""
     cfg = cfg or EvalConfig()
-    env = binding.as_dict() if isinstance(binding, Binding) else dict(binding)
+    env = dict(binding)
     missing = free_variables(f) - env.keys()
     if missing:
         raise EvalError(f"binding missing variable(s): {', '.join(sorted(missing))}")
-    return _holds(_PoolCtx(kb, cfg, f, diagnostics), f, env)
+    return _holds(_PoolCtx(kb, cfg, f), f, env)
 
 
 def _holds(ctx: _PoolCtx, f: Formula, env: dict) -> bool:
@@ -202,24 +212,20 @@ def brute_force_evaluate(
     kb: KnowledgeBase,
     f: Formula,
     cfg: Optional[EvalConfig] = None,
-    diagnostics: Optional[list] = None,
     params: Optional[dict] = None,
+    domain_limit: int = 12,
 ) -> Iterator[Binding]:
-    """Enumerate every total binding and filter by holds (testing oracle); the
-    bindings leave out the variables that ``params`` binds."""
+    """Enumerate every total binding and filter by holds; the bindings leave out
+    the variables that ``params`` binds."""
     cfg = cfg or EvalConfig()
     params = dict(params or {})
-    ctx = _PoolCtx(kb, cfg, f, diagnostics, params)
-    if len(ctx.domain) > cfg.oracle_domain_limit:
+    ctx = _PoolCtx(kb, cfg, f, params)
+    if len(ctx.domain) > domain_limit:
         raise DomainTooLarge(
-            f"active domain has {len(ctx.domain)} constants, oracle limit is {cfg.oracle_domain_limit}")
+            f"active domain has {len(ctx.domain)} constants, oracle limit is {domain_limit}")
     fv = sorted(free_variables(f) - params.keys())
     pools = [ctx.pool(v) for v in fv]
-    count = 0
     for combo in itertools.product(*pools):
         env = dict(zip(fv, combo))
         if _holds(ctx, f, {**params, **env}):
             yield Binding.of(env)
-            count += 1
-            if cfg.max_bindings is not None and count >= cfg.max_bindings:
-                return

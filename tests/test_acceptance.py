@@ -14,6 +14,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from conftest import kb_from
+from oracle import brute_force_evaluate
 from wdcheck.catalog import (
     check,
     extract_declarations,
@@ -21,14 +22,13 @@ from wdcheck.catalog import (
     validate_catalog,
 )
 from wdcheck.cli import main
-from wdcheck.evaluator import EvalConfig, evaluate
+from wdcheck.evaluator import evaluate
 from wdcheck.formula import (
     negate_to_violation_query,
     parse,
     print_formula,
 )
 from wdcheck.ingest import export_native, load_native, load_wikidata_json
-from wdcheck.oracle import brute_force_evaluate
 from wdcheck.rules import builtin_ontology, closure
 from wdcheck.templates import builtin_templates, template_by_name
 
@@ -196,7 +196,6 @@ def test_criterion_2_oracle_equivalence():
     rng = random.Random(20200613)
     # the oracle bound is raised above 12 because a query's own constants
     # (template vocabulary) extend the evaluation domain beyond the KB's
-    cfg = EvalConfig(oracle_domain_limit=24)
     kbs = 0
     checked = 0
     while kbs < 500:
@@ -205,8 +204,9 @@ def test_criterion_2_oracle_equivalence():
         for inst in _instantiable_queries(kb):
             # the evaluator and the oracle read the one query object that
             # check runs, with the declaration's ?p and ?CQ bound as params
-            expected = set(brute_force_evaluate(kb, inst.query, cfg, params=inst.params))
-            got = set(evaluate(kb, inst.query, cfg, params=inst.params))
+            expected = set(brute_force_evaluate(kb, inst.query, params=inst.params,
+                                                domain_limit=24))
+            got = set(evaluate(kb, inst.query, params=inst.params))
             assert got == expected, (print_formula(inst.query), inst.params)
             checked += 1
     assert kbs >= 500 and checked >= 500

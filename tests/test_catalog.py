@@ -2,12 +2,14 @@
 
 import json
 import time
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kb_from
+from oracle import DomainTooLarge, all_constants, brute_force_evaluate
 from wdcheck import catalog, evaluator
 from wdcheck.catalog import (
     CheckResult,
@@ -21,9 +23,9 @@ from wdcheck.catalog import (
     validate_catalog,
 )
 from wdcheck.evaluator import check_safe_range, evaluate
-from wdcheck.formula import all_constants, free_variables
+from wdcheck.formula import free_variables
 from wdcheck.labels import LabelTable
-from wdcheck.model import P, Q
+from wdcheck.model import P, Q, QuantityVal
 from wdcheck.templates import builtin_templates, template_by_name
 
 
@@ -211,6 +213,29 @@ class TestVariantPlans:
         result = check(kb, [template_by_name("mandatory_qualifier")])
         assert len(result.violations) == 6
 
+    @pytest.mark.parametrize("facts, names, compared, found", [
+        ("P2302(P26, Q21510862)\nP26(Q1, Q2)\nP26(Q2, Q1)\nP26(Q3, Q4)\n", None, (8, 12),
+         {"x": Q(3), "y": Q(4)}),
+        ("P2302(P40, Q21510857) @ {P90011: 1, P90011: 3}\nP40(Q1, Q2)\nP40(Q1, Q3)\n",
+         ["multi_value"], (2, 2), {"mc": QuantityVal(Decimal(3))}),
+    ], ids=["spouses", "two-counts"])
+    def test_bound_queries_agree_with_the_oracle(self, facts, names, compared, found):
+        # brute force reads the one query object that check runs, ?p and ?CQ bound alike;
+        # the queries whose domain is above the oracle's limit are left out
+        kb = kb_from(facts)
+        templates = builtin_templates() if names is None else [template_by_name(n) for n in names]
+        queries = [inst for inst in instantiate(kb, templates) if inst.query is not None]
+        agreed, rows = 0, []
+        for inst in queries:
+            try:
+                want = set(brute_force_evaluate(kb, inst.query, params=inst.params))
+            except DomainTooLarge:
+                continue
+            assert set(evaluate(kb, inst.query, params=inst.params)) == want, inst.variant.name
+            agreed += 1
+            rows.extend(b.as_dict() for b in want)
+        assert (agreed, len(queries)) == compared
+        assert any(found.items() <= row.items() for row in rows)
 
 class TestCheck:
     def test_symmetric_violation(self):

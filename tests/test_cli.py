@@ -132,29 +132,12 @@ class TestCheck:
                            "--non-property", "--format", "json")
         assert code == 0  # the symmetric declaration is out of scope here
 
-    def test_oracle_crosscheck(self, capsys, family_file):
-        code, _, err = run(capsys, "check", "--input", family_file,
-                           "--no-close", "--oracle")
-        assert code == 1
-        assert "mismatch" not in err
-
-    def test_oracle_says_what_it_compared(self, capsys, tmp_path):
-        # the family fixture's domain is above the oracle's limit: a vacuous
-        # cross-check says so, and changes neither the report nor the exit code
-        plain = run(capsys, "check", "--input", str(FIXTURES / "family_s1.native"), "--no-close")
-        code, out, err = run(capsys, "check", "--input", str(FIXTURES / "family_s1.native"),
-                             "--no-close", "--oracle")
-        assert (code, out) == plain[:2]
-        assert err == ("note: oracle compared 0 of 22 queries; "
-                       "22 skipped (active domain above 12 constants)\n")
-        path = tmp_path / "small.native"
-        path.write_text("P2302(P40, Q21510857) @ {P90011: 1, P90011: 3}\n"
-                        "P40(Q1, Q2)\nP40(Q1, Q3)\n")
-        code, out, err = run(capsys, "check", "--input", str(path), "--no-close",
-                             "--templates", "multi_value", "--oracle")
-        assert code == 1 and "?mc=3" in out
-        assert err == "note: oracle compared 2 of 2 queries; 0 skipped " \
-            "(active domain above 12 constants)\n"
+    def test_oracle_is_a_usage_error(self, capsys, family_file):
+        # the brute-force cross-check is a test reference, not an option of check
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--input", family_file, "--oracle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
     def test_max_violations(self, capsys, tmp_path):
         path = tmp_path / "many.native"

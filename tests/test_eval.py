@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import kb_from
+from oracle import DomainTooLarge, all_constants, brute_force_evaluate, holds
 from wdcheck.evaluator import (
     Binding,
     EvalConfig,
@@ -35,13 +36,11 @@ from wdcheck.formula import (
     Rel,
     SetMember,
     SetVar,
-    all_constants,
     free_variables,
     parse,
 )
 from wdcheck.ingest import load_wikidata_json
 from wdcheck.model import AttrSet, KnowledgeBase, P, Q, StringVal
-from wdcheck.oracle import DomainTooLarge, brute_force_evaluate, holds
 from wdcheck.rules import closure
 
 
@@ -56,8 +55,7 @@ def rows(kb, text, cfg=None):
 def _agrees(kb, text, domain_limit):
     """evaluate and the brute-force oracle give the same bindings."""
     f = parse(text)
-    cfg = EvalConfig(oracle_domain_limit=domain_limit)
-    return set(evaluate(kb, f, cfg)) == set(brute_force_evaluate(kb, f, cfg))
+    return set(evaluate(kb, f)) == set(brute_force_evaluate(kb, f, domain_limit=domain_limit))
 
 
 class TestAtoms:
@@ -411,7 +409,7 @@ class TestOracle:
         assert [b.as_dict() for b in got] == [{"x": Q(3), "y": Q(4), "v": Q(9)}]
         # a parameter's values widen the domain, as they would written in as constants
         with pytest.raises(DomainTooLarge):
-            list(brute_force_evaluate(kb, q, EvalConfig(oracle_domain_limit=6), params=params))
+            list(brute_force_evaluate(kb, q, params=params, domain_limit=6))
 
     def test_agreement_on_fixture(self):
         kb = kb_from("P26(Q1, Q2)\nP26(Q2, Q1)\nP26(Q3, Q4)")
@@ -515,8 +513,7 @@ _SHADOWING = st.sampled_from(["x", "y", "S"]).flatmap(lambda v: st.one_of(
 def test_shadowing_binders_agree_with_the_oracle(stmts, f):
     assume(check_safe_range(f) is None)
     kb = kb_from("\n".join(f"{p}({s}, {o}){quals}{trailer}" for p, s, o, quals, trailer in stmts))
-    cfg = EvalConfig(oracle_domain_limit=20)
-    assert set(evaluate(kb, f, cfg)) == set(brute_force_evaluate(kb, f, cfg))
+    assert set(evaluate(kb, f)) == set(brute_force_evaluate(kb, f, domain_limit=20))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +565,7 @@ def test_access_paths_agree_with_the_oracle(stmts, include_deprecated, data):
     kb = kb_from("\n".join(f"{p}({s}, {o}) @ {{{q}}} rank={r}" for p, s, o, q, r in stmts))
     atoms = data.draw(st.lists(_rel_atom(stmts), min_size=1, max_size=2))
     f = parse(" & ".join(text for text, _needs in atoms))
-    cfg = EvalConfig(include_deprecated=include_deprecated, oracle_domain_limit=14)
+    cfg = EvalConfig(include_deprecated=include_deprecated)
     domain = sorted(kb.active_domain() | all_constants(f), key=str)
     names = sorted(free_variables(f))
     # a variable that occurs in an atom only inside a function term is a parameter
@@ -578,7 +575,7 @@ def test_access_paths_agree_with_the_oracle(stmts, include_deprecated, data):
               for name in sorted(bound.union(*(needs for _text, needs in atoms)))}
     got = set(evaluate(kb, f, cfg, params=params))
     want = {Binding.of({k: v for k, v in b.as_dict().items() if k not in params})
-            for b in brute_force_evaluate(kb, f, cfg)
+            for b in brute_force_evaluate(kb, f, cfg, domain_limit=14)
             if all(b[k] == v for k, v in params.items())}
     assert got == want
 
@@ -609,7 +606,7 @@ def test_tested_positions_agree_with_the_oracle_in_and_out_of_a_delta(
     lines = [f"{p}({s}, {o}) @ {{{q}}} rank={r}" for p, s, o, q, r in stmts]
     kb = kb_from("\n".join(lines))
     f = parse(text)
-    cfg = EvalConfig(include_deprecated=include_deprecated, oracle_domain_limit=14)
+    cfg = EvalConfig(include_deprecated=include_deprecated)
     domain = sorted(kb.active_domain() | all_constants(f), key=str)
     bound = data.draw(st.sets(st.sampled_from(sorted(free_variables(f)))))
     # a bound variable holds a value of one statement, so that tested positions match, or
@@ -623,7 +620,7 @@ def test_tested_positions_agree_with_the_oracle_in_and_out_of_a_delta(
 
     def oracle(base):
         return {Binding.of({k: v for k, v in b.as_dict().items() if k not in params})
-                for b in brute_force_evaluate(base, f, cfg)
+                for b in brute_force_evaluate(base, f, cfg, domain_limit=14)
                 if all(b[k] == v for k, v in params.items())}
 
     assert set(evaluate(kb, f, cfg, params=params)) == oracle(kb)
@@ -704,8 +701,7 @@ def test_function_terms_match_wherever_they_stand(stmts, data):
                            for s, o, quals in stmts))
     f = parse(data.draw(_function_term_query(stmts)))
     assert check_safe_range(f) is None
-    cfg = EvalConfig(oracle_domain_limit=16)
-    assert set(evaluate(kb, f, cfg)) == set(brute_force_evaluate(kb, f, cfg))
+    assert set(evaluate(kb, f)) == set(brute_force_evaluate(kb, f, domain_limit=16))
 
 
 @pytest.mark.parametrize("text", [
@@ -860,10 +856,10 @@ def test_builtin_tables_agree_with_the_oracle(text):
                  'no_value(P2, Q1) rank=deprecated\n')
     f = parse(text)
     for include_deprecated, count in zip((False, True), _BUILTIN_ROWS[text]):
-        cfg = EvalConfig(include_deprecated=include_deprecated, oracle_domain_limit=14)
+        cfg = EvalConfig(include_deprecated=include_deprecated)
         got = set(evaluate(kb, f, cfg))
         assert len(got) == count
-        assert got == set(brute_force_evaluate(kb, f, cfg))
+        assert got == set(brute_force_evaluate(kb, f, cfg, domain_limit=14))
 
 
 def test_binding_api():

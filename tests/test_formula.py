@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import all_constants, ground_set_literals
 from wdcheck.formula import (
     And,
     Const,
@@ -31,9 +32,7 @@ from wdcheck.formula import (
     _map,
     _nodes,
     _print_term,
-    all_constants,
     free_variables,
-    ground_set_literals,
     is_set_name,
     negate,
     negate_to_violation_query,

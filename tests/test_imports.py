@@ -1,10 +1,14 @@
-"""The runtime imports only the standard library."""
+"""The runtime imports only the standard library, and exports a pinned set of names."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+import types
+
+import wdcheck
+from wdcheck.evaluator import EvalConfig
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "wdcheck"
 
@@ -40,3 +44,18 @@ def test_cli_import_loads_no_dataclasses_inspect_or_calendar():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_public_surface_is_pinned():
+    # an export added or removed is a deliberate edit of this set
+    exported = {name for name, value in vars(wdcheck).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == {
+        "AnonConst", "AttrSet", "Binding", "DatatypeError", "EMPTY_ATTRS", "EntityId",
+        "EvalConfig", "EvalError", "Formula", "FormulaError", "KnowledgeBase", "ModelError",
+        "P", "ParseError", "Pseudo", "Q", "QuantityVal", "Statement", "StringVal", "TimeVal",
+        "UnsafeFormulaError", "Value", "check_safe_range", "evaluate", "free_variables",
+        "make_no_value", "make_statement", "negate", "negate_to_violation_query", "parse",
+        "print_formula",
+    }
+    assert EvalConfig.__slots__ == ("max_bindings", "include_deprecated")

@@ -83,12 +83,15 @@ class TestNativeFormat:
         assert values[P(6)] == P(31)
 
     def test_no_value_and_commons(self):
-        # each line twice: the KB keeps one row of each, and the counts are of rows kept
+        # each line twice: the KB keeps one row of each, the counts are of rows kept,
+        # and each repeat is skipped as a duplicate
         kb, stats = load_native(2 * (
             'no_value(P40, Q3) @ {P585: 2020-01-01} rank=preferred\n'
             'commons_ns("Douglas Adams", "Category")\n'))
         assert stats.no_values == 1
         assert stats.commons_pages == 1
+        assert stats.skipped == [("duplicate", "Q3 P40"),
+                                 ("duplicate", '"Douglas Adams" Commons_namespace')]
         (row,) = kb.by_property["no_value"]
         assert (row.subject, row.value, row.rank) == (P(40), Q(3), "preferred")
         (page,) = kb.by_property["Commons_namespace"]
@@ -443,6 +446,7 @@ class TestWikidataJson:
         kb, stats = load_wikidata_json([doc])
         assert stats.statements == 1
         assert stats.no_values == len(kb.by_property["no_value"]) == 1  # the repeat is not kept
+        assert stats.skipped == [("duplicate", "Q1 P40")]
         (st,) = kb.statements.values()
         assert isinstance(st.value, AnonConst)
         assert kb.by_property["no_value"][0].subject == P(40)
@@ -592,6 +596,8 @@ def _two_documents() -> dict:
     (("Q1",), "Q1", ("bad-document", "document is a str"), 1),
     (("Q1", "id"), 1, ("bad-entity-id", "1"), 1),
     ((), [], None, 0),  # an entities list is no entity container
+    (("Q1", "claims", "P40"), [claim("P40", {"snaktype": "novalue"})] * 2,
+     ("duplicate", "Q1 P40"), 3),  # the repeat of a no-value claim
 ])
 def test_json_shape_fault_skips_the_smallest_unit(capsys, tmp_path, path, value, skipped, loaded):
     dump = _two_documents()
@@ -748,11 +754,9 @@ def _mutated(draw, dump):
     return dump
 
 
-def _claim_count(dump, snaktype=None) -> int:
-    """The number of claims in dump, or of those whose main snak has the given snaktype."""
+def _claim_count(dump) -> int:
     docs = dump["entities"].values() if isinstance(dump, dict) else dump
-    return sum(snaktype in (None, claim["mainsnak"]["snaktype"])
-               for doc in docs for group in doc["claims"].values() for claim in group)
+    return sum(len(group) for doc in docs for group in doc["claims"].values())
 
 
 def _entity_container(dump) -> bool:
@@ -764,11 +768,9 @@ def _entity_container(dump) -> bool:
 @given(_wikibase_dumps(), st.data())
 def test_wikibase_json_fuzz(dump, data):
     kb, stats = load_wikidata_json(dump)
-    # every claim is a statement, a skip or a no-value claim, whose row is not kept again
-    # when it repeats one; no_values counts the rows kept
+    # every claim is a statement, a no-value row or a skip, a repeated row among them
     assert stats.no_values == len(kb.by_property.get("no_value", ()))
-    assert stats.statements + stats.no_values + len(stats.skipped) <= _claim_count(dump) \
-        <= stats.statements + _claim_count(dump, "novalue") + len(stats.skipped)
+    assert stats.statements + stats.no_values + len(stats.skipped) == _claim_count(dump)
     dump = data.draw(_mutated(copy.deepcopy(dump)))
     try:
         kb, stats = load_wikidata_json(json.dumps(dump))  # text, as the CLI reads it
